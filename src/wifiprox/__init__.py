@@ -5,112 +5,4 @@ Classifies pairs of Wi-Fi scans as recorded Close (within arm's reach,
 fingerprint-similarity features and an attribute-bagged tree ensemble.
 """
 
-from .core import (
-    Burst,
-    Fingerprint,
-    FingerprintPair,
-    ProximityClass,
-    bssid_from_int,
-    normalize_bssid,
-    shared_aps,
-)
-from .features import (
-    DEFAULT_CONFIG,
-    FEATURE_NAMES,
-    FeatureConfig,
-    FeatureTable,
-    FeatureVector,
-    extract,
-    extract_many,
-    fit_least_squares,
-    read_feature_table,
-    write_feature_table,
-)
-from .ingest import (
-    DatasetManifest,
-    ManifestError,
-    ParseError,
-    load_canonical,
-    load_dataset,
-    load_manifest,
-    save_canonical,
-    split_sub_bursts,
-)
-from .model import (
-    BaggedEnsemble,
-    EnsembleConfig,
-    Tree,
-    load_model,
-    save_model,
-    train_ensemble,
-    train_tree,
-)
-from .pairing import (
-    PairingConfig,
-    enumerate_pairs,
-    make_pair,
-    pair_distance,
-    sample_training_set,
-)
-from .selection_metrics import (
-    EvalReport,
-    MrmrConfig,
-    balanced_accuracy,
-    evaluate,
-    mrmr_select,
-    mutual_information,
-    pr_curve,
-)
-from .synth import DENSITY_PRESETS, SiteConfig, generate_site
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Burst",
-    "Fingerprint",
-    "FingerprintPair",
-    "ProximityClass",
-    "bssid_from_int",
-    "normalize_bssid",
-    "shared_aps",
-    "DEFAULT_CONFIG",
-    "FEATURE_NAMES",
-    "FeatureConfig",
-    "FeatureTable",
-    "FeatureVector",
-    "extract",
-    "extract_many",
-    "fit_least_squares",
-    "read_feature_table",
-    "write_feature_table",
-    "DatasetManifest",
-    "ManifestError",
-    "ParseError",
-    "load_canonical",
-    "load_dataset",
-    "load_manifest",
-    "save_canonical",
-    "split_sub_bursts",
-    "BaggedEnsemble",
-    "EnsembleConfig",
-    "Tree",
-    "load_model",
-    "save_model",
-    "train_ensemble",
-    "train_tree",
-    "PairingConfig",
-    "enumerate_pairs",
-    "make_pair",
-    "pair_distance",
-    "sample_training_set",
-    "EvalReport",
-    "MrmrConfig",
-    "balanced_accuracy",
-    "evaluate",
-    "mrmr_select",
-    "mutual_information",
-    "pr_curve",
-    "DENSITY_PRESETS",
-    "SiteConfig",
-    "generate_site",
-]

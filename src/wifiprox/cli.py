@@ -254,19 +254,27 @@ def cmd_select(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_training_tables(args: argparse.Namespace) -> features.FeatureTable:
-    """Load one or more feature tables, optionally subsampling each per class."""
+def _load_training_tables(
+    args: argparse.Namespace,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Load one or more feature tables as (matrix, is_close, names).
+
+    Each table is optionally restricted to the ``--feature-list`` columns and
+    subsampled per class.
+    """
     sampling = args.n_close is not None or args.n_far is not None
     if sampling and (args.n_close is None or args.n_far is None):
         raise ConfigError("--n-close and --n-far must be given together")
-    mats, labels_all = [], []
-    names: Optional[tuple[str, ...]] = None
-    for file_index, path in enumerate(args.features):
-        table = features.read_feature_table(_require_exists(path))
-        if names is None:
-            names = table.names
-        elif table.names != names:
+    tables = [features.read_feature_table(_require_exists(p)) for p in args.features]
+    names = tables[0].names
+    for path, table in zip(args.features[1:], tables[1:]):
+        if table.names != names:
             raise ConfigError(f"{path}: feature columns differ from {args.features[0]}")
+    if args.feature_list is not None:
+        names = tuple(selection_metrics.read_ranking(args.feature_list))
+        tables = [table.project(names) for table in tables]
+    mats, labels_all = [], []
+    for file_index, (path, table) in enumerate(zip(args.features, tables)):
         is_close = table.label_array()
         matrix = table.matrix
         if sampling:
@@ -284,17 +292,7 @@ def _load_training_tables(args: argparse.Namespace) -> features.FeatureTable:
             is_close = is_close[keep]
         mats.append(matrix)
         labels_all.append(is_close)
-    assert names is not None
-    matrix = np.vstack(mats)
-    is_close = np.concatenate(labels_all)
-    n = len(matrix)
-    return features.FeatureTable(
-        names=names,
-        pair_ids=tuple(str(i) for i in range(n)),
-        distances=np.zeros(n),
-        labels=tuple(ProximityClass.CLOSE if c else ProximityClass.FAR for c in is_close),
-        matrix=matrix,
-    )
+    return np.vstack(mats), np.concatenate(labels_all), names
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -315,12 +313,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.feature_list is not None:
         inputs.append(_require_exists(args.feature_list))
     doc = _print_header("train", args.seed, config, inputs)
-    table = _load_training_tables(args)
-    if args.feature_list is not None:
-        table = table.project(selection_metrics.read_ranking(args.feature_list))
-    trained = model.train_ensemble(
-        table.matrix, table.label_array(), table.names, ens_cfg, seed=args.seed
-    )
+    matrix, is_close, names = _load_training_tables(args)
+    trained = model.train_ensemble(matrix, is_close, names, ens_cfg, seed=args.seed)
     model.save_model(trained, args.model_out)
     _write_meta(args.model_out, doc)
     n_close, n_far = trained.class_balance

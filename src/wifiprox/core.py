@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 # Canonical AP identifier: lowercase colon-separated 6-octet hex, 17 chars.
 BSSID_RE = re.compile(r"^[0-9a-f]{2}(?::[0-9a-f]{2}){5}$")

@@ -36,16 +36,27 @@ pair (``a`` regressed onto ``b``) and apply it to the *full* fingerprint:
 
 Degenerate fits fall back to the identity slope: no shared APs gives (1, 0);
 zero variance in the source readings gives slope 1 and the mean offset.
+
+Fixed constants of the catalog:
+
+* ``REDPIN_MATCH_THRESHOLD_DBM`` (10): a shared AP whose two readings differ
+  by at most this much earns ``REDPIN_MATCH_CREDIT`` (1), any other shared AP
+  ``REDPIN_PARTIAL_CREDIT`` (0.5), and each AP the other side misses costs
+  ``REDPIN_MISS_PENALTY`` (0.4);
+* ``RE3_TIE_CREDIT`` (0.5): ``device.re3`` credit for a pair of shared APs
+  tied in exactly one fingerprint;
+* ``ZERO_RSSI_SUBSTITUTE`` (-0.5): stands in for a 0 dBm reading in
+  pairwise ratios.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -61,26 +72,16 @@ _CORR_NAMES = ("cosine", "pearson", "spearman", "kendall")
 _DIFF_FAMILIES = ("diff_rssi", "diff_pairdiff", "diff_pairratio")
 _STAT_NAMES = ("min", "max", "mean", "median", "harmonic_mean", "std_sample", "std_pop")
 
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Tunable constants; defaults give the standard 323-entry catalog."""
-
-    redpin_match_threshold_dbm: float = 10.0
-    redpin_match_credit: float = 1.0
-    redpin_partial_credit: float = 0.5
-    redpin_miss_penalty: float = 0.4
-    re3_tie_credit: float = 0.5
-    zero_rssi_substitute: float = -0.5
-
-    def __post_init__(self) -> None:
-        if self.redpin_match_threshold_dbm < 0:
-            raise ValueError("redpin_match_threshold_dbm must be >= 0")
-        if self.zero_rssi_substitute == 0:
-            raise ValueError("zero_rssi_substitute must be nonzero")
+REDPIN_MATCH_THRESHOLD_DBM = 10.0
+REDPIN_MATCH_CREDIT = 1.0
+REDPIN_PARTIAL_CREDIT = 0.5
+REDPIN_MISS_PENALTY = 0.4
+RE3_TIE_CREDIT = 0.5
+ZERO_RSSI_SUBSTITUTE = -0.5
 
 
-DEFAULT_CONFIG = FeatureConfig()
+class NonFiniteFeatureError(ValueError):
+    """A pair whose readings drive some feature to inf or NaN."""
 
 
 def _build_feature_names() -> tuple[str, ...]:
@@ -153,14 +154,14 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return a, my - a * mx
 
 
+def _fit_both_ways(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    return (*_fit_line(x, y), *_fit_line(y, x))
+
+
 def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, float, float]:
     """(A, B, C, D): A,B map a's readings onto b's; C,D the reverse."""
-    ids = shared_aps(a, b)
-    x = np.array([a.readings[i] for i in ids], dtype=np.float64)
-    y = np.array([b.readings[i] for i in ids], dtype=np.float64)
-    slope_ab, inter_ab = _fit_line(x, y)
-    slope_ba, inter_ba = _fit_line(y, x)
-    return slope_ab, inter_ab, slope_ba, inter_ba
+    _, x, y = _shared_values(a, b)
+    return _fit_both_ways(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +190,12 @@ def _pearson(u: np.ndarray, v: np.ndarray) -> float:
     return float(du @ dv) / math.sqrt(su * sv)
 
 
-def _avg_ranks(v: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based, ties share the mean rank)."""
+def _ranks(v: np.ndarray, method: str) -> np.ndarray:
+    """1-based ranks of a non-empty vector.
+
+    Tied entries share their group's mean rank (``"average"``), or its last
+    rank (``"max"``: how many entries are <= this one).
+    """
     n = v.size
     order = np.argsort(v, kind="stable")
     sv = v[order]
@@ -200,16 +205,19 @@ def _avg_ranks(v: np.ndarray) -> np.ndarray:
     group = np.cumsum(new_group) - 1
     counts = np.bincount(group)
     ends = np.cumsum(counts)  # 1-based rank of each group's last member
-    avg = ends - (counts - 1) / 2.0
+    if method == "average":
+        rank = ends - (counts - 1) / 2.0
+    else:
+        rank = ends.astype(np.float64)
     out = np.empty(n)
-    out[order] = avg[group]
+    out[order] = rank[group]
     return out
 
 
 def _spearman(u: np.ndarray, v: np.ndarray) -> float:
     if u.size < 2:
         return 0.0
-    return _pearson(_avg_ranks(u), _avg_ranks(v))
+    return _pearson(_ranks(u, "average"), _ranks(v, "average"))
 
 
 def _kendall(u: np.ndarray, v: np.ndarray) -> float:
@@ -220,9 +228,7 @@ def _kendall(u: np.ndarray, v: np.ndarray) -> float:
         return 0.0
     if u.size <= 64:
         # direct pair enumeration beats the library call at this size
-        ii, jj = _upper_pairs(u.size)
-        sx = np.sign(u[ii] - u[jj])
-        sy = np.sign(v[ii] - v[jj])
+        sx, sy = _pair_signs(u, v)
         num = float(sx @ sy)
         n0 = sx.size
         ties_x = n0 - np.count_nonzero(sx)
@@ -274,33 +280,23 @@ def _pair_differences(v: np.ndarray) -> np.ndarray:
     return v[ii] - v[jj]
 
 
-def _pair_ratios(v: np.ndarray, zero_substitute: float) -> np.ndarray:
-    safe = np.where(v == 0.0, zero_substitute, v)
+def _pair_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs of u_i - u_j and v_i - v_j over unordered pairs i < j."""
+    return np.sign(_pair_differences(u)), np.sign(_pair_differences(v))
+
+
+def _pair_ratios(v: np.ndarray) -> np.ndarray:
+    safe = np.where(v == 0.0, ZERO_RSSI_SUBSTITUTE, v)
     ii, jj = _ordered_pairs(v.size)
     return safe[ii] / safe[jj]
-
-
-def _rank_vector(v: np.ndarray) -> np.ndarray:
-    """Detection rank per AP: how many readings are <= this one (max rank)."""
-    n = v.size
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sv[1:], sv[:-1], out=new_group[1:])
-    group = np.cumsum(new_group) - 1
-    ends = np.cumsum(np.bincount(group)).astype(np.float64)
-    out = np.empty(n)
-    out[order] = ends[group]
-    return out
 
 
 def _normalized_rank_vectors(
     ids: Sequence[str], x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-L2 rank vectors ordered by descending rank in x, ties by AP id."""
-    rx = _rank_vector(x)
-    ry = _rank_vector(y)
+    rx = _ranks(x, "max")
+    ry = _ranks(y, "max")
     order = np.lexsort((np.asarray(ids), -rx))
     rx = rx[order]
     ry = ry[order]
@@ -308,7 +304,7 @@ def _normalized_rank_vectors(
 
 
 # ---------------------------------------------------------------------------
-# Individual feature families on raw fingerprints (unit-testable surface)
+# Features read directly off the pair
 # ---------------------------------------------------------------------------
 
 def ap_detection_features(a: Fingerprint, b: Fingerprint) -> tuple[float, ...]:
@@ -332,92 +328,20 @@ def _shared_values(a: Fingerprint, b: Fingerprint) -> tuple[list[str], np.ndarra
     return ids, x, y
 
 
-def manhattan_euclidean(a: Fingerprint, b: Fingerprint) -> tuple[float, float]:
-    """L1 and L2 distances over the shared-AP RSSI vectors; (0, 0) if none."""
-    _, x, y = _shared_values(a, b)
-    if x.size == 0:
-        return 0.0, 0.0
-    d = x - y
-    return float(np.abs(d).sum()), float(math.sqrt(d @ d))
-
-
-def shared_top_ap_within(a: Fingerprint, b: Fingerprint, z: float) -> float:
-    """1.0 iff some shared AP is within z dBm of the maximum in *both*."""
-    _, x, y = _shared_values(a, b)
-    if x.size == 0:
-        return 0.0
-    max_a = max(a.readings.values())
-    max_b = max(b.readings.values())
-    depth = np.maximum(max_a - x, max_b - y)
-    return 1.0 if float(depth.min()) <= z else 0.0
-
-
-def rssi_within_fraction(a: Fingerprint, b: Fingerprint, z: float) -> float:
-    """Fraction of shared APs whose two readings differ by at most z dBm."""
-    _, x, y = _shared_values(a, b)
-    if x.size == 0:
-        return 0.0
-    return float(np.mean(np.abs(x - y) <= z))
-
-
-def _top_ids(readings: dict[str, float], k: int) -> list[str]:
-    return sorted(readings, key=lambda i: (-readings[i], i))[:k]
-
-
-def shared_top_k(a: Fingerprint, b: Fingerprint, k: int) -> float:
-    """1.0 iff both have >= k APs and their k strongest coincide as sets."""
-    if a.ap_count < k or b.ap_count < k:
-        return 0.0
-    return 1.0 if set(_top_ids(a.readings, k)) == set(_top_ids(b.readings, k)) else 0.0
-
-
-def redpin_score(
-    p: Fingerprint, q: Fingerprint, cfg: FeatureConfig = DEFAULT_CONFIG
-) -> float:
-    """Asymmetric match score of q against p, normalized by p's AP count.
-
-    Every AP of p contributes: full credit when q sees it at a similar level
-    (|difference| <= threshold), partial credit when q sees it at any other
-    level, and a penalty when q does not see it at all.
-    """
-    if not p.readings:
-        return 0.0
-    total = 0.0
-    for ap, rssi in p.readings.items():
-        other = q.readings.get(ap)
-        if other is None:
-            total -= cfg.redpin_miss_penalty
-        elif abs(rssi - other) <= cfg.redpin_match_threshold_dbm:
-            total += cfg.redpin_match_credit
-        else:
-            total += cfg.redpin_partial_credit
-    return total / len(p.readings)
-
-
-def rank_concordance(
-    a: Fingerprint, b: Fingerprint, cfg: FeatureConfig = DEFAULT_CONFIG
-) -> float:
+def _rank_concordance(x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of shared-AP pairs whose RSSI ordering agrees across a and b.
 
     A pair tied in both fingerprints counts as concordant; tied in exactly
-    one counts ``re3_tie_credit``.  Fewer than two shared APs gives 0.
+    one counts ``RE3_TIE_CREDIT``.  Fewer than two shared APs gives 0.
     """
-    _, x, y = _shared_values(a, b)
-    return _rank_concordance_values(x, y, cfg)
-
-
-def _rank_concordance_values(x: np.ndarray, y: np.ndarray, cfg: FeatureConfig) -> float:
-    n = x.size
-    if n < 2:
+    if x.size < 2:
         return 0.0
-    ii, jj = _upper_pairs(n)
-    sx = np.sign(x[ii] - x[jj])
-    sy = np.sign(y[ii] - y[jj])
+    sx, sy = _pair_signs(x, y)
     both_tied = (sx == 0) & (sy == 0)
     one_tied = (sx == 0) ^ (sy == 0)
     agree = (sx == sy) & (sx != 0)
-    score = agree.sum() + both_tied.sum() + cfg.re3_tie_credit * one_tied.sum()
-    return float(score) / ii.size
+    score = agree.sum() + both_tied.sum() + RE3_TIE_CREDIT * one_tied.sum()
+    return float(score) / sx.size
 
 
 def identical_devices(a: Fingerprint, b: Fingerprint) -> float:
@@ -436,7 +360,6 @@ def _variant_block(
     a_vals: np.ndarray,
     b_ids: np.ndarray,
     b_vals: np.ndarray,
-    cfg: FeatureConfig,
 ) -> list[float]:
     """The 79 RSSI-dependent features for one calibration variant.
 
@@ -482,7 +405,7 @@ def _variant_block(
 
     # redpin, both directions (b is the AP-richer fingerprint by pair order)
     if n:
-        n_full = int(np.sum(np.abs(x - y) <= cfg.redpin_match_threshold_dbm))
+        n_full = int(np.sum(np.abs(x - y) <= REDPIN_MATCH_THRESHOLD_DBM))
     else:
         n_full = 0
     n_partial = n - n_full
@@ -491,9 +414,9 @@ def _variant_block(
             feats.append(0.0)
         else:
             score = (
-                cfg.redpin_match_credit * n_full
-                + cfg.redpin_partial_credit * n_partial
-                - cfg.redpin_miss_penalty * (p_count - n)
+                REDPIN_MATCH_CREDIT * n_full
+                + REDPIN_PARTIAL_CREDIT * n_partial
+                - REDPIN_MISS_PENALTY * (p_count - n)
             )
             feats.append(score / p_count)
 
@@ -501,8 +424,8 @@ def _variant_block(
     if n >= 2:
         pd_x = _pair_differences(x)
         pd_y = _pair_differences(y)
-        pr_x = _pair_ratios(x, cfg.zero_rssi_substitute)
-        pr_y = _pair_ratios(y, cfg.zero_rssi_substitute)
+        pr_x = _pair_ratios(x)
+        pr_y = _pair_ratios(y)
     else:
         pd_x = pd_y = pr_x = pr_y = np.empty(0)
     if n:
@@ -521,7 +444,7 @@ def _variant_block(
     return feats
 
 
-def extract(pair: FingerprintPair, cfg: FeatureConfig = DEFAULT_CONFIG) -> FeatureVector:
+def extract(pair: FingerprintPair) -> FeatureVector:
     """Compute the full 323-entry feature vector for a canonical pair."""
     a, b = pair.a, pair.b
     ids, x, y = _shared_values(a, b)
@@ -533,8 +456,7 @@ def extract(pair: FingerprintPair, cfg: FeatureConfig = DEFAULT_CONFIG) -> Featu
     b_ids = np.array([i for i, _ in b_items])
     b_vals = np.array([v for _, v in b_items], dtype=np.float64)
 
-    slope_ab, inter_ab = _fit_line(x, y)
-    slope_ba, inter_ba = _fit_line(y, x)
+    slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(x, y)
 
     values: list[float] = list(ap_detection_features(a, b))
     for variant in VARIANTS:
@@ -550,43 +472,27 @@ def extract(pair: FingerprintPair, cfg: FeatureConfig = DEFAULT_CONFIG) -> Featu
         else:  # double_ls
             xa, av = slope_ab * x + inter_ab, slope_ab * a_vals + inter_ab
             yb, bv = slope_ba * y + inter_ba, slope_ba * b_vals + inter_ba
-        values += _variant_block(ids, xa, yb, a_ids, av, b_ids, bv, cfg)
+        values += _variant_block(ids, xa, yb, a_ids, av, b_ids, bv)
 
     values.append(identical_devices(a, b))
-    values.append(_rank_concordance_values(x, y, cfg))
+    values.append(_rank_concordance(x, y))
 
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         bad = [FEATURE_NAMES[i] for i in np.nonzero(~np.isfinite(arr))[0]]
-        raise AssertionError(f"non-finite feature values for pair {pair.key}: {bad}")
+        raise NonFiniteFeatureError(f"non-finite feature values for pair {pair.key}: {bad}")
     return FeatureVector(names=FEATURE_NAMES, values=arr, label=pair.label)
 
 
-def extract_many(
-    pairs: Sequence[FingerprintPair],
-    cfg: FeatureConfig = DEFAULT_CONFIG,
-    workers: int = 1,
-) -> list[FeatureVector]:
+def extract_many(pairs: Sequence[FingerprintPair], workers: int = 1) -> list[FeatureVector]:
     """Extract feature vectors for many pairs, preserving input order."""
     if workers <= 1 or len(pairs) < 4:
-        return [extract(p, cfg) for p in pairs]
+        return [extract(p) for p in pairs]
     import multiprocessing
 
-    with multiprocessing.Pool(workers, initializer=_pool_init, initargs=(cfg,)) as pool:
+    with multiprocessing.Pool(workers) as pool:
         chunk = max(1, len(pairs) // (workers * 8))
-        return pool.map(_pool_extract, pairs, chunksize=chunk)
-
-
-_POOL_CFG = DEFAULT_CONFIG
-
-
-def _pool_init(cfg: FeatureConfig) -> None:
-    global _POOL_CFG
-    _POOL_CFG = cfg
-
-
-def _pool_extract(pair: FingerprintPair) -> FeatureVector:
-    return extract(pair, _POOL_CFG)
+        return pool.map(extract, pairs, chunksize=chunk)
 
 
 # ---------------------------------------------------------------------------

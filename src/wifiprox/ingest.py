@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -30,18 +30,6 @@ class ParseError(ValueError):
 
 class ManifestError(ValueError):
     """Bad or incomplete dataset manifest."""
-
-
-@dataclass(frozen=True)
-class PseudoFingerprint(Fingerprint):
-    """Per-AP median aggregation of a sub-burst of scans.
-
-    Contains every AP detected in at least one source scan; the RSSI for an
-    AP is the median of its observations across the scans that detected it
-    (even counts average the two middle values, hence float RSSI).
-    """
-
-    source_scan_ids: tuple[str, ...] = ()
 
 
 @dataclass
@@ -341,14 +329,21 @@ SUB_BURST_SIZE = 4
 
 def _aggregate_scans(
     burst: Burst, scans: Sequence[Fingerprint], sub_index: int
-) -> PseudoFingerprint:
+) -> Fingerprint:
+    """Pseudo-fingerprint: per-AP median aggregation of a sub-burst of scans.
+
+    Contains every AP detected in at least one source scan; the RSSI for an
+    AP is the median of its observations across the scans that detected it
+    (even counts average the two middle values, hence float RSSI).  The id
+    names the burst and the half (``...:<burst>:sub<sub_index>``).
+    """
     by_ap: dict[str, list[float]] = {}
     for fp in scans:
         for bssid, rssi in fp.readings.items():
             by_ap.setdefault(bssid, []).append(rssi)
     readings = {bssid: float(statistics.median(vals)) for bssid, vals in by_ap.items()}
     fk = burst.floor_key
-    return PseudoFingerprint(
+    return Fingerprint(
         id=f"{fk[0]}:{fk[1]}:{fk[2]}:{burst.burst_id}:sub{sub_index}",
         readings=readings,
         position=burst.position,
@@ -356,11 +351,10 @@ def _aggregate_scans(
         device_model=burst.device_model,
         burst_id=burst.burst_id,
         scan_index=sub_index,
-        source_scan_ids=tuple(fp.id for fp in scans),
     )
 
 
-def split_sub_bursts(burst: Burst) -> tuple[PseudoFingerprint, PseudoFingerprint]:
+def split_sub_bursts(burst: Burst) -> tuple[Fingerprint, Fingerprint]:
     """Split one burst into two 4-scan pseudo-fingerprints.
 
     The first aggregates scans 0-3, the second scans 4-7; the ninth scan
@@ -378,11 +372,11 @@ def split_sub_bursts(burst: Burst) -> tuple[PseudoFingerprint, PseudoFingerprint
 
 def split_all_sub_bursts(
     bursts: Sequence[Burst], report: Optional[SkipReport] = None
-) -> tuple[list[PseudoFingerprint], SkipReport]:
+) -> tuple[list[Fingerprint], SkipReport]:
     """Split every burst long enough; short bursts are counted, not fatal."""
     if report is None:
         report = SkipReport()
-    pseudos: list[PseudoFingerprint] = []
+    pseudos: list[Fingerprint] = []
     for burst in bursts:
         report.bursts_seen += 1
         if len(burst.scans) < 2 * SUB_BURST_SIZE:

@@ -13,13 +13,11 @@ decision compares that score to a threshold (0.5 unless stated otherwise).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-
-from .core import ProximityClass
 
 SCHEMA_VERSION = 1
 

@@ -7,6 +7,9 @@ import pytest
 
 from wifiprox import cli, features, ingest, model, pairing
 from wifiprox.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION
+from wifiprox.core import ProximityClass
+
+from conftest import bss, make_fp
 
 
 def run(*argv):
@@ -87,6 +90,20 @@ class TestExitCodes:
             "pairs", "--in", pipeline["site"], "--out", tmp_path / "p.jsonl",
             "--sub-bursts",
         ) == EXIT_CONFIG
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_rssi_is_validation_error(self, tmp_path, capsys):
+        # finite readings whose gap overflows: some features become inf/NaN
+        a = make_fp(id="a", readings={bss(1): 1e200, bss(2): -50.0})
+        b = make_fp(id="b", readings={bss(1): -1e200, bss(2): -60.0}, position=(1.0, 0.0))
+        site, pairs = tmp_path / "site.jsonl", tmp_path / "pairs.jsonl"
+        ingest.save_canonical([a, b], site)
+        pairing.save_pairs([pairing.make_pair(a, b, 1.0, ProximityClass.CLOSE)], pairs)
+        assert run(
+            "featurize", "--pairs", pairs, "--fingerprints", site, "--out", tmp_path / "f.csv",
+        ) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "dist.euclidean.none" in err
 
     def test_train_over_request_is_validation_error(self, pipeline, tmp_path, capsys):
         assert run(
@@ -192,6 +209,28 @@ class TestArtifacts:
             "--seed", 3, "--trees", 4, "--feature-list", ranking,
         ) == EXIT_OK
         assert model.load_model(mdl).feature_names == tuple(names)
+
+    def test_feature_list_applies_to_each_sampled_table(self, pipeline, tmp_path):
+        # --feature-list over two tables with per-table sampling trains the
+        # same model as the tables projected beforehand
+        ranking = tmp_path / "ranking.txt"
+        wanted = ["dist.euclidean.none", "ap.jaccard.none", "corr_rank.kendall.double_ls"]
+        ranking.write_text("\n".join(wanted) + "\n")
+        narrow = tmp_path / "narrow.csv"
+        table = features.read_feature_table(pipeline["features"])
+        features.write_feature_table(table.project(wanted), narrow)
+        common = ["--seed", 9, "--trees", 5, "--n-close", 10, "--n-far", 10]
+        listed, projected = tmp_path / "listed.json", tmp_path / "projected.json"
+        assert run(
+            "train", "--features", pipeline["features"], "--features", pipeline["features"],
+            "--feature-list", ranking, "--model-out", listed, *common,
+        ) == EXIT_OK
+        assert run(
+            "train", "--features", narrow, "--features", narrow,
+            "--model-out", projected, *common,
+        ) == EXIT_OK
+        assert listed.read_bytes() == projected.read_bytes()
+        assert model.load_model(listed).class_balance == (20, 20)
 
     def test_train_rejects_mismatched_feature_columns(self, pipeline, tmp_path):
         table = features.read_feature_table(pipeline["features"])

@@ -1,5 +1,6 @@
 """Feature registry, calibration, correlation kernels, extraction, tables."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -16,21 +17,13 @@ from wifiprox.features import (
     MONOTONE_INVARIANT_NAMES,
     N_FEATURES,
     VARIANTS,
-    FeatureConfig,
-    FeatureTable,
     FeatureVector,
     ap_detection_features,
     extract,
     extract_many,
     fit_least_squares,
     identical_devices,
-    manhattan_euclidean,
-    rank_concordance,
     read_feature_table,
-    redpin_score,
-    rssi_within_fraction,
-    shared_top_ap_within,
-    shared_top_k,
     table_from_vectors,
     write_feature_table,
 )
@@ -39,6 +32,95 @@ from wifiprox.pairing import make_pair
 from conftest import bss, make_fp, pair_of, random_readings
 
 GOLDEN = Path(__file__).parent / "data" / "feature_names.txt"
+
+
+# ---------------------------------------------------------------------------
+# Oracles: feature families computed directly on raw fingerprints,
+# independently of the vectorized per-variant block in features.py
+# ---------------------------------------------------------------------------
+
+def _shared_readings(a, b):
+    ids = sorted(set(a.readings) & set(b.readings))
+    return [a.readings[i] for i in ids], [b.readings[i] for i in ids]
+
+
+def manhattan_euclidean(a, b):
+    """L1 and L2 distances over the shared-AP RSSI vectors; (0, 0) if none."""
+    x, y = _shared_readings(a, b)
+    l1 = sum(abs(u - v) for u, v in zip(x, y))
+    return float(l1), math.sqrt(sum((u - v) ** 2 for u, v in zip(x, y)))
+
+
+def shared_top_ap_within(a, b, z):
+    """1.0 iff some shared AP is within z dBm of the maximum in *both*."""
+    x, y = _shared_readings(a, b)
+    if not x:
+        return 0.0
+    max_a = max(a.readings.values())
+    max_b = max(b.readings.values())
+    depth = min(max(max_a - u, max_b - v) for u, v in zip(x, y))
+    return 1.0 if depth <= z else 0.0
+
+
+def rssi_within_fraction(a, b, z):
+    """Fraction of shared APs whose two readings differ by at most z dBm."""
+    x, y = _shared_readings(a, b)
+    if not x:
+        return 0.0
+    return sum(abs(u - v) <= z for u, v in zip(x, y)) / len(x)
+
+
+def shared_top_k(a, b, k):
+    """1.0 iff both have >= k APs and their k strongest coincide as sets."""
+    if a.ap_count < k or b.ap_count < k:
+        return 0.0
+
+    def top(readings):
+        return set(sorted(readings, key=lambda i: (-readings[i], i))[:k])
+
+    return 1.0 if top(a.readings) == top(b.readings) else 0.0
+
+
+def redpin_score(p, q):
+    """Asymmetric match score of q against p, normalized by p's AP count.
+
+    Every AP of p contributes: 1 when q sees it within 10 dBm, 0.5 when q
+    sees it at any other level, and -0.4 when q does not see it at all.
+    """
+    if not p.readings:
+        return 0.0
+    total = 0.0
+    for ap, rssi in p.readings.items():
+        other = q.readings.get(ap)
+        if other is None:
+            total -= 0.4
+        elif abs(rssi - other) <= 10.0:
+            total += 1.0
+        else:
+            total += 0.5
+    return total / len(p.readings)
+
+
+def rank_concordance(a, b):
+    """Fraction of shared-AP pairs whose RSSI ordering agrees across a and b.
+
+    A pair tied in both fingerprints counts as concordant, tied in exactly
+    one counts 0.5.  Fewer than two shared APs gives 0.
+    """
+    x, y = _shared_readings(a, b)
+    pairs = list(itertools.combinations(range(len(x)), 2))
+    if not pairs:
+        return 0.0
+    score = 0.0
+    for i, j in pairs:
+        tie_x, tie_y = x[i] == x[j], y[i] == y[j]
+        if tie_x and tie_y:
+            score += 1.0
+        elif tie_x or tie_y:
+            score += 0.5
+        elif (x[i] > x[j]) == (y[i] > y[j]):
+            score += 1.0
+    return score / len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +179,6 @@ class TestRegistry:
         assert "device.re3.none" in MONOTONE_INVARIANT_NAMES
         # pairwise *ratios* are not preserved by affine recalibration
         assert not any(n.startswith("corr_pairratio") for n in MONOTONE_INVARIANT_NAMES)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(redpin_match_threshold_dbm=-1.0)
-        with pytest.raises(ValueError):
-            FeatureConfig(zero_rssi_substitute=0.0)
 
     def test_vector_length_checked(self):
         with pytest.raises(ValueError):
@@ -218,7 +294,10 @@ class TestKernels:
     def test_avg_ranks_matches_scipy(self, rng):
         for _ in range(20):
             v = rng.integers(-10, 10, size=int(rng.integers(1, 40))).astype(float)
-            np.testing.assert_allclose(features._avg_ranks(v), stats.rankdata(v))
+            np.testing.assert_allclose(features._ranks(v, "average"), stats.rankdata(v))
+            np.testing.assert_array_equal(
+                features._ranks(v, "max"), stats.rankdata(v, method="max")
+            )
 
     @pytest.mark.parametrize("kernel", ["_cosine", "_pearson", "_spearman", "_kendall"])
     def test_degenerate_inputs_give_zero(self, kernel):
@@ -269,7 +348,7 @@ class TestKernels:
 
     def test_pair_ratios_order_and_zero_substitution(self):
         v = np.array([4.0, 0.0])
-        out = features._pair_ratios(v, zero_substitute=-0.5)
+        out = features._pair_ratios(v)
         np.testing.assert_allclose(out, [4.0 / -0.5, -0.5 / 4.0])
 
 
@@ -544,6 +623,34 @@ class TestExtract:
             p1 = make_pair(a, b, 1.0, ProximityClass.CLOSE)
             p2 = make_pair(b, a, 1.0, ProximityClass.CLOSE)
             np.testing.assert_array_equal(extract(p1).values, extract(p2).values)
+
+    def test_swap_is_identity_with_many_shared_aps(self, rng):
+        # past 64 shared APs Kendall leaves the pair-enumeration path, and the
+        # pair-difference/ratio vectors hold thousands of entries
+        def shuffled(fp, id, position):
+            items = list(fp.items())
+            rng.shuffle(items)
+            return make_fp(id=id, readings=dict(items), position=position)
+
+        for i in range(20):
+            n_shared = int(rng.integers(65, 91))
+            shared = rng.choice(300, size=n_shared, replace=False)
+            a_read = {bss(int(j) + 1): float(rng.integers(-95, -30)) for j in shared}
+            b_read = {k: float(rng.integers(-95, -30)) for k in a_read}
+            for j in rng.choice(np.arange(300, 340), size=int(rng.integers(0, 6)), replace=False):
+                (a_read if j % 2 else b_read)[bss(int(j) + 1)] = float(rng.integers(-95, -60))
+            forward = make_pair(
+                shuffled(a_read, "a", (0.0, 0.0)), shuffled(b_read, "b", (1.0, 0.0)),
+                1.0, ProximityClass.CLOSE,
+            )
+            backward = make_pair(
+                shuffled(b_read, "b", (1.0, 0.0)), shuffled(a_read, "a", (0.0, 0.0)),
+                1.0, ProximityClass.CLOSE,
+            )
+            assert len(forward.a.ap_set & forward.b.ap_set) > 64
+            np.testing.assert_array_equal(
+                extract(forward).values, extract(backward).values, err_msg=f"pair {i}"
+            )
 
     def test_extract_many_matches_serial_and_parallel(self, rng):
         pairs = [_random_pair(rng) for _ in range(8)]

@@ -223,8 +223,8 @@ class TestSubBursts:
     def test_pseudo_ids_distinct_and_traceable(self):
         first, second = split_sub_bursts(make_burst(9))
         assert first.id != second.id
-        assert first.source_scan_ids == ("b0:0", "b0:1", "b0:2", "b0:3")
-        assert second.source_scan_ids == ("b0:4", "b0:5", "b0:6", "b0:7")
+        # the id names the floor subset, the burst and the half
+        assert (first.id, second.id) == ("ds:0:0:b0:sub0", "ds:0:0:b0:sub1")
 
     def test_too_short_burst_rejected(self):
         with pytest.raises(ValueError):
