@@ -85,6 +85,18 @@ def _write_meta(out_path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for a count flag: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid count value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _require_exists(path: Path) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
@@ -95,37 +107,20 @@ def _require_exists(path: Path) -> Path:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_SYNTH_OVERRIDES = (
-    "ap_count",
-    "area_w_m",
-    "area_h_m",
-    "cluster_radius_m",
-    "noise_sigma_db",
-    "detect_threshold_dbm",
-    "path_loss_exponent",
-    "tx_power_dbm",
-)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    overrides = {
-        name: getattr(args, name)
-        for name in _SYNTH_OVERRIDES
-        if getattr(args, name) is not None
-    }
-    if args.dropout is not None:
-        overrides["dropout_prob"] = args.dropout
-    overrides.update(
+    overrides = dict(
         n_clusters=args.clusters,
         positions_per_cluster=args.positions_per_cluster,
         devices_per_position=args.devices_per_position,
         bursts=args.bursts,
     )
+    if args.ap_count is not None:
+        overrides["ap_count"] = args.ap_count
     if args.density is not None:
         cfg = synth.site_config_for_density(
             args.density, site_id=args.site_id, seed=args.seed, **overrides
         )
-    elif "ap_count" in overrides:
+    elif args.ap_count is not None:
         cfg = synth.SiteConfig(site_id=args.site_id, seed=args.seed, **overrides)
     else:
         raise ConfigError("one of --density or --ap-count is required")
@@ -167,17 +162,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         raise ConfigError("sampling pairs requires --seed")
     if args.sub_bursts and args.pseudo_out is None:
         raise ConfigError("--sub-bursts requires --pseudo-out for the pseudo-fingerprints")
-    pair_cfg = pairing.PairingConfig(
-        close_max_m=args.close_max_m,
-        far_min_m=args.far_min_m,
-        far_max_m=args.far_max_m,
-        include_same_burst=not args.exclude_same_burst,
-    )
     config = {
-        "close_max_m": pair_cfg.close_max_m,
-        "far_min_m": pair_cfg.far_min_m,
-        "far_max_m": pair_cfg.far_max_m,
-        "include_same_burst": pair_cfg.include_same_burst,
         "sub_bursts": args.sub_bursts,
         "n_close": args.n_close,
         "n_far": args.n_far,
@@ -194,7 +179,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
             f"pseudo_fingerprints={len(pseudos)}"
         )
         fps = pseudos
-    pairs = pairing.enumerate_pairs(fps, pair_cfg)
+    pairs = pairing.enumerate_pairs(fps)
     if sampling:
         selected = pairing.sample_training_set(pairs, args.n_close, args.n_far, args.seed)
         if args.remainder_out is not None:
@@ -230,18 +215,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    cfg = selection_metrics.MrmrConfig(
-        k=args.top_k,
-        discretization=args.discretization,
-        alpha=args.alpha,
-        n_bins=args.bins,
-    )
-    config = {
-        "top_k": cfg.k,
-        "discretization": cfg.discretization,
-        "alpha": cfg.alpha,
-        "n_bins": cfg.n_bins,
-    }
+    cfg = selection_metrics.MrmrConfig(k=args.top_k)
+    config = {"top_k": cfg.k}
     doc = _print_header("select", None, config, [_require_exists(args.features)])
     table = features.read_feature_table(args.features)
     ranked = selection_metrics.mrmr_select(
@@ -296,15 +271,9 @@ def _load_training_tables(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    ens_cfg = model.EnsembleConfig(
-        n_estimators=args.trees,
-        max_features=args.max_features,
-        bootstrap=not args.no_bootstrap,
-    )
+    ens_cfg = model.EnsembleConfig(n_estimators=args.trees)
     config = {
         "n_estimators": ens_cfg.n_estimators,
-        "max_features": ens_cfg.max_features,
-        "bootstrap": ens_cfg.bootstrap,
         "n_close": args.n_close,
         "n_far": args.n_far,
         "feature_list": None if args.feature_list is None else str(args.feature_list),
@@ -326,13 +295,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = {"threshold": args.threshold, "with_pr_curve": args.with_pr_curve}
+    config = {"with_pr_curve": args.with_pr_curve}
     doc = _print_header(
         "evaluate", None, config, [_require_exists(args.model), _require_exists(args.features)]
     )
     trained = model.load_model(args.model)
     table = features.read_feature_table(args.features)
-    report = selection_metrics.evaluate(trained, table, threshold=args.threshold)
+    report = selection_metrics.evaluate(trained, table)
     if args.with_pr_curve:
         curve = selection_metrics.pr_curve(trained, table)
         report = dataclasses.replace(report, pr_curve=curve)
@@ -376,18 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site-id", required=True)
     p.add_argument("--density", choices=sorted(synth.DENSITY_PRESETS),
                    help="use a bundled environment preset")
-    p.add_argument("--ap-count", type=int)
-    p.add_argument("--clusters", type=int, default=70)
-    p.add_argument("--positions-per-cluster", type=int, default=5)
-    p.add_argument("--devices-per-position", type=int, default=2)
-    p.add_argument("--cluster-radius-m", type=float)
-    p.add_argument("--area-w-m", type=float)
-    p.add_argument("--area-h-m", type=float)
-    p.add_argument("--noise-sigma-db", type=float)
-    p.add_argument("--detect-threshold-dbm", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--path-loss-exponent", type=float)
-    p.add_argument("--tx-power-dbm", type=float)
+    p.add_argument("--ap-count", type=_int_at_least(1))
+    p.add_argument("--clusters", type=_int_at_least(1), default=70)
+    p.add_argument("--positions-per-cluster", type=_int_at_least(1), default=5)
+    p.add_argument("--devices-per-position", type=_int_at_least(1), default=2)
     p.add_argument("--bursts", action="store_true", help="emit 9-scan bursts")
     p.set_defaults(func=cmd_synth)
 
@@ -401,14 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairs", help="enumerate and label fingerprint pairs")
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--close-max-m", type=float, default=2.25)
-    p.add_argument("--far-min-m", type=float, default=3.25)
-    p.add_argument("--far-max-m", type=float, default=20.0)
     p.add_argument("--sub-bursts", action="store_true",
                    help="aggregate 9-scan bursts into 4-scan pseudo-fingerprints first")
     p.add_argument("--pseudo-out", type=Path,
                    help="where to write the pseudo-fingerprints (with --sub-bursts)")
-    p.add_argument("--exclude-same-burst", action="store_true")
     p.add_argument("--n-close", type=int)
     p.add_argument("--n-far", type=int)
     p.add_argument("--seed", type=int)
@@ -425,12 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="rank features with mRMR")
     p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--top-k", type=int, required=True)
+    p.add_argument("--top-k", type=_int_at_least(1), required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--discretization", choices=["mean_pm_sigma", "equal_frequency"],
-                   default="mean_pm_sigma")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--bins", type=int, default=3)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("train", help="train the bagged-tree ensemble")
@@ -438,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training feature table; repeat to concatenate")
     p.add_argument("--model-out", type=Path, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trees", type=int, default=300)
-    p.add_argument("--max-features", type=int, default=3)
-    p.add_argument("--no-bootstrap", action="store_true")
+    p.add_argument("--trees", type=_int_at_least(1), default=300)
     p.add_argument("--n-close", type=int,
                    help="per input table: sample this many Close rows")
     p.add_argument("--n-far", type=int,
@@ -453,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--report-out", type=Path, required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--with-pr-curve", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
@@ -461,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n-thresholds", type=int)
+    p.add_argument("--n-thresholds", type=_int_at_least(2))
     p.set_defaults(func=cmd_pr_curve)
 
     return parser

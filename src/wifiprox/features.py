@@ -446,36 +446,39 @@ def _variant_block(
 
 def extract(pair: FingerprintPair) -> FeatureVector:
     """Compute the full 323-entry feature vector for a canonical pair."""
-    a, b = pair.a, pair.b
-    ids, x, y = _shared_values(a, b)
+    # overflowing readings surface as NonFiniteFeatureError below, with the
+    # feature names, rather than as numpy RuntimeWarnings from deep inside
+    with np.errstate(all="ignore"):
+        a, b = pair.a, pair.b
+        ids, x, y = _shared_values(a, b)
 
-    a_items = sorted(a.readings.items())
-    b_items = sorted(b.readings.items())
-    a_ids = np.array([i for i, _ in a_items])
-    a_vals = np.array([v for _, v in a_items], dtype=np.float64)
-    b_ids = np.array([i for i, _ in b_items])
-    b_vals = np.array([v for _, v in b_items], dtype=np.float64)
+        a_items = sorted(a.readings.items())
+        b_items = sorted(b.readings.items())
+        a_ids = np.array([i for i, _ in a_items])
+        a_vals = np.array([v for _, v in a_items], dtype=np.float64)
+        b_ids = np.array([i for i, _ in b_items])
+        b_vals = np.array([v for _, v in b_items], dtype=np.float64)
 
-    slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(x, y)
+        slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(x, y)
 
-    values: list[float] = list(ap_detection_features(a, b))
-    for variant in VARIANTS:
-        if variant == "none":
-            xa, av, yb, bv = x, a_vals, y, b_vals
-        elif variant == "single_ls":
-            xa, av = slope_ab * x + inter_ab, slope_ab * a_vals + inter_ab
-            yb, bv = y, b_vals
-        elif variant == "single_half_ls":
-            half_a, half_b = slope_ab / 2.0, inter_ab / 2.0
-            xa, av = half_a * x + half_b, half_a * a_vals + half_b
-            yb, bv = y, b_vals
-        else:  # double_ls
-            xa, av = slope_ab * x + inter_ab, slope_ab * a_vals + inter_ab
-            yb, bv = slope_ba * y + inter_ba, slope_ba * b_vals + inter_ba
-        values += _variant_block(ids, xa, yb, a_ids, av, b_ids, bv)
+        values: list[float] = list(ap_detection_features(a, b))
+        for variant in VARIANTS:
+            if variant == "none":
+                xa, av, yb, bv = x, a_vals, y, b_vals
+            elif variant == "single_ls":
+                xa, av = slope_ab * x + inter_ab, slope_ab * a_vals + inter_ab
+                yb, bv = y, b_vals
+            elif variant == "single_half_ls":
+                half_a, half_b = slope_ab / 2.0, inter_ab / 2.0
+                xa, av = half_a * x + half_b, half_a * a_vals + half_b
+                yb, bv = y, b_vals
+            else:  # double_ls
+                xa, av = slope_ab * x + inter_ab, slope_ab * a_vals + inter_ab
+                yb, bv = slope_ba * y + inter_ba, slope_ba * b_vals + inter_ba
+            values += _variant_block(ids, xa, yb, a_ids, av, b_ids, bv)
 
-    values.append(identical_devices(a, b))
-    values.append(_rank_concordance(x, y))
+        values.append(identical_devices(a, b))
+        values.append(_rank_concordance(x, y))
 
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -613,10 +616,15 @@ def read_feature_table(path: str | Path) -> FeatureTable:
             except ValueError as e:
                 raise ValueError(f"{p}:{lineno}: bad cell ({e})") from e
     matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
+    dist = np.array(distances, dtype=np.float64)
+    finite = np.isfinite(matrix).all(axis=1) & np.isfinite(dist)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{p}:{row + 2}: non-finite cell")
     return FeatureTable(
         names=names,
         pair_ids=tuple(pair_ids),
-        distances=np.array(distances, dtype=np.float64),
+        distances=dist,
         labels=tuple(labels),
         matrix=matrix,
     )

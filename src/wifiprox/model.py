@@ -354,6 +354,32 @@ def load_model(path: str | Path) -> BaggedEnsemble:
             train_seed=int(doc["train_seed"]),
             class_balance=tuple(doc["class_balance"]),  # type: ignore[arg-type]
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{p}: malformed model file ({e})") from e
+    if not model.trees:
+        raise ValueError(f"{p}: malformed model file (no trees)")
+    for i, tree in enumerate(model.trees):
+        problem = _tree_problem(tree, len(model.feature_names))
+        if problem is not None:
+            raise ValueError(f"{p}: malformed model file (tree {i}: {problem})")
     return model
+
+
+def _tree_problem(tree: Tree, n_features: int) -> Optional[str]:
+    """Why ``tree`` cannot be traversed safely, or None.
+
+    Every internal node must send rows to children stored after itself and
+    inside the tree, so :meth:`Tree.apply` ends and never indexes out of
+    range.
+    """
+    n = tree.feature.size
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.n_close, tree.n_far)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        return "node arrays are empty or differ in length"
+    if tree.feature.min() < -1 or tree.feature.max() >= n_features:
+        return f"feature index outside -1..{n_features - 1}"
+    node = np.nonzero(tree.feature >= 0)[0]
+    for child in (tree.left[node], tree.right[node]):
+        if np.any(child <= node) or np.any(child >= n):
+            return "child index not after its parent inside the tree"
+    return None

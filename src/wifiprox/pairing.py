@@ -25,7 +25,6 @@ class PairingConfig:
     close_max_m: float = 2.25
     far_min_m: float = 3.25
     far_max_m: float = 20.0
-    include_same_burst: bool = True
 
     def __post_init__(self) -> None:
         if not (0 < self.close_max_m < self.far_min_m <= self.far_max_m):
@@ -76,12 +75,6 @@ def enumerate_pairs(
     for floor_key in sorted(by_floor):
         group = sorted(by_floor[floor_key], key=lambda fp: fp.id)
         for a, b in combinations(group, 2):
-            if (
-                not cfg.include_same_burst
-                and a.burst_id is not None
-                and a.burst_id == b.burst_id
-            ):
-                continue
             d = math.dist(a.position, b.position)
             label = cfg.classify(d)
             if label is None:

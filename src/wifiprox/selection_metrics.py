@@ -7,7 +7,7 @@ which stays honest on skewed pair sets.
 Feature selection is greedy mRMR with the mutual-information difference
 criterion: at each step pick the candidate maximizing
 ``I(f; label) - mean_{s in S} I(f; s)`` over the already-selected set S.
-Features are discretized first (three states around the mean by default);
+Features are discretized first (three states around the mean);
 mutual information is the plug-in estimate in bits.
 """
 
@@ -180,39 +180,30 @@ def write_pr_points(points: Sequence[tuple[float, float, float]], path) -> None:
 @dataclass(frozen=True)
 class MrmrConfig:
     k: int
-    discretization: str = "mean_pm_sigma"  # or "equal_frequency"
     alpha: float = 1.0
-    n_bins: int = 3
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.discretization not in ("mean_pm_sigma", "equal_frequency"):
-            raise ValueError(f"unknown discretization {self.discretization!r}")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
 
 
 def discretize_column(v: np.ndarray, cfg: MrmrConfig) -> np.ndarray:
-    """Integer states for one feature column.
+    """Three integer states for one feature column.
 
-    ``mean_pm_sigma`` cuts at mu +/- alpha*sigma with *inclusive* outer
-    states (v <= lo is low, v >= hi is high): a balanced 0/1 indicator then
-    lands exactly on both cut points and keeps its two states instead of
-    collapsing into the middle bin.
+    Cuts at mu +/- alpha*sigma with *inclusive* outer states (v <= lo is
+    low, v >= hi is high): a balanced 0/1 indicator then lands exactly on
+    both cut points and keeps its two states instead of collapsing into the
+    middle bin.
     """
-    if cfg.discretization == "mean_pm_sigma":
-        mu = float(v.mean())
-        sigma = float(v.std(ddof=0))
-        if sigma == 0.0:
-            return np.zeros(len(v), dtype=np.int64)
-        lo = mu - cfg.alpha * sigma
-        hi = mu + cfg.alpha * sigma
-        return np.where(v <= lo, 0, np.where(v >= hi, 2, 1)).astype(np.int64)
-    edges = np.quantile(v, np.linspace(0, 1, cfg.n_bins + 1)[1:-1])
-    return np.searchsorted(edges, v, side="left").astype(np.int64)
+    mu = float(v.mean())
+    sigma = float(v.std(ddof=0))
+    if sigma == 0.0:
+        return np.zeros(len(v), dtype=np.int64)
+    lo = mu - cfg.alpha * sigma
+    hi = mu + cfg.alpha * sigma
+    return np.where(v <= lo, 0, np.where(v >= hi, 2, 1)).astype(np.int64)
 
 
 def mutual_information(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: exit codes, artifacts, sidecars, reruns."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,16 @@ from conftest import bss, make_fp
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_subprocess(*argv):
+    """Run the CLI in a child process, so a hang fails the test instead of the run."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "wifiprox.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +105,6 @@ class TestExitCodes:
             "--sub-bursts",
         ) == EXIT_CONFIG
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_rssi_is_validation_error(self, tmp_path, capsys):
         # finite readings whose gap overflows: some features become inf/NaN
         a = make_fp(id="a", readings={bss(1): 1e200, bss(2): -50.0})
@@ -105,6 +118,76 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite" in err and "dist.euclidean.none" in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--ap-count", 0),
+        ("synth", "--clusters", 0),
+        ("synth", "--positions-per-cluster", 0),
+        ("synth", "--devices-per-position", 0),
+        ("select", "--top-k", 0),
+        ("train", "--trees", 0),
+        ("pr-curve", "--n-thresholds", 1),
+    ])
+    def test_count_below_minimum_is_config_error(
+        self, pipeline, tmp_path, capsys, command, flag, value
+    ):
+        valid = {
+            "synth": ["--out", tmp_path / "s.jsonl", "--seed", 1, "--site-id", "s",
+                      "--ap-count", 10],
+            "select": ["--features", pipeline["features"], "--top-k", 3,
+                       "--out", tmp_path / "r.txt"],
+            "train": ["--features", pipeline["features"], "--model-out", tmp_path / "m.json",
+                      "--seed", 1],
+            "pr-curve": ["--model", pipeline["model"], "--features", pipeline["features"],
+                         "--out", tmp_path / "pr.txt"],
+        }[command]
+        assert run(command, *valid, flag, value) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be >= {value + 1}" in captured.err
+        assert captured.out == ""  # rejected before the header
+
+    @pytest.mark.parametrize(
+        "flaw", ["child-out-of-range", "feature-out-of-range", "cycle", "no-trees"]
+    )
+    def test_malformed_model_is_validation_error(self, pipeline, tmp_path, flaw):
+        doc = json.loads(pipeline["model"].read_text())
+        # a tree whose root and root's left child both split
+        tree = next(t for t in doc["trees"] if t["feature"][t["left"][0]] >= 0)
+        if flaw == "child-out-of-range":
+            tree["right"][0] = len(tree["feature"])
+        elif flaw == "feature-out-of-range":
+            tree["feature"][0] = len(doc["feature_names"])
+        elif flaw == "cycle":  # the left child sends every row back to the root
+            child = tree["left"][0]
+            tree["left"][child] = tree["right"][child] = 0
+        else:  # scores would be 0/0
+            doc["trees"] = []
+        bad = tmp_path / "bad-model.json"
+        bad.write_text(json.dumps(doc))
+        done = run_subprocess(
+            "evaluate", "--model", bad, "--features", pipeline["features"],
+            "--report-out", tmp_path / "report.json",
+        )
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        assert f"{bad}: malformed model file (" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_cell_is_validation_error(self, pipeline, tmp_path, capsys, cell):
+        lines = pipeline["features"].read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[10] = cell
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(
+            "train", "--features", bad, "--model-out", tmp_path / "m.json", "--seed", 1,
+        ) == EXIT_VALIDATION
+        assert run(
+            "evaluate", "--model", pipeline["model"], "--features", bad,
+            "--report-out", tmp_path / "report.json",
+        ) == EXIT_VALIDATION
+        assert capsys.readouterr().err.count(f"{bad}:4: non-finite cell") == 2
+
     def test_train_over_request_is_validation_error(self, pipeline, tmp_path, capsys):
         assert run(
             "train", "--features", pipeline["features"],
@@ -112,6 +195,38 @@ class TestExitCodes:
             "--n-close", 10_000, "--n-far", 10_000,
         ) == EXIT_VALIDATION
         assert "requested" in capsys.readouterr().err
+
+
+class TestFlags:
+    #: every flag of every subcommand; adding one is a deliberate edit here
+    FLAGS = {
+        "synth": ["--out", "--seed", "--site-id", "--density", "--ap-count", "--clusters",
+                  "--positions-per-cluster", "--devices-per-position", "--bursts"],
+        "ingest": ["--manifest", "--canonical", "--out"],
+        "pairs": ["--in", "--out", "--sub-bursts", "--pseudo-out", "--n-close", "--n-far",
+                  "--seed", "--remainder-out"],
+        "featurize": ["--pairs", "--fingerprints", "--out", "--workers"],
+        "select": ["--features", "--top-k", "--out"],
+        "train": ["--features", "--model-out", "--seed", "--trees", "--n-close", "--n-far",
+                  "--feature-list"],
+        "evaluate": ["--model", "--features", "--report-out", "--with-pr-curve"],
+        "pr-curve": ["--model", "--features", "--out", "--n-thresholds"],
+    }
+
+    def test_flag_inventory(self):
+        sub = next(
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        found = {
+            name: [
+                a.option_strings[0] for a in parser._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction)
+            ]
+            for name, parser in sub.choices.items()
+        }
+        assert found == self.FLAGS
+        assert sum(len(flags) for flags in found.values()) == 42
 
 
 class TestArtifacts:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from wifiprox.features import (
     N_FEATURES,
     VARIANTS,
     FeatureVector,
+    NonFiniteFeatureError,
     ap_detection_features,
     extract,
     extract_many,
@@ -485,6 +487,15 @@ class TestExtract:
         assert vec.names == FEATURE_NAMES
         assert vec.values.shape == (323,)
         assert np.all(np.isfinite(vec.values))
+
+    def test_overflow_raises_without_numpy_warnings(self):
+        # finite readings whose gap overflows: the error names the features,
+        # and no RuntimeWarning from numpy internals comes before it
+        pair = pair_of({bss(1): 1e200, bss(2): -50.0}, {bss(1): -1e200, bss(2): -60.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFeatureError, match="dist.euclidean.none"):
+                extract(pair)
 
     def test_none_variant_agrees_with_family_functions(self):
         a = make_fp(

@@ -23,7 +23,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = PairingConfig()
         assert (cfg.close_max_m, cfg.far_min_m, cfg.far_max_m) == (2.25, 3.25, 20.0)
-        assert cfg.include_same_burst
 
     @pytest.mark.parametrize(
         "gates",
@@ -134,17 +133,6 @@ class TestEnumerate:
             make_fp(id="s1", position=(1.0, 0.0), burst_id="b0", scan_index=1),
         ]
         assert len(enumerate_pairs(fps)) == 1
-
-    def test_same_burst_pairs_excluded_on_request(self):
-        fps = [
-            make_fp(id="s0", burst_id="b0", scan_index=0),
-            make_fp(id="s1", position=(1.0, 0.0), burst_id="b0", scan_index=1),
-            make_fp(id="t0", position=(2.0, 0.0), burst_id="b1", scan_index=0),
-        ]
-        cfg = PairingConfig(include_same_burst=False)
-        keys = {p.key for p in enumerate_pairs(fps, cfg)}
-        assert ("s0", "s1") not in keys
-        assert len(keys) == 2  # s0-t0 and s1-t0 survive
 
     def test_distance_recorded(self):
         pairs = enumerate_pairs(self._grid())

@@ -175,23 +175,11 @@ class TestDiscretize:
         assert len(set(narrow.tolist())) == 3
         assert set(wide.tolist()) == {1}  # everything within 2 sigma
 
-    def test_equal_frequency_bins(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        cfg = MrmrConfig(k=1, discretization="equal_frequency", n_bins=3)
-        states = discretize_column(v, cfg)
-        assert len(set(states.tolist())) == 3
-        counts = np.bincount(states)
-        assert counts.max() - counts.min() <= 1
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MrmrConfig(k=0)
         with pytest.raises(ValueError):
-            MrmrConfig(k=1, discretization="magic")
-        with pytest.raises(ValueError):
             MrmrConfig(k=1, alpha=0.0)
-        with pytest.raises(ValueError):
-            MrmrConfig(k=1, n_bins=1)
 
 
 class TestMutualInformation:
