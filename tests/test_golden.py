@@ -21,6 +21,7 @@ from conftest import bss, make_fp, random_readings
 FUZZ_SHA256 = "13d176eb6af9012b90043e18fbb7a02ffc7911034c4d2f2897c193ddb5540937"
 DENSE_SHA256 = "0c9397c9804d115bc0701d462b75b980bbef30cb83868bf52050d13128228e3c"
 MODEL_SHA256 = "0bd1147a37464ab39774d92d5a05d479e2040ec56f3eb3c8ea3aeb0943245bca"
+DEEP_MODEL_SHA256 = "43452af8ffda657f9a66df799bb0344961194b2009003d21a8d60e651bfc29ca"
 
 
 def _fuzz_pairs():
@@ -93,3 +94,18 @@ def test_model_json_hash(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_SHA256
+
+
+def test_deep_tree_model_json_hash(tmp_path):
+    """Five trees of 2k-2.6k nodes on 5000 rows with many repeated values."""
+    rng = np.random.default_rng(20261021)
+    X = rng.integers(-40, 41, size=(5000, 12)).astype(np.float64) / 4.0
+    X[:, 3] = np.round(X[:, 3])  # coarse column: long runs of equal values
+    X[:, 7] = np.where(X[:, 7] == 0.0, -0.0, X[:, 7])
+    y = X[:, 0] + X[:, 1] + rng.normal(0, 6, size=len(X)) > 0
+    names = tuple(f"f{i}" for i in range(X.shape[1]))
+    trained = train_ensemble(X, y, names, EnsembleConfig(n_estimators=5), seed=7)
+    assert min(t.n_nodes for t in trained.trees) >= 1000
+    path = tmp_path / "model.json"
+    save_model(trained, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEEP_MODEL_SHA256
