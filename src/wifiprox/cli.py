@@ -285,6 +285,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     matrix, is_close, names = _load_training_tables(args)
     trained = model.train_ensemble(matrix, is_close, names, ens_cfg, seed=args.seed)
     model.save_model(trained, args.model_out)
+    doc["trees"] = {
+        "nodes": _spread([t.n_nodes for t in trained.trees]),
+        "depth": _spread([t.depth for t in trained.trees]),
+    }
     _write_meta(args.model_out, doc)
     n_close, n_far = trained.class_balance
     print(
@@ -324,6 +328,10 @@ def cmd_pr_curve(args: argparse.Namespace) -> int:
     _write_meta(args.out, doc)
     print(f"points={len(curve)}")
     return EXIT_OK
+
+
+def _spread(counts: Sequence[int]) -> dict:
+    return {"min": min(counts), "median": float(np.median(counts)), "max": max(counts)}
 
 
 def _dataclass_dict(obj) -> dict:
@@ -366,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="aggregate 9-scan bursts into 4-scan pseudo-fingerprints first")
     p.add_argument("--pseudo-out", type=Path,
                    help="where to write the pseudo-fingerprints (with --sub-bursts)")
-    p.add_argument("--n-close", type=int)
-    p.add_argument("--n-far", type=int)
+    p.add_argument("--n-close", type=_int_at_least(1))
+    p.add_argument("--n-far", type=_int_at_least(1))
     p.add_argument("--seed", type=int)
     p.add_argument("--remainder-out", type=Path,
                    help="where to write the non-sampled pairs (the evaluation pool)")
@@ -392,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", type=Path, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trees", type=_int_at_least(1), default=300)
-    p.add_argument("--n-close", type=int,
+    p.add_argument("--n-close", type=_int_at_least(1),
                    help="per input table: sample this many Close rows")
-    p.add_argument("--n-far", type=int,
+    p.add_argument("--n-far", type=_int_at_least(1),
                    help="per input table: sample this many Far rows")
     p.add_argument("--feature-list", type=Path,
                    help="train only on the features listed in this file")

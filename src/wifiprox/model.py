@@ -6,6 +6,24 @@ the training rows.  Trees are plain CART with Gini impurity, grown until
 pure, with deterministic tie-breaking (lowest feature index, then lowest
 threshold) so that training is exactly reproducible from the seed.
 
+Trees grow level-wise.  :func:`train_tree` sorts each subset column once,
+then keeps every column's rows in (node, value, row) order: all open nodes
+of one depth are scored together in one pass over the stacked columns, and
+their rows move to the children by a stable sort on small integer child
+keys, so no node sorts its own rows.  A node's candidates are the midpoints
+between consecutive distinct values of each column; it splits on the one
+with the lowest weighted child Gini if that is strictly below its own Gini,
+ties going to the lowest feature index, then the lowest threshold.  A
+midpoint that rounds up to the upper value is snapped down to the lower.
+
+Node ids do not depend on the growth order.  Node 0 is the root, and ids
+are those a depth-first grower assigns when it visits a node, then its left
+subtree, then its right subtree, numbering a node's two children
+consecutively (left, then right) as it visits the node: the t-th split node
+in that order has children 2t + 1 and 2t + 2.  A saved model therefore
+does not depend on how its trees were grown; ``tests/test_model.py`` checks
+``train_tree`` array for array against a node-at-a-time grower.
+
 The ensemble's score for a pair is the fraction of trees voting Close; the
 decision compares that score to a threshold (0.5 unless stated otherwise).
 """
@@ -56,6 +74,17 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    @property
+    def depth(self) -> int:
+        """Edges on the longest root-to-leaf path (0 for a lone leaf)."""
+        depth, level = 0, np.zeros(1, dtype=np.intp)
+        while True:
+            level = level[self.feature[level] >= 0]
+            if not level.size:
+                return depth
+            level = np.concatenate((self.left[level], self.right[level]))
+            depth += 1
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for every row of X."""
         idx = np.zeros(len(X), dtype=np.int32)
@@ -77,62 +106,14 @@ class Tree:
         return np.where(close > far, 1.0, np.where(close < far, 0.0, 0.5))
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, rows: np.ndarray, subset: Sequence[int]
-) -> Optional[tuple[int, float]]:
-    """Best (feature, threshold) by weighted child Gini; None if no split helps.
-
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  Ties in impurity go to the lowest feature index, then the
-    lowest threshold.
-    """
-    n = rows.size
-    labels = y[rows]
-    n_close_total = int(labels.sum())
-    n_far_total = n - n_close_total
-    parent = 1.0 - (n_close_total / n) ** 2 - (n_far_total / n) ** 2
-    best: Optional[tuple[float, int, float]] = None  # (impurity, feature, threshold)
-    for f in subset:
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = labels[order]
-        boundary = np.nonzero(sv[:-1] != sv[1:])[0]
-        if boundary.size == 0:
-            continue
-        cum_close = np.cumsum(sy)
-        n_left = boundary + 1
-        close_left = cum_close[boundary]
-        far_left = n_left - close_left
-        n_right = n - n_left
-        close_right = n_close_total - close_left
-        far_right = n_far_total - far_left
-        gini_left = 1.0 - (close_left / n_left) ** 2 - (far_left / n_left) ** 2
-        gini_right = 1.0 - (close_right / n_right) ** 2 - (far_right / n_right) ** 2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        i = int(np.argmin(weighted))  # first minimum: lowest threshold wins
-        if weighted[i] < parent and (best is None or weighted[i] < best[0]):
-            lo = float(sv[boundary[i]])
-            hi = float(sv[boundary[i] + 1])
-            thr = (lo + hi) / 2.0
-            if thr >= hi:
-                # midpoint of two nearly-adjacent floats can round up to the
-                # upper value, which would route its rows to the wrong side;
-                # snap down so the realized partition matches the scored one
-                thr = lo
-            best = (float(weighted[i]), f, thr)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
 def train_tree(
     X: np.ndarray, y: np.ndarray, feature_subset: Sequence[int]
 ) -> Tree:
     """Grow one CART tree on (X, y) restricted to ``feature_subset`` columns.
 
     ``y`` is boolean/0-1 with 1 meaning Close.  Fully deterministic: splits
-    and structure depend only on the data and the subset.
+    and structure depend only on the data and the subset.  See the module
+    docstring for how the tree grows and how its nodes are numbered.
     """
     subset = tuple(sorted(int(f) for f in feature_subset))
     if len(set(subset)) != len(subset):
@@ -140,63 +121,174 @@ def train_tree(
     if not subset or subset[0] < 0 or subset[-1] >= X.shape[1]:
         raise ValueError(f"feature_subset out of range for {X.shape[1]} columns")
     y = np.asarray(y, dtype=np.int64)
+    n_rows, k = len(X), len(subset)
+    # column-major: the value of row r in subset column j is values[j * n_rows + r]
+    values = np.asarray(X, dtype=np.float64)[:, list(subset)].T.ravel()
+    offset = np.arange(k)[:, None] * n_rows
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    n_close: list[int] = []
-    n_far: list[int] = []
+    # open nodes of the current depth, by breadth-first id
+    ids = np.zeros(1, dtype=np.intp)
+    sizes = np.array([n_rows], dtype=np.intp)
+    closes = np.array([y.sum()], dtype=np.intp)
+    n_nodes = 1
+    # per depth: split nodes, their children, chosen subset column, threshold
+    none = np.zeros(0, dtype=np.intp)
+    splits, lefts, rights, cols = [none], [none], [none], [none]
+    thresholds = [np.zeros(0)]
+    leaves, leaf_closes, leaf_sizes = [none], [none], [none]
+    if 0 < closes[0] < n_rows:
+        # every column's rows in (node, value, row) order; sorted once, then
+        # kept in that order by a stable partition at each depth
+        perm = np.argsort(values.reshape(k, n_rows), axis=1, kind="stable")
+    else:
+        leaves, leaf_closes, leaf_sizes = [ids], [closes], [sizes]
+        sizes = none
+    while sizes.size:
+        n_open, width = sizes.size, perm.shape[1]
+        starts = np.cumsum(sizes) - sizes
+        pos_node = np.repeat(np.arange(n_open), sizes)
+        sv = values[perm + offset]
+        sy = y[perm].ravel()
+        cum = sy.cumsum()
+        # candidates: value changes inside one node's segment of a column,
+        # as flat (column, position) indices in (column, node, position) order
+        edge = np.zeros((k, width), dtype=bool)
+        np.not_equal(sv[:, 1:], sv[:, :-1], out=edge[:, :-1])
+        edge[:, starts[1:] - 1] = False
+        sv = sv.ravel()
+        q = edge.ravel().nonzero()[0]
+        pos = q % width
+        node = pos_node[pos]
+        n = sizes[node]
+        n_close_total = closes[node]
+        n_far_total = n - n_close_total
+        n_left = pos - starts[node] + 1
+        head = q - n_left + 1  # flat index of the segment's first row
+        close_left = cum[q] - cum[head] + sy[head]
+        far_left = n_left - close_left
+        n_right = n - n_left
+        close_right = n_close_total - close_left
+        far_right = n_far_total - far_left
+        gini_left = 1.0 - (close_left / n_left) ** 2 - (far_left / n_left) ** 2
+        gini_right = 1.0 - (close_right / n_right) ** 2 - (far_right / n_right) ** 2
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        # each node's lowest weighted Gini and its first candidate, which is
+        # the lowest column, then the lowest threshold
+        best = np.full(n_open, np.inf)
+        np.minimum.at(best, node, weighted)
+        at_min = (weighted == best[node]).nonzero()[0]
+        first = np.full(n_open, q.size)
+        np.minimum.at(first, node[at_min], at_min)
+        # each node's own Gini in Python floats, which a split must beat
+        # strictly: float ``**`` (C pow) rounds unlike numpy's elementwise
+        # square for about 0.1% of class ratios
+        parent = np.array([
+            1.0 - (cl / m) ** 2 - ((m - cl) / m) ** 2
+            for cl, m in zip(closes.tolist(), sizes.tolist())
+        ])
+        split = best < parent
+        cand = q[first[split]]
+        col = np.zeros(n_open, dtype=np.intp)
+        col[split] = cand // width
+        lo = sv[cand]
+        hi = sv[cand + 1]
+        mid = (lo + hi) / 2.0
+        thr = np.zeros(n_open)
+        # midpoint of two nearly-adjacent floats can round up to the upper
+        # value, which would route its rows to the wrong side; snap down so
+        # the realized partition matches the scored one
+        thr[split] = np.where(mid >= hi, lo, mid)
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        n_close.append(0)
-        n_far.append(0)
-        return len(feature) - 1
+        rows = perm[0]
+        go_left = values[col[pos_node] * n_rows + rows] <= thr[pos_node]
+        n_go_left = np.add.reduceat(go_left, starts, dtype=np.intp)
+        # a threshold that sends every row one way (a midpoint overflowing
+        # to -inf, or NaN values) leaves the node a leaf
+        split &= (n_go_left > 0) & (n_go_left < sizes)
+        close_go_left = np.add.reduceat(go_left * sy[:width], starts)
+        leaves.append(ids[~split])
+        leaf_closes.append(closes[~split])
+        leaf_sizes.append(sizes[~split])
+        sn = split.nonzero()[0]
+        # children: all left ones, then all right ones
+        child_sizes = np.concatenate((n_go_left[sn], sizes[sn] - n_go_left[sn]))
+        child_closes = np.concatenate((close_go_left[sn], closes[sn] - close_go_left[sn]))
+        child_ids = n_nodes + np.arange(child_sizes.size)
+        n_nodes += child_sizes.size
+        splits.append(ids[sn])
+        lefts.append(child_ids[: sn.size])
+        rights.append(child_ids[sn.size:])
+        cols.append(col[sn])
+        thresholds.append(thr[sn])
 
-    root_rows = np.arange(len(X), dtype=np.intp)
-    stack: list[tuple[int, np.ndarray]] = [(new_node(), root_rows)]
-    while stack:
-        node, rows = stack.pop()
-        labels = y[rows]
-        closes = int(labels.sum())
-        fars = rows.size - closes
-        split = None
-        if closes and fars:
-            split = _best_split(X, y, rows, subset)
-        if split is None:
-            n_close[node] = closes
-            n_far[node] = fars
-            continue
-        f, thr = split
-        go_left = X[rows, f] <= thr
-        if go_left.all() or not go_left.any():
-            # cannot happen with snapped thresholds; guard against an
-            # infinite grow loop all the same
-            n_close[node] = closes
-            n_far[node] = fars
-            continue
-        feature[node] = f
-        threshold[node] = thr
-        left_id = new_node()
-        right_id = new_node()
-        left[node] = left_id
-        right[node] = right_id
-        stack.append((right_id, rows[~go_left]))
-        stack.append((left_id, rows[go_left]))
+        pure = (child_closes == 0) | (child_closes == child_sizes)
+        leaves.append(child_ids[pure])
+        leaf_closes.append(child_closes[pure])
+        leaf_sizes.append(child_sizes[pure])
+        ids, sizes, closes = child_ids[~pure], child_sizes[~pure], child_closes[~pure]
+        if not sizes.size:
+            break
+        # stable partition of every column by the row's open child; rows
+        # that reached a leaf get the last key and are dropped
+        child_key = np.full(child_sizes.size, sizes.size)
+        child_key[~pure] = np.arange(sizes.size)
+        left_key = np.full(n_open, sizes.size)
+        right_key = np.full(n_open, sizes.size)
+        left_key[sn], right_key[sn] = child_key[: sn.size], child_key[sn.size:]
+        row_key = np.empty(n_rows, dtype=np.min_scalar_type(sizes.size))
+        row_key[rows] = np.where(go_left, left_key[pos_node], right_key[pos_node])
+        keep = np.argsort(row_key[perm], axis=1, kind="stable")[:, : sizes.sum()]
+        perm = perm.ravel()[keep + np.arange(k)[:, None] * width]
 
+    new_id = _depth_first_ids(splits, lefts, rights, n_nodes)
+    parents = new_id[np.concatenate(splits)]
+    leaf = new_id[np.concatenate(leaves)]
+    feature = np.full(n_nodes, -1, dtype=np.int32)
+    threshold = np.zeros(n_nodes, dtype=np.float64)
+    left = np.full(n_nodes, -1, dtype=np.int32)
+    right = np.full(n_nodes, -1, dtype=np.int32)
+    n_close = np.zeros(n_nodes, dtype=np.int64)
+    n_far = np.zeros(n_nodes, dtype=np.int64)
+    feature[parents] = np.asarray(subset)[np.concatenate(cols)]
+    threshold[parents] = np.concatenate(thresholds)
+    left[parents] = new_id[np.concatenate(lefts)]
+    right[parents] = new_id[np.concatenate(rights)]
+    n_close[leaf] = np.concatenate(leaf_closes)
+    n_far[leaf] = np.concatenate(leaf_sizes) - n_close[leaf]
     return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        n_close=np.asarray(n_close, dtype=np.int64),
-        n_far=np.asarray(n_far, dtype=np.int64),
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        n_close=n_close,
+        n_far=n_far,
         feature_subset=subset,
     )
+
+
+def _depth_first_ids(
+    splits: list[np.ndarray],
+    lefts: list[np.ndarray],
+    rights: list[np.ndarray],
+    n_nodes: int,
+) -> np.ndarray:
+    """Map breadth-first node ids to stored ids.
+
+    ``splits``, ``lefts`` and ``rights`` hold, per depth, the split nodes and
+    their children.  The t-th split node in depth-first order, left subtree
+    first, has stored children 2t + 1 and 2t + 2 (the root is t = 0).
+    """
+    splits_below = np.zeros(n_nodes, dtype=np.intp)  # split nodes per subtree
+    for u, lc, rc in zip(reversed(splits), reversed(lefts), reversed(rights)):
+        splits_below[u] = 1 + splits_below[lc] + splits_below[rc]
+    rank = np.zeros(n_nodes, dtype=np.intp)  # t of each split node
+    new_id = np.zeros(n_nodes, dtype=np.intp)
+    for u, lc, rc in zip(splits, lefts, rights):
+        rank[lc] = rank[u] + 1
+        rank[rc] = rank[u] + 1 + splits_below[lc]
+        new_id[lc] = 2 * rank[u] + 1
+        new_id[rc] = 2 * rank[u] + 2
+    return new_id
 
 
 @dataclass(frozen=True)
@@ -358,6 +450,11 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         raise ValueError(f"{p}: malformed model file ({e})") from e
     if not model.trees:
         raise ValueError(f"{p}: malformed model file (no trees)")
+    if cfg.n_estimators != len(model.trees):
+        raise ValueError(
+            f"{p}: malformed model file (config.n_estimators is {cfg.n_estimators}, "
+            f"but it holds {len(model.trees)} trees)"
+        )
     for i, tree in enumerate(model.trees):
         problem = _tree_problem(tree, len(model.feature_names))
         if problem is not None:

@@ -126,6 +126,10 @@ class TestExitCodes:
         ("select", "--top-k", 0),
         ("train", "--trees", 0),
         ("pr-curve", "--n-thresholds", 1),
+        ("pairs", "--n-close", -1),
+        ("pairs", "--n-close", 0),
+        ("train", "--n-close", 0),
+        ("train", "--n-far", 0),
     ])
     def test_count_below_minimum_is_config_error(
         self, pipeline, tmp_path, capsys, command, flag, value
@@ -133,6 +137,7 @@ class TestExitCodes:
         valid = {
             "synth": ["--out", tmp_path / "s.jsonl", "--seed", 1, "--site-id", "s",
                       "--ap-count", 10],
+            "pairs": ["--in", pipeline["site"], "--out", tmp_path / "p.jsonl", "--seed", 1],
             "select": ["--features", pipeline["features"], "--top-k", 3,
                        "--out", tmp_path / "r.txt"],
             "train": ["--features", pipeline["features"], "--model-out", tmp_path / "m.json",
@@ -140,9 +145,13 @@ class TestExitCodes:
             "pr-curve": ["--model", pipeline["model"], "--features", pipeline["features"],
                          "--out", tmp_path / "pr.txt"],
         }[command]
-        assert run(command, *valid, flag, value) == EXIT_CONFIG
+        if flag in ("--n-close", "--n-far"):  # sampling needs both; e.g. -1 with 2, 0 with 0
+            partner = "--n-far" if flag == "--n-close" else "--n-close"
+            valid += [partner, 2 if value < 0 else value]
+        assert run(command, flag, value, *valid) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert f"argument {flag}: must be >= {value + 1}" in captured.err
+        minimum = 2 if flag == "--n-thresholds" else 1
+        assert f"argument {flag}: must be >= {minimum}, got {value}" in captured.err
         assert captured.out == ""  # rejected before the header
 
     @pytest.mark.parametrize(
@@ -170,6 +179,27 @@ class TestExitCodes:
         assert done.returncode == EXIT_VALIDATION, done.stderr
         assert f"{bad}: malformed model file (" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_tree_count_disagreeing_with_config_is_validation_error(
+        self, pipeline, tmp_path, capsys
+    ):
+        mdl = tmp_path / "m.json"
+        assert run(
+            "train", "--features", pipeline["features"], "--model-out", mdl,
+            "--seed", 1, "--trees", 3,
+        ) == EXIT_OK
+        doc = json.loads(mdl.read_text())
+        assert len(doc["trees"]) == 3
+        doc["config"]["n_estimators"] = 99
+        bad = tmp_path / "bad-model.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(
+            "evaluate", "--model", bad, "--features", pipeline["features"],
+            "--report-out", tmp_path / "report.json",
+        ) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{bad}: malformed model file (config.n_estimators is 99" in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_cell_is_validation_error(self, pipeline, tmp_path, capsys, cell):
@@ -270,6 +300,18 @@ class TestArtifacts:
         r_keys = {p.key for p in pairing.load_pairs(rest, fps)}
         assert s_keys | r_keys == all_keys
         assert not s_keys & r_keys
+
+    def test_train_sidecar_records_tree_sizes(self, pipeline):
+        doc = json.loads(Path(str(pipeline["model"]) + ".meta.json").read_text())
+        trees = model.load_model(pipeline["model"]).trees
+        nodes = sorted(t.n_nodes for t in trees)
+        depths = sorted(t.depth for t in trees)
+        assert doc["trees"] == {
+            "nodes": {"min": nodes[0], "median": (nodes[3] + nodes[4]) / 2, "max": nodes[-1]},
+            "depth": {"min": depths[0], "median": (depths[3] + depths[4]) / 2,
+                      "max": depths[-1]},
+        }
+        assert depths[-1] >= 1
 
     def test_train_reports_class_balance(self, pipeline):
         m = model.load_model(pipeline["model"])

@@ -2,14 +2,17 @@
 
 import json
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wifiprox.model import (
     SCHEMA_VERSION,
-    BaggedEnsemble,
     EnsembleConfig,
+    Tree,
     load_model,
     save_model,
     train_ensemble,
@@ -68,6 +71,12 @@ class TestTrainTree:
         leaves = tree.feature == -1
         assert (tree.n_close[leaves] + tree.n_far[leaves]).sum() == 4
 
+    def test_depth_counts_edges_on_longest_path(self):
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        assert train_tree(X, np.array([0, 0, 0, 1]), [0, 1]).depth == 2
+        assert train_tree(X, np.array([0, 0, 1, 1]), [0, 1]).depth == 1
+        assert train_tree(X, np.array([1, 1, 1, 1]), [0, 1]).depth == 0
+
     def test_xor_is_greedily_unsplittable(self):
         # no single split strictly reduces Gini on xor, so greedy CART
         # correctly stops at a mixed root leaf rather than splitting blindly
@@ -118,6 +127,157 @@ class TestTrainTree:
             train_tree(X, y, [2])
         with pytest.raises(ValueError, match="out of range"):
             train_tree(X, y, [])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: a node-at-a-time CART grower.  Each node sorts its own rows per
+# feature and takes the first minimum; children are numbered when their
+# parent is visited, left subtree first.
+# ---------------------------------------------------------------------------
+
+def _oracle_best_split(
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, subset: Sequence[int]
+) -> Optional[tuple[int, float]]:
+    n = rows.size
+    labels = y[rows]
+    n_close_total = int(labels.sum())
+    n_far_total = n - n_close_total
+    parent = 1.0 - (n_close_total / n) ** 2 - (n_far_total / n) ** 2
+    best: Optional[tuple[float, int, float]] = None  # (impurity, feature, threshold)
+    for f in subset:
+        v = X[rows, f]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        sy = labels[order]
+        boundary = np.nonzero(sv[:-1] != sv[1:])[0]
+        if boundary.size == 0:
+            continue
+        cum_close = np.cumsum(sy)
+        n_left = boundary + 1
+        close_left = cum_close[boundary]
+        far_left = n_left - close_left
+        n_right = n - n_left
+        close_right = n_close_total - close_left
+        far_right = n_far_total - far_left
+        gini_left = 1.0 - (close_left / n_left) ** 2 - (far_left / n_left) ** 2
+        gini_right = 1.0 - (close_right / n_right) ** 2 - (far_right / n_right) ** 2
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        i = int(np.argmin(weighted))
+        if weighted[i] < parent and (best is None or weighted[i] < best[0]):
+            lo = float(sv[boundary[i]])
+            hi = float(sv[boundary[i] + 1])
+            thr = (lo + hi) / 2.0
+            if thr >= hi:
+                thr = lo
+            best = (float(weighted[i]), f, thr)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def oracle_tree(X: np.ndarray, y: np.ndarray, feature_subset: Sequence[int]) -> Tree:
+    subset = tuple(sorted(int(f) for f in feature_subset))
+    y = np.asarray(y, dtype=np.int64)
+    feature, threshold, left, right, n_close, n_far = [], [], [], [], [], []
+
+    def new_node() -> int:
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1),
+                              (right, -1), (n_close, 0), (n_far, 0)):
+            column.append(blank)
+        return len(feature) - 1
+
+    stack = [(new_node(), np.arange(len(X), dtype=np.intp))]
+    while stack:
+        node, rows = stack.pop()
+        closes = int(y[rows].sum())
+        fars = rows.size - closes
+        split = _oracle_best_split(X, y, rows, subset) if closes and fars else None
+        go_left = None if split is None else X[rows, split[0]] <= split[1]
+        if split is None or go_left.all() or not go_left.any():
+            n_close[node] = closes
+            n_far[node] = fars
+            continue
+        feature[node], threshold[node] = split
+        left[node] = new_node()
+        right[node] = new_node()
+        stack.append((right[node], rows[~go_left]))
+        stack.append((left[node], rows[go_left]))
+
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        n_close=np.asarray(n_close, dtype=np.int64),
+        n_far=np.asarray(n_far, dtype=np.int64),
+        feature_subset=subset,
+    )
+
+
+def assert_same_tree(got: Tree, want: Tree) -> None:
+    """Array for array, dtype for dtype; thresholds compared by their bits."""
+    assert got.feature_subset == want.feature_subset
+    for name in ("feature", "left", "right", "n_close", "n_far", "threshold"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        if name == "threshold":  # by bits, so -0.0 differs from 0.0
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+BELOW_ONE = math.nextafter(1.0, 0.0)  # (BELOW_ONE + 1.0) / 2 rounds up to 1.0
+ABOVE_ONE = math.nextafter(1.0, 2.0)  # (1.0 + ABOVE_ONE) / 2 rounds down to 1.0
+EDGE_VALUES = (0.0, -0.0, 1.0, BELOW_ONE, ABOVE_ONE, -2.5, 7.0)
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("X, y", [
+        ([[3.0]], [1]),  # a single row
+        ([[1.0], [1.0], [1.0]], [1, 0, 1]),  # constant column
+        ([[1.0, 4.0], [2.0, 5.0]], [0, 0]),  # pure root
+        ([[BELOW_ONE], [1.0], [BELOW_ONE], [1.0]], [1, 0, 1, 0]),  # snaps down to lo
+        ([[1.0], [ABOVE_ONE], [1.0]], [1, 0, 1]),  # midpoint rounds to lo
+        ([[0.0], [-0.0], [1.0], [-0.0], [0.0]], [1, 0, 0, 1, 0]),  # signed zeros tie
+        ([[-0.0, 2.0], [0.0, 1.0], [-1.0, 2.0], [0.0, 2.0]], [0, 1, 1, 0]),
+    ])
+    def test_edge_cases(self, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        subset = range(X.shape[1])
+        assert_same_tree(train_tree(X, np.asarray(y), subset), oracle_tree(X, y, subset))
+
+    @given(
+        n=st.integers(1, 80),
+        n_cols=st.integers(1, 5),
+        pool=st.lists(
+            st.sampled_from(EDGE_VALUES) | st.floats(-1e3, 1e3, allow_nan=False),
+            min_size=1, max_size=10,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        bootstrap=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_matrices(self, n, n_cols, pool, seed, bootstrap):
+        rng = np.random.default_rng(seed)
+        pool = np.asarray(pool, dtype=np.float64)
+        # per column a prefix of the pool: length-1 prefixes give constant columns
+        X = np.stack([rng.choice(pool[: rng.integers(1, len(pool) + 1)], size=n)
+                      for _ in range(n_cols)], axis=1)
+        y = rng.integers(0, 2, size=n) if rng.random() < 0.9 else np.ones(n, dtype=np.int64)
+        if bootstrap:  # repeated rows, as train_ensemble draws them
+            rows = rng.integers(0, n, size=n)
+            X, y = X[rows], y[rows]
+        subset = rng.permutation(n_cols)[: rng.integers(1, n_cols + 1)]
+        assert_same_tree(train_tree(X, y, subset), oracle_tree(X, y, subset))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_deep_trees_on_thousands_of_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-60, 61, size=(3000, 4)) / 8.0
+        y = X[:, 0] - X[:, 2] + rng.normal(0, 8, size=len(X)) > 0
+        rows = rng.integers(0, len(X), size=len(X))
+        got = train_tree(X[rows], y[rows], [0, 2, 3])
+        assert got.n_nodes > 1000
+        assert_same_tree(got, oracle_tree(X[rows], y[rows], [0, 2, 3]))
 
 
 def _toy_data(rng, n=80, n_feat=6):
