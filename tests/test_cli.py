@@ -99,6 +99,38 @@ class TestExitCodes:
             "--remainder-out", tmp_path / "r.jsonl",
         ) == EXIT_CONFIG  # remainder without sampling
 
+    @pytest.mark.parametrize("command, flags", [
+        ("pairs", ["--sub-bursts", "--pseudo-out", "pseudo.jsonl", "--remainder-out", "rest.jsonl"]),
+        ("pairs", ["--remainder-out", "rest.jsonl"]),
+        ("pairs", ["--n-far", 5, "--seed", 1]),
+        ("train", ["--n-close", 5]),
+        ("train", ["--n-far", 5]),
+    ], ids=["pairs-sub-bursts-remainder", "pairs-remainder", "pairs-n-far", "train-n-close",
+            "train-n-far"])
+    def test_flag_combination_rejected_before_any_output(
+        self, pipeline, tmp_path_factory, capsys, command, flags
+    ):
+        site = tmp_path_factory.getbasetemp() / "burst-site.jsonl"
+        if not site.exists():
+            assert run(
+                "synth", "--out", site, "--seed", 3, "--site-id", "b", "--ap-count", 10,
+                "--clusters", 2, "--positions-per-cluster", 2, "--devices-per-position", 1,
+                "--bursts",
+            ) == EXIT_OK
+        out = tmp_path_factory.mktemp("out")
+        flags = [out / f if isinstance(f, str) and f.endswith(".jsonl") else f for f in flags]
+        argv = {
+            "pairs": ["pairs", "--in", site, "--out", out / "pairs.jsonl"],
+            "train": ["train", "--features", pipeline["features"],
+                      "--model-out", out / "model.json", "--seed", 1],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv, *flags) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the header
+        assert "error:" in captured.err
+        assert list(out.iterdir()) == []
+
     def test_sub_bursts_requires_pseudo_out(self, pipeline, tmp_path):
         assert run(
             "pairs", "--in", pipeline["site"], "--out", tmp_path / "p.jsonl",
@@ -155,7 +187,9 @@ class TestExitCodes:
         assert captured.out == ""  # rejected before the header
 
     @pytest.mark.parametrize(
-        "flaw", ["child-out-of-range", "feature-out-of-range", "cycle", "no-trees"]
+        "flaw",
+        ["child-out-of-range", "feature-out-of-range", "split-outside-subset", "cycle",
+         "no-trees"],
     )
     def test_malformed_model_is_validation_error(self, pipeline, tmp_path, flaw):
         doc = json.loads(pipeline["model"].read_text())
@@ -165,6 +199,9 @@ class TestExitCodes:
             tree["right"][0] = len(tree["feature"])
         elif flaw == "feature-out-of-range":
             tree["feature"][0] = len(doc["feature_names"])
+        elif flaw == "split-outside-subset":  # a valid column the tree never drew
+            used = set(tree["feature"]) | set(tree["feature_subset"])
+            tree["feature_subset"] = [min(set(range(len(doc["feature_names"]))) - used)]
         elif flaw == "cycle":  # the left child sends every row back to the root
             child = tree["left"][0]
             tree["left"][child] = tree["right"][child] = 0

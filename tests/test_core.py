@@ -1,17 +1,81 @@
+import re
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wifiprox.core import (
     Burst,
-    Fingerprint,
     FingerprintPair,
     ProximityClass,
     bssid_from_int,
     is_canonical_bssid,
     normalize_bssid,
-    shared_aps,
 )
 
 from conftest import bss, make_fp
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the hand-written BSSID parser and canonical-form check that the
+# regular expressions in core.py replaced
+# ---------------------------------------------------------------------------
+
+_ORACLE_CANONICAL_RE = re.compile(r"^[0-9a-f]{2}(?::[0-9a-f]{2}){5}$")
+
+
+def oracle_is_canonical_bssid(bssid):
+    return len(bssid) == 17 and _ORACLE_CANONICAL_RE.match(bssid) is not None
+
+
+def oracle_normalize_bssid(raw):
+    s = raw.strip().lower().replace("-", ":")
+    if ":" in s:
+        parts = s.split(":")
+    elif len(s) == 12:
+        parts = [s[i : i + 2] for i in range(0, 12, 2)]
+    else:
+        parts = []
+    if len(parts) != 6:
+        raise ValueError(f"not a 6-octet BSSID: {raw!r}")
+    out = []
+    for p in parts:
+        if not p or len(p) > 2 or any(c not in "0123456789abcdef" for c in p):
+            raise ValueError(f"bad octet {p!r} in BSSID {raw!r}")
+        out.append(p.zfill(2))
+    return ":".join(out)
+
+
+def _parse_or_none(normalize, raw):
+    try:
+        return normalize(raw)
+    except ValueError:
+        return None
+
+
+# valid octets and bare strings are drawn on purpose, so that about a fifth
+# of the strings parse; the other characters are separators, non-hex ASCII
+# and non-ASCII (dotted I, Kelvin sign, Arabic-Indic three, fullwidth a,
+# e acute) that lower() or a Unicode-aware pattern could take for hex
+_HEX = "0123456789abcdefABCDEF"
+_BSSID_CHARS = _HEX + "gxZ.:- \u0130\u212a\u0663\uff41\u00e9"
+_WHITESPACE = st.sampled_from(["", " ", "\t", "\n", " \r\n", "\u00a0", "\u2003"])
+_hex_octet = st.text(alphabet=_HEX, min_size=1, max_size=2)
+_octet = st.one_of(_hex_octet, _hex_octet, _hex_octet, st.text(alphabet=_BSSID_CHARS, max_size=3))
+_separated = st.lists(
+    st.tuples(_octet, st.sampled_from(":-")), min_size=5, max_size=7
+).map(lambda parts: "".join(o + sep for o, sep in parts[:-1]) + parts[-1][0])
+_bare = st.one_of(
+    st.text(alphabet=_HEX, min_size=12, max_size=12),
+    st.text(alphabet=_BSSID_CHARS, min_size=11, max_size=13),
+)
+_bssid_like = st.builds(
+    lambda before, body, after: before + body + after,
+    _WHITESPACE,
+    st.one_of(_separated, _bare, st.text(max_size=20)),
+    _WHITESPACE,
+)
 
 
 class TestBssid:
@@ -32,6 +96,26 @@ class TestBssid:
     def test_normalize_rejects_junk(self, raw):
         with pytest.raises(ValueError):
             normalize_bssid(raw)
+
+    @settings(max_examples=3000, deadline=None)
+    @given(raw=_bssid_like)
+    @example(raw=" AA-bb:CC-dd:ee-FF\n")  # mixed separators, case and whitespace
+    @example(raw=":b:c:d:e:f")  # empty octet
+    @example(raw="aaa:b:c:d:e:f")  # three-digit octet
+    @example(raw="a:b:c:d:e")  # five octets
+    @example(raw="a:b:c:d:e:f:0")  # seven octets
+    @example(raw="aabbccddeef")  # bare, 11 digits
+    @example(raw="AABBCCDDEEFF")
+    @example(raw="aabbccddeeff0")  # bare, 13 digits
+    @example(raw="aa:bb:cc:dd:ee:fg")  # non-hex
+    @example(raw="aa:bb:cc:dd:ee:\uff41a")  # fullwidth a
+    @example(raw="aa:bb:cc:dd:ee:\u0663a")  # Arabic-Indic three
+    @example(raw="\u212aa:bb:cc:dd:ee:ff")  # Kelvin sign, lowers to k
+    def test_normalize_matches_oracle(self, raw):
+        expected = _parse_or_none(oracle_normalize_bssid, raw)
+        assert _parse_or_none(normalize_bssid, raw) == expected
+        for s in (raw, raw.strip().lower(), expected or ""):
+            assert is_canonical_bssid(s) == oracle_is_canonical_bssid(s)
 
     def test_bssid_from_int(self):
         assert bssid_from_int(0) == "00:00:00:00:00:00"
@@ -59,6 +143,27 @@ class TestFingerprint:
 
     def test_empty_readings_allowed(self):
         assert make_fp(readings={}).ap_count == 0
+
+    def test_encoding_is_in_ascending_bssid_order(self):
+        fp = make_fp(readings={bss(9): -60.0, bss(1): -50.0, bss(300): -70.0, bss(5): -40.0})
+        bssids, rssi = fp.encoding
+        assert bssids.tolist() == [bss(1), bss(5), bss(9), bss(300)]
+        assert rssi.dtype == np.float64
+        assert rssi.tolist() == [-50.0, -40.0, -60.0, -70.0]
+
+    def test_empty_encoding_has_string_dtype(self):
+        bssids, rssi = make_fp(readings={}).encoding
+        assert bssids.shape == rssi.shape == (0,)
+        assert bssids.dtype.kind == "U"
+        assert rssi.dtype == np.float64
+
+    def test_encoding_is_cached_and_read_only(self):
+        fp = make_fp(readings={bss(2): -60.0, bss(1): -50.0})
+        assert fp.encoding is fp.encoding
+        for array in fp.encoding:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
 
 
 class TestBurst:
@@ -106,4 +211,8 @@ class TestPair:
     def test_shared_aps_sorted(self):
         a = make_fp(id="a", readings={bss(5): -40.0, bss(1): -50.0, bss(9): -60.0})
         b = make_fp(id="b", readings={bss(9): -45.0, bss(5): -55.0})
-        assert shared_aps(a, b) == [bss(5), bss(9)]
+        (a_ids, a_rssi), (b_ids, b_rssi) = a.encoding, b.encoding
+        shared, ia, ib = np.intersect1d(a_ids, b_ids, assume_unique=True, return_indices=True)
+        assert shared.tolist() == [bss(5), bss(9)]
+        assert a_rssi[ia].tolist() == [-40.0, -60.0]
+        assert b_rssi[ib].tolist() == [-55.0, -45.0]

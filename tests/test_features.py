@@ -663,6 +663,30 @@ class TestExtract:
                 extract(forward).values, extract(backward).values, err_msg=f"pair {i}"
             )
 
+    def test_tied_rssis_ignore_insertion_order(self, rng):
+        # many equal readings: top-k sets and rank vectors break ties by
+        # BSSID, never by the order the readings were inserted in
+        def shuffled(readings, id, position):
+            items = list(readings.items())
+            rng.shuffle(items)
+            return make_fp(id=id, readings=dict(items), position=position)
+
+        for i in range(20):
+            n_shared = int(rng.integers(2, 80))
+            ids = rng.choice(200, size=n_shared + 10, replace=False)
+            a_read = {bss(int(j) + 1): float(rng.integers(-62, -58)) for j in ids[:n_shared + 4]}
+            b_read = {bss(int(j) + 1): float(rng.integers(-62, -58)) for j in ids[:n_shared]}
+            b_read.update({bss(int(j) + 1): -60.0 for j in ids[n_shared + 4:]})
+            vectors = [
+                extract(make_pair(
+                    shuffled(a_read, "a", (0.0, 0.0)), shuffled(b_read, "b", (1.0, 0.0)),
+                    1.0, ProximityClass.CLOSE,
+                )).values
+                for _ in range(3)
+            ]
+            for other in vectors[1:]:
+                np.testing.assert_array_equal(vectors[0], other, err_msg=f"pair {i}")
+
     def test_extract_many_matches_serial_and_parallel(self, rng):
         pairs = [_random_pair(rng) for _ in range(8)]
         serial = extract_many(pairs, workers=1)
@@ -680,6 +704,8 @@ class TestExtract:
         # redpin against the empty side is 0, against the other side a miss
         assert vec["redpin.min_max.none"] == 0.0
         assert vec["redpin.max_min.none"] == pytest.approx(-0.4)
+        both_empty = make_pair(a, make_fp(id="b", readings={}), 1.0, ProximityClass.CLOSE)
+        assert np.all(np.isfinite(extract(both_empty).values))
 
 
 # ---------------------------------------------------------------------------
