@@ -97,6 +97,13 @@ def _int_at_least(minimum: int):
     return count
 
 
+def _sampling(args: argparse.Namespace) -> bool:
+    """Whether ``--n-close``/``--n-far`` ask for sampling; they come together."""
+    if (args.n_close is None) != (args.n_far is None):
+        raise ConfigError("--n-close and --n-far must be given together")
+    return args.n_close is not None
+
+
 def _require_exists(path: Path) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
@@ -155,11 +162,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_pairs(args: argparse.Namespace) -> int:
-    sampling = args.n_close is not None or args.n_far is not None
-    if sampling and (args.n_close is None or args.n_far is None):
-        raise ConfigError("--n-close and --n-far must be given together")
+    sampling = _sampling(args)
     if sampling and args.seed is None:
         raise ConfigError("sampling pairs requires --seed")
+    if args.remainder_out is not None and not sampling:
+        raise ConfigError("--remainder-out only makes sense with --n-close/--n-far")
     if args.sub_bursts and args.pseudo_out is None:
         raise ConfigError("--sub-bursts requires --pseudo-out for the pseudo-fingerprints")
     config = {
@@ -187,8 +194,6 @@ def cmd_pairs(args: argparse.Namespace) -> int:
             pairing.save_pairs(rest, args.remainder_out)
             _write_meta(args.remainder_out, doc)
         pairs = selected
-    elif args.remainder_out is not None:
-        raise ConfigError("--remainder-out only makes sense with --n-close/--n-far")
     pairing.save_pairs(pairs, args.out)
     _write_meta(args.out, doc)
     n_close = sum(p.label is ProximityClass.CLOSE for p in pairs)
@@ -237,9 +242,6 @@ def _load_training_tables(
     Each table is optionally restricted to the ``--feature-list`` columns and
     subsampled per class.
     """
-    sampling = args.n_close is not None or args.n_far is not None
-    if sampling and (args.n_close is None or args.n_far is None):
-        raise ConfigError("--n-close and --n-far must be given together")
     tables = [features.read_feature_table(_require_exists(p)) for p in args.features]
     names = tables[0].names
     for path, table in zip(args.features[1:], tables[1:]):
@@ -252,7 +254,7 @@ def _load_training_tables(
     for file_index, (path, table) in enumerate(zip(args.features, tables)):
         is_close = table.label_array()
         matrix = table.matrix
-        if sampling:
+        if args.n_close is not None:  # cmd_train checked that --n-far comes with it
             rng = np.random.default_rng([args.seed, file_index])
             rows = []
             for want, mask in ((args.n_close, is_close), (args.n_far, ~is_close)):
@@ -271,6 +273,7 @@ def _load_training_tables(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _sampling(args)
     ens_cfg = model.EnsembleConfig(n_estimators=args.trees)
     config = {
         "n_estimators": ens_cfg.n_estimators,

@@ -3,6 +3,9 @@
 A fingerprint is one Wi-Fi scan: a mapping from access-point BSSIDs to RSSI
 values (dBm) plus position and device metadata.  All types are immutable
 after construction and safe to share across parallel workers.
+
+It also owns what a BSSID looks like (``normalize_bssid``) and the order in
+which a fingerprint lists its APs (``Fingerprint.encoding``: by BSSID).
 """
 
 from __future__ import annotations
@@ -14,8 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-# Canonical AP identifier: lowercase colon-separated 6-octet hex, 17 chars.
-BSSID_RE = re.compile(r"^[0-9a-f]{2}(?::[0-9a-f]{2}){5}$")
+import numpy as np
+
+# A stripped, lowercased BSSID: six 1-2 digit hex octets separated by ':' or
+# '-' (in any mix), or 12 hex digits.  Canonical: ':' and 2-digit octets.
+_SEPARATED_RE = re.compile("[:-]".join(["([0-9a-f]{1,2})"] * 6))
+_BARE_RE = re.compile("([0-9a-f]{2})" * 6)
 
 # (dataset_id, building_id, floor_id) — fingerprints are only ever compared
 # within one floor subset.
@@ -23,7 +30,8 @@ FloorKey = tuple[str, str, str]
 
 
 def is_canonical_bssid(bssid: str) -> bool:
-    return len(bssid) == 17 and BSSID_RE.match(bssid) is not None
+    # 17 characters leave room only for six 2-digit octets and five separators
+    return len(bssid) == 17 and "-" not in bssid and _SEPARATED_RE.fullmatch(bssid) is not None
 
 
 def normalize_bssid(raw: str) -> str:
@@ -33,21 +41,11 @@ def normalize_bssid(raw: str) -> str:
     are zero-padded and lowercased.  Raises ValueError for anything that is
     not a 6-octet MAC address.
     """
-    s = raw.strip().lower().replace("-", ":")
-    if ":" in s:
-        parts = s.split(":")
-    elif len(s) == 12:
-        parts = [s[i : i + 2] for i in range(0, 12, 2)]
-    else:
-        parts = []
-    if len(parts) != 6:
+    s = raw.strip().lower()
+    m = _SEPARATED_RE.fullmatch(s) or _BARE_RE.fullmatch(s)
+    if m is None:
         raise ValueError(f"not a 6-octet BSSID: {raw!r}")
-    out = []
-    for p in parts:
-        if not p or len(p) > 2 or any(c not in "0123456789abcdef" for c in p):
-            raise ValueError(f"bad octet {p!r} in BSSID {raw!r}")
-        out.append(p.zfill(2))
-    return ":".join(out)
+    return ":".join(octet.zfill(2) for octet in m.groups())
 
 
 def bssid_from_int(ap_id: int) -> str:
@@ -104,6 +102,17 @@ class Fingerprint:
     @cached_property
     def ap_set(self) -> frozenset[str]:
         return frozenset(self.readings)
+
+    @cached_property
+    def encoding(self) -> tuple[np.ndarray, np.ndarray]:
+        """(BSSIDs ascending, their RSSIs in that order), both read-only
+        because every pair that uses the fingerprint shares them."""
+        bssids = sorted(self.readings)
+        ids = np.array(bssids, dtype="<U17")
+        rssi = np.array([self.readings[b] for b in bssids], dtype=np.float64)
+        ids.setflags(write=False)
+        rssi.setflags(write=False)
+        return ids, rssi
 
 
 @dataclass(frozen=True)
@@ -167,10 +176,3 @@ class FingerprintPair:
     def key(self) -> tuple[str, str]:
         return (self.a.id, self.b.id)
 
-
-def shared_aps(a: Fingerprint, b: Fingerprint) -> list[str]:
-    """APs detected in both fingerprints, sorted ascending by BSSID.
-
-    This fixed order is what every shared-AP vector downstream is built in.
-    """
-    return sorted(a.ap_set & b.ap_set)

@@ -37,6 +37,9 @@ pair (``a`` regressed onto ``b``) and apply it to the *full* fingerprint:
 Degenerate fits fall back to the identity slope: no shared APs gives (1, 0);
 zero variance in the source readings gives slope 1 and the mean offset.
 
+Vectors over APs follow each fingerprint's ``encoding`` (ascending BSSID),
+so a stable sort breaks ties between equal readings by BSSID.
+
 Fixed constants of the catalog:
 
 * ``REDPIN_MATCH_THRESHOLD_DBM`` (10): a shared AP whose two readings differ
@@ -61,7 +64,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .core import Fingerprint, FingerprintPair, ProximityClass, shared_aps
+from .core import Fingerprint, FingerprintPair, ProximityClass
 
 VARIANTS = ("none", "single_ls", "single_half_ls", "double_ls")
 
@@ -160,8 +163,7 @@ def _fit_both_ways(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, f
 
 def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, float, float]:
     """(A, B, C, D): A,B map a's readings onto b's; C,D the reverse."""
-    _, x, y = _shared_values(a, b)
-    return _fit_both_ways(x, y)
+    return _fit_both_ways(*_shared_values(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +293,11 @@ def _pair_ratios(v: np.ndarray) -> np.ndarray:
     return safe[ii] / safe[jj]
 
 
-def _normalized_rank_vectors(
-    ids: Sequence[str], x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_rank_vectors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-L2 rank vectors ordered by descending rank in x, ties by AP id."""
     rx = _ranks(x, "max")
     ry = _ranks(y, "max")
-    order = np.lexsort((np.asarray(ids), -rx))
+    order = np.argsort(-rx, kind="stable")
     rx = rx[order]
     ry = ry[order]
     return rx / np.linalg.norm(rx), ry / np.linalg.norm(ry)
@@ -321,11 +321,11 @@ def ap_detection_features(a: Fingerprint, b: Fingerprint) -> tuple[float, ...]:
     )
 
 
-def _shared_values(a: Fingerprint, b: Fingerprint) -> tuple[list[str], np.ndarray, np.ndarray]:
-    ids = shared_aps(a, b)
-    x = np.array([a.readings[i] for i in ids], dtype=np.float64)
-    y = np.array([b.readings[i] for i in ids], dtype=np.float64)
-    return ids, x, y
+def _shared_values(a: Fingerprint, b: Fingerprint) -> tuple[np.ndarray, np.ndarray]:
+    """RSSIs of the APs both fingerprints detected, in ascending BSSID order."""
+    (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
+    _, ia, ib = np.intersect1d(a_ids, b_ids, assume_unique=True, return_indices=True)
+    return a_vals[ia], b_vals[ib]
 
 
 def _rank_concordance(x: np.ndarray, y: np.ndarray) -> float:
@@ -353,7 +353,6 @@ def identical_devices(a: Fingerprint, b: Fingerprint) -> float:
 # ---------------------------------------------------------------------------
 
 def _variant_block(
-    ids: Sequence[str],
     x: np.ndarray,
     y: np.ndarray,
     a_ids: np.ndarray,
@@ -365,7 +364,7 @@ def _variant_block(
 
     ``x``/``y`` are the shared-AP readings of a resp. b, already calibrated;
     ``a_vals``/``b_vals`` the calibrated full-fingerprint readings aligned
-    with ``a_ids``/``b_ids``.
+    with ``a_ids``/``b_ids``; all in ascending BSSID order.
     """
     n = x.size
     feats: list[float] = []
@@ -393,8 +392,8 @@ def _variant_block(
         feats += [0.0] * len(_Z_RANGE)
 
     # shared_top_k, k = 1..8
-    order_a = np.lexsort((a_ids, -a_vals))
-    order_b = np.lexsort((b_ids, -b_vals))
+    order_a = np.argsort(-a_vals, kind="stable")
+    order_b = np.argsort(-b_vals, kind="stable")
     top_a = list(a_ids[order_a[:8]])
     top_b = list(b_ids[order_b[:8]])
     for k in _K_RANGE:
@@ -429,7 +428,7 @@ def _variant_block(
     else:
         pd_x = pd_y = pr_x = pr_y = np.empty(0)
     if n:
-        rk_x, rk_y = _normalized_rank_vectors(ids, x, y)
+        rk_x, rk_y = _normalized_rank_vectors(x, y)
     else:
         rk_x = rk_y = np.empty(0)
     feats += _corr4(x, y)
@@ -450,15 +449,8 @@ def extract(pair: FingerprintPair) -> FeatureVector:
     # feature names, rather than as numpy RuntimeWarnings from deep inside
     with np.errstate(all="ignore"):
         a, b = pair.a, pair.b
-        ids, x, y = _shared_values(a, b)
-
-        a_items = sorted(a.readings.items())
-        b_items = sorted(b.readings.items())
-        a_ids = np.array([i for i, _ in a_items])
-        a_vals = np.array([v for _, v in a_items], dtype=np.float64)
-        b_ids = np.array([i for i, _ in b_items])
-        b_vals = np.array([v for _, v in b_items], dtype=np.float64)
-
+        x, y = _shared_values(a, b)
+        (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
         slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(x, y)
 
         values: list[float] = list(ap_detection_features(a, b))
@@ -475,7 +467,7 @@ def extract(pair: FingerprintPair) -> FeatureVector:
             else:  # double_ls
                 xa, av = slope_ab * x + inter_ab, slope_ab * a_vals + inter_ab
                 yb, bv = slope_ba * y + inter_ba, slope_ba * b_vals + inter_ba
-            values += _variant_block(ids, xa, yb, a_ids, av, b_ids, bv)
+            values += _variant_block(xa, yb, a_ids, av, b_ids, bv)
 
         values.append(identical_devices(a, b))
         values.append(_rank_concordance(x, y))

@@ -370,12 +370,9 @@ def split_sub_bursts(burst: Burst) -> tuple[Fingerprint, Fingerprint]:
     return first, second
 
 
-def split_all_sub_bursts(
-    bursts: Sequence[Burst], report: Optional[SkipReport] = None
-) -> tuple[list[Fingerprint], SkipReport]:
+def split_all_sub_bursts(bursts: Sequence[Burst]) -> tuple[list[Fingerprint], SkipReport]:
     """Split every burst long enough; short bursts are counted, not fatal."""
-    if report is None:
-        report = SkipReport()
+    report = SkipReport()
     pseudos: list[Fingerprint] = []
     for burst in bursts:
         report.bursts_seen += 1

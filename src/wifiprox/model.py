@@ -467,7 +467,7 @@ def _tree_problem(tree: Tree, n_features: int) -> Optional[str]:
 
     Every internal node must send rows to children stored after itself and
     inside the tree, so :meth:`Tree.apply` ends and never indexes out of
-    range.
+    range, and must split on a column of the tree's ``feature_subset``.
     """
     n = tree.feature.size
     arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.n_close, tree.n_far)
@@ -476,6 +476,8 @@ def _tree_problem(tree: Tree, n_features: int) -> Optional[str]:
     if tree.feature.min() < -1 or tree.feature.max() >= n_features:
         return f"feature index outside -1..{n_features - 1}"
     node = np.nonzero(tree.feature >= 0)[0]
+    if not np.isin(tree.feature[node], tree.feature_subset).all():
+        return "split feature outside the tree's feature_subset"
     for child in (tree.left[node], tree.right[node]):
         if np.any(child <= node) or np.any(child >= n):
             return "child index not after its parent inside the tree"

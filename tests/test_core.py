@@ -97,7 +97,7 @@ class TestBssid:
         with pytest.raises(ValueError):
             normalize_bssid(raw)
 
-    @settings(max_examples=3000, deadline=None)
+    @settings(max_examples=1500, deadline=None)
     @given(raw=_bssid_like)
     @example(raw=" AA-bb:CC-dd:ee-FF\n")  # mixed separators, case and whitespace
     @example(raw=":b:c:d:e:f")  # empty octet
