@@ -20,9 +20,8 @@ from wifiprox.features import FEATURE_NAMES, extract, fit_least_squares
 from wifiprox.ingest import split_sub_bursts
 from wifiprox.pairing import enumerate_pairs, make_pair
 from wifiprox.selection_metrics import (
-    MrmrConfig,
     balanced_accuracy,
-    discretize_column,
+    discretize,
     mrmr_select,
     mutual_information,
     pr_points_from_scores,
@@ -311,11 +310,9 @@ def test_criterion_07_mrmr_oracle():
     }
     names = list(cols)
     matrix = np.column_stack([c.astype(float) for c in cols.values()])
-    cfg = MrmrConfig(k=3)
 
     # hand-computed MI values (explicit joint tables over the 12 rows)
-    disc = {n: discretize_column(matrix[:, j], cfg) for j, n in enumerate(names)}
-    mi = {n: mutual_information(d, label) for n, d in disc.items()}
+    mi = dict(zip(names, mutual_information(discretize(matrix), label).tolist()))
     assert mi["informative"] == pytest.approx(1.0, abs=1e-9)  # identical balanced bits
     assert mi["complement"] == pytest.approx(
         _mi_from_joint([[4, 1], [2, 5]]), abs=1e-9
@@ -326,7 +323,7 @@ def test_criterion_07_mrmr_oracle():
 
     # first pick equals brute-force max MI (the duplicate ties; the
     # documented name order makes 'informative' the deterministic winner)
-    order = mrmr_select(matrix, names, label.astype(bool), cfg)
+    order = mrmr_select(matrix, names, label.astype(bool), 3)
     assert mi[order[0]] == max(mi.values())
     # the first pick carries all label information, so every second-step
     # score ties at exactly zero and the name rule elects 'complement' over

@@ -264,6 +264,42 @@ class TestExitCodes:
         assert "requested" in capsys.readouterr().err
 
 
+    def test_pairs_sampling_failure_writes_no_pseudo_fingerprints(self, tmp_path, capsys):
+        site = tmp_path / "bursts.jsonl"
+        assert run(
+            "synth", "--out", site, "--seed", 3, "--site-id", "b", "--ap-count", 10,
+            "--clusters", 2, "--positions-per-cluster", 2, "--devices-per-position", 1,
+            "--bursts",
+        ) == EXIT_OK
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(
+            "pairs", "--in", site, "--out", out / "pairs.jsonl", "--sub-bursts",
+            "--pseudo-out", out / "pseudo.jsonl", "--n-close", 1000, "--n-far", 1000,
+            "--seed", 1,
+        ) == EXIT_VALIDATION
+        assert "requested 1000 Close pairs" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text, where, problem", [
+        ("\n  \n", "", "lists no feature names"),
+        ("dist.euclidean.none\n\nap.jaccard.none\ndist.euclidean.none\n", ":4",
+         "repeats 'dist.euclidean.none'"),
+    ], ids=["empty", "repeated"])
+    def test_bad_feature_list_is_validation_error(
+        self, pipeline, tmp_path, capsys, text, where, problem
+    ):
+        ranking = tmp_path / "ranking.txt"
+        ranking.write_text(text)
+        mdl = tmp_path / "m.json"
+        assert run(
+            "train", "--features", pipeline["features"], "--model-out", mdl,
+            "--seed", 1, "--trees", 2, "--feature-list", ranking,
+        ) == EXIT_VALIDATION
+        assert f"error: {ranking}{where}: {problem}" in capsys.readouterr().err
+        assert not mdl.exists()
+
+
 class TestFlags:
     #: every flag of every subcommand; adding one is a deliberate edit here
     FLAGS = {

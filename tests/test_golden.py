@@ -1,4 +1,4 @@
-"""Golden hashes: feature values and model JSON pinned bit for bit.
+"""Golden hashes: feature values, model JSON and the mRMR ranking pinned bit for bit.
 
 The hashes were recorded from the implementation these tests guard and
 must not be edited to make a refactor pass.  A change that is meant to move
@@ -14,7 +14,9 @@ import numpy as np
 from wifiprox.core import ProximityClass
 from wifiprox.features import FEATURE_NAMES, extract
 from wifiprox.model import EnsembleConfig, save_model, train_ensemble
-from wifiprox.pairing import make_pair
+from wifiprox.pairing import enumerate_pairs, make_pair, sample_training_set
+from wifiprox.selection_metrics import mrmr_select
+from wifiprox.synth import generate_site, site_config_for_density
 
 from conftest import bss, make_fp, random_readings
 
@@ -22,6 +24,7 @@ FUZZ_SHA256 = "13d176eb6af9012b90043e18fbb7a02ffc7911034c4d2f2897c193ddb5540937"
 DENSE_SHA256 = "0c9397c9804d115bc0701d462b75b980bbef30cb83868bf52050d13128228e3c"
 MODEL_SHA256 = "0bd1147a37464ab39774d92d5a05d479e2040ec56f3eb3c8ea3aeb0943245bca"
 DEEP_MODEL_SHA256 = "43452af8ffda657f9a66df799bb0344961194b2009003d21a8d60e651bfc29ca"
+MRMR_RANKING_SHA256 = "46b08b3283c691429c00abb2160e60688afec31ab8ef9f53e1680e8f40647b35"
 
 
 def _fuzz_pairs():
@@ -109,3 +112,16 @@ def test_deep_tree_model_json_hash(tmp_path):
     path = tmp_path / "model.json"
     save_model(trained, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEEP_MODEL_SHA256
+
+
+def test_mrmr_ranking_hash():
+    """All 323 features ranked on 60+60 pairs of a 30-cluster medium-density site."""
+    fps = generate_site(
+        site_config_for_density("medium", site_id="golden-mrmr", seed=2101, n_clusters=30)
+    )
+    pairs = sample_training_set(enumerate_pairs(fps), 60, 60, seed=2108)
+    matrix = np.stack([extract(p).values for p in pairs])
+    is_close = np.array([p.label is ProximityClass.CLOSE for p in pairs])
+    ranked = mrmr_select(matrix, FEATURE_NAMES, is_close, len(FEATURE_NAMES))
+    assert sorted(ranked) == sorted(FEATURE_NAMES)
+    assert hashlib.sha256("\n".join(ranked).encode()).hexdigest() == MRMR_RANKING_SHA256

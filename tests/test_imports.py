@@ -1,4 +1,5 @@
-"""Lint guard: no module under src/wifiprox imports a name it never uses."""
+"""Lint guards: no module under src/wifiprox imports a name it never uses, and
+only ``features.py`` imports scipy."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,32 @@ def test_checker_flags_and_forgives():
         "    return np.size(t)\n"
     )
     assert unused_imports(source) == ["Sequence (line 4)", "os (line 2)"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level package of every module an import statement names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_features_imports_scipy(path):
+    # features.py's Kendall tau is the single runtime use of scipy
+    if path.name != "features.py":
+        assert "scipy" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_import_scan_sees_nested_and_dotted_imports():
+    source = (
+        "import numpy as np\n"
+        "from . import features\n"
+        "def f():\n"
+        "    from scipy.stats import kendalltau\n"
+        "    import os.path\n"
+    )
+    assert imported_modules(source) == {"numpy", "scipy", "os"}

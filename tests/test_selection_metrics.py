@@ -5,16 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wifiprox.model import EnsembleConfig, train_ensemble
 from wifiprox.features import FeatureTable
 from wifiprox.core import ProximityClass
 from wifiprox.selection_metrics import (
+    DISCRETIZE_ALPHA,
     EvalReport,
-    MrmrConfig,
     balanced_accuracy,
     confusion_counts,
-    discretize_column,
+    discretize,
     evaluate,
     mrmr_select,
     mutual_information,
@@ -151,46 +153,139 @@ class TestPrCurve:
         assert lines[1].split() == ["1.0", repr(2 / 3)]
 
 
+# ---------------------------------------------------------------------------
+# Scalar oracles: the per-column discretizer, the two-array plug-in mutual
+# information and the greedy loop that the whole-array passes replaced.
+# ---------------------------------------------------------------------------
+
+def oracle_discretize_column(v, alpha=DISCRETIZE_ALPHA):
+    mu = float(v.mean())
+    sigma = float(v.std(ddof=0))
+    if sigma == 0.0:
+        return np.zeros(len(v), dtype=np.int64)
+    lo = mu - alpha * sigma
+    hi = mu + alpha * sigma
+    return np.where(v <= lo, 0, np.where(v >= hi, 2, 1)).astype(np.int64)
+
+
+def oracle_mutual_information(u, v):
+    n = len(u)
+    _, ui = np.unique(u, return_inverse=True)
+    _, vi = np.unique(v, return_inverse=True)
+    ku = int(ui.max()) + 1
+    kv = int(vi.max()) + 1
+    joint = np.bincount(ui * kv + vi, minlength=ku * kv).reshape(ku, kv) / n
+    pu = joint.sum(axis=1)
+    pv = joint.sum(axis=0)
+    nz = joint > 0
+    outer = np.outer(pu, pv)
+    return float(np.sum(joint[nz] * np.log2(joint[nz] / outer[nz])))
+
+
+def oracle_mrmr(matrix, names, is_close, k):
+    labels = np.asarray(is_close, dtype=np.int64)
+    n_feat = matrix.shape[1]
+    disc = [oracle_discretize_column(matrix[:, j]) for j in range(n_feat)]
+    relevance = np.array([oracle_mutual_information(d, labels) for d in disc])
+    by_name = sorted(range(n_feat), key=lambda j: names[j])
+    selected = []
+    redundancy_sum = np.zeros(n_feat)
+    while len(selected) < min(k, n_feat):
+        if selected:
+            last = selected[-1]
+            for j in by_name:
+                if j not in selected:
+                    redundancy_sum[j] += oracle_mutual_information(disc[j], disc[last])
+        best_j = None
+        best_score = -math.inf
+        for j in by_name:
+            if j in selected:
+                continue
+            score = relevance[j] - (redundancy_sum[j] / len(selected) if selected else 0.0)
+            if score > best_score:
+                best_j, best_score = j, score
+        selected.append(best_j)
+    return [names[j] for j in selected]
+
+
+def mi(u, v):
+    """The kernel on one row of states."""
+    return float(mutual_information(np.asarray(u)[None, :], np.asarray(v))[0])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+#: column kinds for the oracle comparison; "rounded" and "binary" give many
+#: ties on the cut points, "duplicate" repeats an earlier column
+_COLUMN_KINDS = ("normal", "constant", "rounded", "binary", "duplicate")
+
+
+def _oracle_table(n_rows, kinds, seed):
+    rng = np.random.default_rng(seed)
+    cols = []
+    for kind in kinds:
+        if kind == "constant":
+            col = np.full(n_rows, rng.normal())
+        elif kind == "rounded":
+            col = np.round(rng.normal(size=n_rows) * 2.0) / 2.0
+        elif kind == "binary":
+            col = (rng.random(n_rows) < rng.uniform(0.1, 0.9)).astype(np.float64)
+        elif kind == "duplicate" and cols:
+            col = cols[int(rng.integers(len(cols)))].copy()
+        else:  # scaled noise, partly driven by the previous column
+            col = rng.normal(size=n_rows) * rng.uniform(0.1, 100.0)
+            if cols:
+                col += rng.uniform(-3.0, 3.0) * cols[-1]
+        cols.append(col)
+    matrix = np.column_stack(cols)
+    is_close = rng.random(n_rows) < rng.uniform(0.2, 0.8)
+    is_close[rng.choice(n_rows, size=2, replace=False)] = [True, False]
+    names = [f"f{i:02d}" for i in rng.permutation(len(kinds))]
+    return matrix, names, is_close
+
+
 class TestDiscretize:
     def test_balanced_binary_keeps_two_states(self):
         # mean +/- sigma lands exactly on the two values; inclusive outer
         # states keep the indicator binary instead of collapsing it
         v = np.array([0.0, 0.0, 1.0, 1.0])
-        states = discretize_column(v, MrmrConfig(k=1))
+        states = discretize(v[:, None])[0]
         assert sorted(set(states.tolist())) == [0, 2]
         np.testing.assert_array_equal(states, [0, 0, 2, 2])
 
     def test_three_states_on_spread_data(self):
         v = np.array([0.0, 5.0, 10.0])
-        np.testing.assert_array_equal(discretize_column(v, MrmrConfig(k=1)), [0, 1, 2])
+        np.testing.assert_array_equal(discretize(v[:, None]), [[0, 1, 2]])
 
     def test_constant_column_is_single_state(self):
         v = np.full(5, 3.3)
-        np.testing.assert_array_equal(discretize_column(v, MrmrConfig(k=1)), [0] * 5)
+        np.testing.assert_array_equal(discretize(v[:, None]), [[0] * 5])
 
-    def test_alpha_widens_middle_band(self):
+    def test_cuts_at_one_sigma(self):
+        # sigma is sqrt(2): +/-1 stay in the middle band, +/-2 leave it
+        assert DISCRETIZE_ALPHA == 1.0
         v = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        narrow = discretize_column(v, MrmrConfig(k=1, alpha=0.5))
-        wide = discretize_column(v, MrmrConfig(k=1, alpha=2.0))
-        assert len(set(narrow.tolist())) == 3
-        assert set(wide.tolist()) == {1}  # everything within 2 sigma
+        np.testing.assert_array_equal(discretize(v[:, None]), [[0, 1, 1, 1, 2]])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MrmrConfig(k=0)
-        with pytest.raises(ValueError):
-            MrmrConfig(k=1, alpha=0.0)
+    def test_one_row_of_states_per_column(self, rng):
+        matrix = np.column_stack([rng.normal(size=7), np.full(7, 2.0), rng.normal(size=7)])
+        states = discretize(matrix)
+        assert states.shape == (3, 7)
+        for j in range(3):
+            np.testing.assert_array_equal(states[j], oracle_discretize_column(matrix[:, j]))
 
 
 class TestMutualInformation:
     def test_identical_balanced_binary_is_one_bit(self):
         u = np.array([0, 0, 1, 1])
-        assert mutual_information(u, u) == pytest.approx(1.0, abs=1e-12)
+        assert mi(u, u) == pytest.approx(1.0, abs=1e-12)
 
     def test_independent_is_zero(self):
         u = np.array([0, 0, 1, 1])
         v = np.array([0, 1, 0, 1])
-        assert mutual_information(u, v) == pytest.approx(0.0, abs=1e-12)
+        assert mi(u, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_partial_dependence(self):
         # joint counts: (0,0)=2, (0,1)=1, (1,0)=0, (1,1)=1 over n=4
@@ -201,31 +296,52 @@ class TestMutualInformation:
             + 0.25 * math.log2(0.25 / (0.75 * 0.5))
             + 0.25 * math.log2(0.25 / (0.25 * 0.5))
         )
-        assert mutual_information(u, v) == pytest.approx(expected, abs=1e-12)
+        assert mi(u, v) == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric(self, rng):
         u = rng.integers(0, 3, size=200)
-        v = rng.integers(0, 4, size=200)
-        assert mutual_information(u, v) == pytest.approx(
-            mutual_information(v, u), abs=1e-12
-        )
+        v = rng.integers(0, 3, size=200)
+        assert mi(u, v) == pytest.approx(mi(v, u), abs=1e-12)
 
     def test_state_labels_are_irrelevant(self, rng):
+        # any relabelling of the three states gives the same information
         u = rng.integers(0, 3, size=100)
         v = rng.integers(0, 3, size=100)
-        assert mutual_information(u * 7 + 2, v) == pytest.approx(
-            mutual_information(u, v), abs=1e-12
+        relabel = np.array([2, 0, 1])
+        assert mi(relabel[u], v) == pytest.approx(mi(u, v), abs=1e-12)
+
+    def test_every_row_against_one_target(self, rng):
+        states = rng.integers(0, 3, size=(6, 50))
+        target = rng.integers(0, 2, size=50)
+        got = mutual_information(states, target)
+        assert got.shape == (6,)
+        want = [oracle_mutual_information(row, target) for row in states]
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_rows_filling_eight_and_nine_cells_match_oracle_bits(self):
+        # np.sum adds eight or more terms pairwise, fewer one by one: a kernel
+        # that pads every row to nine terms moves the last bit of these rows
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=300)
+        matrix = np.column_stack(
+            [base] + [c * base + rng.normal(size=300) for c in np.linspace(0.0, 4.0, 40)]
         )
+        states = discretize(matrix)
+        got = mutual_information(states, states[0])
+        cells = [len(set(zip(row.tolist(), states[0].tolist()))) for row in states]
+        assert {8, 9} <= set(cells)
+        want = [oracle_mutual_information(row, states[0]) for row in states]
+        np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mutual_information(np.array([1]), np.array([1, 2]))
+            mutual_information(np.array([[1]]), np.array([1, 2]))
         with pytest.raises(ValueError):
-            mutual_information(np.empty(0, dtype=int), np.empty(0, dtype=int))
+            mutual_information(np.empty((1, 0), dtype=int), np.empty(0, dtype=int))
 
 
 def _score(disc, rel, selected, j):
-    red = sum(mutual_information(disc[j], disc[s]) for s in selected)
+    red = sum(mi(disc[j], disc[s]) for s in selected)
     return rel[j] - red / len(selected)
 
 
@@ -254,26 +370,24 @@ class TestMrmr:
 
     def test_first_pick_is_max_relevance(self):
         matrix, names, label = self._fixture()
-        cfg = MrmrConfig(k=1)
-        disc = [discretize_column(matrix[:, j], cfg) for j in range(len(names))]
-        rel = [mutual_information(d, self.LABEL) for d in disc]
+        rel = mutual_information(discretize(matrix), self.LABEL)
         brute = names[int(np.argmax(rel))]
-        assert mrmr_select(matrix, names, label, cfg) == [brute] == ["signal"]
+        assert mrmr_select(matrix, names, label, 1) == [brute] == ["signal"]
 
     def test_duplicate_scores_strictly_negative_at_step_two(self):
         matrix, names, label = self._fixture()
-        cfg = MrmrConfig(k=2)
-        disc = {n: discretize_column(matrix[:, j], cfg) for j, n in enumerate(names)}
-        rel = {n: mutual_information(d, self.LABEL) for n, d in disc.items()}
+        states = discretize(matrix)
+        disc = dict(zip(names, states))
+        rel = dict(zip(names, mutual_information(states, self.LABEL).tolist()))
         assert rel["signal"] == rel["signal_copy"] > 0
         dup_score = _score(disc, rel, ["signal"], "signal_copy")
         extra_score = _score(disc, rel, ["signal"], "extra")
         assert dup_score < 0 < extra_score
-        assert mrmr_select(matrix, names, label, cfg) == ["signal", "extra"]
+        assert mrmr_select(matrix, names, label, 2) == ["signal", "extra"]
 
     def test_noise_never_precedes_informative_features(self):
         matrix, names, label = self._fixture()
-        order = mrmr_select(matrix, names, label, MrmrConfig(k=5))
+        order = mrmr_select(matrix, names, label, 5)
         assert order.index("signal") == 0
         assert order.index("extra") == 1
         assert len(order) == 5
@@ -281,23 +395,45 @@ class TestMrmr:
     def test_score_ties_break_by_name_ascending(self):
         # two identical columns: identical scores at every step
         matrix = np.column_stack([self.SIGNAL, self.SIGNAL]).astype(float)
-        order = mrmr_select(
-            matrix, ["beta", "alpha"], self.LABEL.astype(bool), MrmrConfig(k=2)
-        )
+        order = mrmr_select(matrix, ["beta", "alpha"], self.LABEL.astype(bool), 2)
         assert order == ["alpha", "beta"]
 
     def test_k_capped_at_feature_count(self):
         matrix, names, label = self._fixture()
-        assert len(mrmr_select(matrix, names, label, MrmrConfig(k=99))) == len(names)
+        assert len(mrmr_select(matrix, names, label, 99)) == len(names)
 
     def test_validation(self):
         matrix, names, label = self._fixture()
         with pytest.raises(ValueError, match="width"):
-            mrmr_select(matrix[:, :2], names, label, MrmrConfig(k=1))
+            mrmr_select(matrix[:, :2], names, label, 1)
         with pytest.raises(ValueError, match="constant"):
-            mrmr_select(matrix, names, np.zeros(12, dtype=bool), MrmrConfig(k=1))
+            mrmr_select(matrix, names, np.zeros(12, dtype=bool), 1)
         with pytest.raises(ValueError, match="rows"):
-            mrmr_select(matrix[:1], names, label[:1], MrmrConfig(k=1))
+            mrmr_select(matrix[:1], names, label[:1], 1)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            mrmr_select(matrix, names, label, 0)
+
+
+class TestAgainstScalarOracles:
+    """States, MI bits and full rankings equal the scalar implementation's."""
+
+    @given(
+        n_rows=st.integers(2, 600),
+        kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_tables(self, n_rows, kinds, seed):
+        matrix, names, is_close = _oracle_table(n_rows, kinds, seed)
+        states = discretize(matrix)
+        want_states = [oracle_discretize_column(matrix[:, j]) for j in range(len(names))]
+        np.testing.assert_array_equal(states, np.stack(want_states))
+        labels = is_close.astype(np.int64)
+        for target in (labels, states[0], states[-1]):
+            want = [oracle_mutual_information(row, target) for row in states]
+            np.testing.assert_array_equal(bits(mutual_information(states, target)), bits(want))
+        k = len(names)
+        assert mrmr_select(matrix, names, is_close, k) == oracle_mrmr(matrix, names, is_close, k)
 
 
 class TestRankingIO:
