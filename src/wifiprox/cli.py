@@ -81,8 +81,7 @@ def _print_header(command: str, seed: Optional[int], config: dict, inputs: Seque
 def _write_meta(out_path: Path, doc: dict) -> None:
     meta = Path(str(out_path) + ".meta.json")
     with open(meta, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _int_at_least(minimum: int):
@@ -177,27 +176,28 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     doc = _print_header("pairs", args.seed, config, [_require_exists(args.input)])
     fps = ingest.load_canonical(args.input)
     if args.sub_bursts:
-        pseudos, burst_report = ingest.split_all_sub_bursts(ingest.group_bursts(fps))
-        ingest.save_canonical(pseudos, args.pseudo_out)
-        _write_meta(args.pseudo_out, doc)
+        fps, burst_report = ingest.split_all_sub_bursts(ingest.group_bursts(fps))
         print(
             f"bursts={burst_report.bursts_seen} "
             f"too_short={burst_report.bursts_too_short} "
-            f"pseudo_fingerprints={len(pseudos)}"
+            f"pseudo_fingerprints={len(fps)}"
         )
-        fps = pseudos
     pairs = pairing.enumerate_pairs(fps)
-    if sampling:
-        selected = pairing.sample_training_set(pairs, args.n_close, args.n_far, args.seed)
-        if args.remainder_out is not None:
-            rest = pairing.holdout(pairs, selected)
-            pairing.save_pairs(rest, args.remainder_out)
-            _write_meta(args.remainder_out, doc)
-        pairs = selected
-    pairing.save_pairs(pairs, args.out)
+    # sample before writing anything, so a failed sample leaves no files behind
+    selected = (
+        pairing.sample_training_set(pairs, args.n_close, args.n_far, args.seed)
+        if sampling else pairs
+    )
+    if args.sub_bursts:
+        ingest.save_canonical(fps, args.pseudo_out)
+        _write_meta(args.pseudo_out, doc)
+    if args.remainder_out is not None:  # only with sampling, checked above
+        pairing.save_pairs(pairing.holdout(pairs, selected), args.remainder_out)
+        _write_meta(args.remainder_out, doc)
+    pairing.save_pairs(selected, args.out)
     _write_meta(args.out, doc)
-    n_close = sum(p.label is ProximityClass.CLOSE for p in pairs)
-    print(f"close={n_close} far={len(pairs) - n_close} total={len(pairs)}")
+    n_close = sum(p.label is ProximityClass.CLOSE for p in selected)
+    print(f"close={n_close} far={len(selected) - n_close} total={len(selected)}")
     return EXIT_OK
 
 
@@ -220,12 +220,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    cfg = selection_metrics.MrmrConfig(k=args.top_k)
-    config = {"top_k": cfg.k}
+    config = {"top_k": args.top_k}
     doc = _print_header("select", None, config, [_require_exists(args.features)])
     table = features.read_feature_table(args.features)
     ranked = selection_metrics.mrmr_select(
-        table.matrix, table.names, table.label_array(), cfg
+        table.matrix, table.names, table.label_array(), args.top_k
     )
     selection_metrics.write_ranking(ranked, args.out)
     _write_meta(args.out, doc)

@@ -408,8 +408,7 @@ def save_model(model: BaggedEnsemble, path: str | Path) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path: str | Path) -> BaggedEnsemble:

@@ -7,8 +7,9 @@ which stays honest on skewed pair sets.
 Feature selection is greedy mRMR with the mutual-information difference
 criterion: at each step pick the candidate maximizing
 ``I(f; label) - mean_{s in S} I(f; s)`` over the already-selected set S.
-Features are discretized first (three states around the mean);
-mutual information is the plug-in estimate in bits.
+The table is discretized once (three states around each column's mean);
+mutual information is the plug-in estimate in bits, computed for every
+column against one target in a single whole-array pass.
 """
 
 from __future__ import annotations
@@ -177,96 +178,86 @@ def write_pr_points(points: Sequence[tuple[float, float, float]], path) -> None:
 # mRMR feature selection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MrmrConfig:
-    k: int
-    alpha: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+#: cut points of the three-state discretizer, in standard deviations
+DISCRETIZE_ALPHA = 1.0
 
 
-def discretize_column(v: np.ndarray, cfg: MrmrConfig) -> np.ndarray:
-    """Three integer states for one feature column.
+def discretize(matrix: np.ndarray) -> np.ndarray:
+    """Three integer states per feature column, as an (n_features, n_rows) array.
 
-    Cuts at mu +/- alpha*sigma with *inclusive* outer states (v <= lo is
-    low, v >= hi is high): a balanced 0/1 indicator then lands exactly on
-    both cut points and keeps its two states instead of collapsing into the
-    middle bin.
+    Cuts at mu +/- DISCRETIZE_ALPHA*sigma with *inclusive* outer states
+    (v <= lo is 0, v >= hi is 2): a balanced 0/1 indicator then lands
+    exactly on both cut points and keeps its two states instead of
+    collapsing into the middle bin.  A constant column is all 0.  Reducing
+    contiguous rows of the transpose rounds like a 1-D ``mean``/``std``.
     """
-    mu = float(v.mean())
-    sigma = float(v.std(ddof=0))
-    if sigma == 0.0:
-        return np.zeros(len(v), dtype=np.int64)
-    lo = mu - cfg.alpha * sigma
-    hi = mu + cfg.alpha * sigma
-    return np.where(v <= lo, 0, np.where(v >= hi, 2, 1)).astype(np.int64)
+    cols = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64).T)
+    mu = cols.mean(axis=1, keepdims=True)
+    sigma = cols.std(axis=1, keepdims=True)
+    lo = mu - DISCRETIZE_ALPHA * sigma
+    hi = mu + DISCRETIZE_ALPHA * sigma
+    states = np.where(cols <= lo, 0, np.where(cols >= hi, 2, 1))
+    states[sigma[:, 0] == 0.0] = 0
+    return states
 
 
-def mutual_information(u: np.ndarray, v: np.ndarray) -> float:
-    """Plug-in mutual information in bits between two integer-state arrays."""
-    n = len(u)
-    if n == 0 or n != len(v):
+def mutual_information(states: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Plug-in mutual information in bits of each row of ``states`` with ``target``.
+
+    Both hold states in {0, 1, 2}; one bincount gives every row's 3x3 joint
+    table.  Rows are summed in groups of equal nonzero-term count: np.sum
+    adds eight or more terms pairwise, so zero padding would move last bits.
+    """
+    n_rows, n = states.shape
+    if n == 0 or n != len(target):
         raise ValueError("mutual_information needs equal-length nonempty arrays")
-    _, ui = np.unique(u, return_inverse=True)
-    _, vi = np.unique(v, return_inverse=True)
-    ku = int(ui.max()) + 1
-    kv = int(vi.max()) + 1
-    joint = np.bincount(ui * kv + vi, minlength=ku * kv).reshape(ku, kv) / n
-    pu = joint.sum(axis=1)
-    pv = joint.sum(axis=0)
+    cells = np.arange(n_rows)[:, None] * 9 + states * 3 + target
+    joint = np.bincount(cells.ravel(), minlength=9 * n_rows).reshape(n_rows, 3, 3) / n
+    outer = joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+    joint, outer = joint.reshape(n_rows, 9), outer.reshape(n_rows, 9)
     nz = joint > 0
-    outer = np.outer(pu, pv)
-    return float(np.sum(joint[nz] * np.log2(joint[nz] / outer[nz])))
+    terms = np.zeros_like(joint)
+    terms[nz] = joint[nz] * np.log2(joint[nz] / outer[nz])
+    n_terms = nz.sum(axis=1)
+    mi = np.empty(n_rows)
+    for m in range(1, 10):
+        rows = n_terms == m
+        mi[rows] = terms[rows][nz[rows]].reshape(-1, m).sum(axis=1)
+    return mi
 
 
 def mrmr_select(
     matrix: np.ndarray,
     names: Sequence[str],
     is_close: np.ndarray,
-    cfg: MrmrConfig,
+    k: int,
 ) -> list[str]:
-    """Greedy mRMR (difference criterion); deterministic, ties by name."""
+    """Greedy mRMR (difference criterion) for the top ``k``; ties by name."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != len(names):
         raise ValueError("matrix width does not match names")
     if matrix.shape[0] < 2:
         raise ValueError("need at least 2 rows to select features")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     labels = np.asarray(is_close, dtype=np.int64)
     if len(set(labels.tolist())) < 2:
         raise ValueError("labels are constant; selection is undefined")
     n_feat = matrix.shape[1]
-    k = min(cfg.k, n_feat)
-    disc = [discretize_column(matrix[:, j], cfg) for j in range(n_feat)]
-    relevance = np.array([mutual_information(d, labels) for d in disc])
-
-    # candidate order: by name ascending, so "first strictly-better wins"
-    # yields the lexicographically smallest name on score ties
+    # columns in name order: argmax takes the first maximum, so score ties
+    # go to the lexicographically smallest name
     by_name = sorted(range(n_feat), key=lambda j: names[j])
-    selected: list[int] = []
+    states = discretize(matrix)[by_name]
+    relevance = mutual_information(states, labels)
     redundancy_sum = np.zeros(n_feat)
-    while len(selected) < k:
+    selected: list[int] = []
+    while len(selected) < min(k, n_feat):
         if selected:
-            last = selected[-1]
-            for j in by_name:
-                if j not in selected:
-                    redundancy_sum[j] += mutual_information(disc[j], disc[last])
-        best_j = None
-        best_score = -math.inf
-        for j in by_name:
-            if j in selected:
-                continue
-            score = relevance[j] - (
-                redundancy_sum[j] / len(selected) if selected else 0.0
-            )
-            if score > best_score:
-                best_j, best_score = j, score
-        assert best_j is not None
-        selected.append(best_j)
-    return [names[j] for j in selected]
+            redundancy_sum += mutual_information(states, states[selected[-1]])
+        score = relevance - (redundancy_sum / len(selected) if selected else 0.0)
+        score[selected] = -np.inf
+        selected.append(int(np.argmax(score)))
+    return [names[by_name[j]] for j in selected]
 
 
 def write_ranking(names: Sequence[str], path) -> None:
@@ -276,5 +267,15 @@ def write_ranking(names: Sequence[str], path) -> None:
 
 
 def read_ranking(path) -> list[str]:
+    """Feature names, one per line, blank lines skipped; none or a repeat is an error."""
+    line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            name = line.strip()
+            if name in line_of:
+                raise ValueError(f"{path}:{lineno}: repeats {name!r} from line {line_of[name]}")
+            if name:
+                line_of[name] = lineno
+    if not line_of:
+        raise ValueError(f"{path}: lists no feature names")
+    return list(line_of)

@@ -263,7 +263,6 @@ class TestExitCodes:
         ) == EXIT_VALIDATION
         assert "requested" in capsys.readouterr().err
 
-
     def test_pairs_sampling_failure_writes_no_pseudo_fingerprints(self, tmp_path, capsys):
         site = tmp_path / "bursts.jsonl"
         assert run(

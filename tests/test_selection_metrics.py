@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wifiprox.model import EnsembleConfig, train_ensemble
@@ -422,7 +422,9 @@ class TestAgainstScalarOracles:
         kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=40),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
+    @example(n_rows=600, kinds=list(_COLUMN_KINDS) * 8, seed=1)  # 40 columns
+    @example(n_rows=9, kinds=["normal"] * 6, seed=2)
+    @settings(max_examples=150, deadline=None)
     def test_random_tables(self, n_rows, kinds, seed):
         matrix, names, is_close = _oracle_table(n_rows, kinds, seed)
         states = discretize(matrix)
