@@ -158,13 +158,13 @@ class TestPrCurve:
 # information and the greedy loop that the whole-array passes replaced.
 # ---------------------------------------------------------------------------
 
-def oracle_discretize_column(v, alpha=DISCRETIZE_ALPHA):
+def oracle_discretize_column(v):
     mu = float(v.mean())
     sigma = float(v.std(ddof=0))
     if sigma == 0.0:
         return np.zeros(len(v), dtype=np.int64)
-    lo = mu - alpha * sigma
-    hi = mu + alpha * sigma
+    lo = mu - 1.0 * sigma
+    hi = mu + 1.0 * sigma
     return np.where(v <= lo, 0, np.where(v >= hi, 2, 1)).astype(np.int64)
 
 
