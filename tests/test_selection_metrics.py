@@ -276,6 +276,18 @@ class TestDiscretize:
         for j in range(3):
             np.testing.assert_array_equal(states[j], oracle_discretize_column(matrix[:, j]))
 
+    def test_config_validation(self):
+        # k is the only selection setting left; it must be at least 1
+        v = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        label = np.array([True, False, True, False])
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                mrmr_select(v, ["a", "b"], label, k)
+        # the cut width must be positive: the mean of a symmetric column
+        # keeps the middle state rather than falling on an outer cut
+        assert DISCRETIZE_ALPHA > 0
+        np.testing.assert_array_equal(discretize(np.array([[-1.0], [0.0], [1.0]])), [[0, 1, 2]])
+
 
 class TestMutualInformation:
     def test_identical_balanced_binary_is_one_bit(self):
