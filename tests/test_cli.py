@@ -158,6 +158,8 @@ class TestExitCodes:
         ("select", "--top-k", 0),
         ("train", "--trees", 0),
         ("pr-curve", "--n-thresholds", 1),
+        ("featurize", "--workers", 0),
+        ("featurize", "--workers", -1),
         ("pairs", "--n-close", -1),
         ("pairs", "--n-close", 0),
         ("train", "--n-close", 0),
@@ -176,6 +178,8 @@ class TestExitCodes:
                       "--seed", 1],
             "pr-curve": ["--model", pipeline["model"], "--features", pipeline["features"],
                          "--out", tmp_path / "pr.txt"],
+            "featurize": ["--pairs", pipeline["pairs"], "--fingerprints", pipeline["site"],
+                          "--out", tmp_path / "f.csv"],
         }[command]
         if flag in ("--n-close", "--n-far"):  # sampling needs both; e.g. -1 with 2, 0 with 0
             partner = "--n-far" if flag == "--n-close" else "--n-close"
@@ -297,6 +301,37 @@ class TestExitCodes:
         ) == EXIT_VALIDATION
         assert f"error: {ranking}{where}: {problem}" in capsys.readouterr().err
         assert not mdl.exists()
+
+    def test_feature_list_naming_a_missing_column_names_list_and_line(
+        self, pipeline, tmp_path, capsys
+    ):
+        ranking = tmp_path / "ranking.txt"
+        ranking.write_text("dist.euclidean.none\n\nnope.feature\n")
+        mdl = tmp_path / "m.json"
+        assert run(
+            "train", "--features", pipeline["features"], "--model-out", mdl,
+            "--seed", 1, "--trees", 2, "--feature-list", ranking,
+        ) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {ranking}:3: 'nope.feature' is not a column of {pipeline['features']}" in err
+        assert not mdl.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "pr-curve"])
+    def test_table_lacking_a_model_column_is_named(self, pipeline, tmp_path, capsys, command):
+        table = features.read_feature_table(pipeline["features"])
+        lacking = model.load_model(pipeline["model"]).feature_names[0]
+        narrow = tmp_path / "narrow.csv"
+        features.write_feature_table(table.project([n for n in table.names if n != lacking]),
+                                     narrow)
+        out = tmp_path / "out.txt"
+        flag = "--report-out" if command == "evaluate" else "--out"
+        capsys.readouterr()
+        assert run(
+            command, "--model", pipeline["model"], "--features", narrow, flag, out,
+        ) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {narrow}: lacks the model's feature columns ['{lacking}']" in err
+        assert not out.exists()
 
 
 class TestFlags:

@@ -1,7 +1,9 @@
 """Feature registry, calibration, correlation kernels, extraction, tables."""
 
+import dataclasses
 import itertools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -29,7 +31,8 @@ from wifiprox.features import (
     table_from_vectors,
     write_feature_table,
 )
-from wifiprox.pairing import make_pair
+from wifiprox.pairing import enumerate_pairs, make_pair
+from wifiprox.synth import generate_site, site_config_for_density
 
 from conftest import bss, make_fp, pair_of, random_readings
 
@@ -481,6 +484,17 @@ def _random_pair(rng, n_a=None, n_b=None):
     return pair_of(random_readings(rng, n_a), random_readings(rng, n_b))
 
 
+def _dense_pairs(rng, per_density=40, min_shared=12):
+    """Medium- and high-density synthetic pairs sharing at least ``min_shared`` APs."""
+    out = []
+    for density in ("medium", "high"):
+        cfg = site_config_for_density(density, site_id=density, seed=45, n_clusters=10)
+        pairs = [p for p in enumerate_pairs(generate_site(cfg))
+                 if len(p.a.ap_set & p.b.ap_set) >= min_shared]
+        out += [pairs[i] for i in rng.choice(len(pairs), per_density, replace=False)]
+    return out
+
+
 class TestExtract:
     def test_shape_names_and_finiteness(self, rng):
         vec = extract(_random_pair(rng))
@@ -625,6 +639,29 @@ class TestExtract:
             for name in MONOTONE_INVARIANT_NAMES:
                 assert v0[name] == pytest.approx(v1[name], abs=1e-9), name
 
+    def test_monotone_invariants_exact_on_dense_pairs(self):
+        # realistic pairs share dozens of APs, so their pairwise vectors hold
+        # many tied entries; every listed feature must keep its exact value
+        # when one fingerprint is recalibrated by a positive affine map
+        rng = np.random.default_rng(2108)
+        index = {n: i for i, n in enumerate(FEATURE_NAMES)}
+        cols = [index[n] for n in MONOTONE_INVARIANT_NAMES]
+        moved = dict.fromkeys(MONOTONE_INVARIANT_NAMES, 0)
+        pairs = _dense_pairs(rng)
+        for k, pair in enumerate(pairs):
+            alpha, beta = rng.uniform(0.5, 2.0), rng.uniform(-10.0, 10.0)
+            a, b = pair.a, pair.b
+            side = a if k % 2 else b
+            recal = dataclasses.replace(
+                side, readings={ap: alpha * v + beta for ap, v in side.readings.items()}
+            )
+            a, b = (recal, b) if side is a else (a, recal)
+            v0 = extract(pair).values[cols]
+            v1 = extract(make_pair(a, b, pair.distance_m, pair.label)).values[cols]
+            for name, same in zip(MONOTONE_INVARIANT_NAMES, v0 == v1):
+                moved[name] += not same
+        assert {n: c for n, c in moved.items() if c} == {}, f"of {len(pairs)} pairs"
+
     def test_swap_is_identity_for_canonical_pairs(self, rng):
         # canonicalization swallows argument order; quick spot check here,
         # the full sweep is in the acceptance suite
@@ -761,6 +798,18 @@ class TestFeatureTable:
         lines[2] = lines[2] + ",0.0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=":3:"):
+            read_feature_table(path)
+
+    def test_empty_label_rejected_with_line(self, rng, tmp_path):
+        _, table = _small_table(rng, n=3)
+        path = tmp_path / "t.csv"
+        write_feature_table(table, path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = ""
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             read_feature_table(path)
 
     def test_bad_header_rejected(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from typing import Optional, Sequence
 
 import numpy as np
@@ -434,6 +435,20 @@ class TestPersistence:
         doc["schema_version"] = SCHEMA_VERSION + 1
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="schema version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value", [("max_features", 5), ("bootstrap", False)])
+    def test_rejects_other_fixed_config(self, rng, tmp_path, key, value):
+        # every model is trained on 3 features per tree and bootstrap rows;
+        # a file recording anything else was not made by this protocol
+        m, _ = self._model(rng, n=1)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        assert (doc["config"]["max_features"], doc["config"]["bootstrap"]) == (3, True)
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file (") + f".*{key}"):
             load_model(path)
 
     def test_rejects_missing_fields(self, rng, tmp_path):
