@@ -130,7 +130,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         cfg = synth.SiteConfig(site_id=args.site_id, seed=args.seed, **overrides)
     else:
         raise ConfigError("one of --density or --ap-count is required")
-    doc = _print_header("synth", args.seed, _dataclass_dict(cfg), [])
+    doc = _print_header("synth", args.seed, dataclasses.asdict(cfg), [])
     fps = synth.generate_site(cfg)
     ingest.save_canonical(fps, args.out)
     _write_meta(args.out, doc)
@@ -247,7 +247,13 @@ def _load_training_tables(
         if table.names != names:
             raise ConfigError(f"{path}: feature columns differ from {args.features[0]}")
     if args.feature_list is not None:
-        names = tuple(selection_metrics.read_ranking(args.feature_list))
+        line_of = selection_metrics.read_ranking(args.feature_list)
+        for name, line in line_of.items():
+            if name not in names:
+                raise ValueError(
+                    f"{args.feature_list}:{line}: {name!r} is not a column of {args.features[0]}"
+                )
+        names = tuple(line_of)
         tables = [table.project(names) for table in tables]
     mats, labels_all = [], []
     for file_index, (path, table) in enumerate(zip(args.features, tables)):
@@ -294,23 +300,38 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_meta(args.model_out, doc)
     n_close, n_far = trained.class_balance
     print(
-        f"trees={len(trained.trees)} features_per_tree<={ens_cfg.max_features} "
+        f"trees={len(trained.trees)} features_per_tree<={model.MAX_FEATURES} "
         f"train_close={n_close} train_far={n_far}"
     )
     return EXIT_OK
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = {"with_pr_curve": args.with_pr_curve}
+def _scoring_inputs(command: str, config: dict, args: argparse.Namespace):
+    """Print the header, then load ``--model`` and the ``--features`` table it scores.
+
+    The table must hold every column the model reads.
+    """
     doc = _print_header(
-        "evaluate", None, config, [_require_exists(args.model), _require_exists(args.features)]
+        command, None, config, [_require_exists(args.model), _require_exists(args.features)]
     )
     trained = model.load_model(args.model)
     table = features.read_feature_table(args.features)
-    report = selection_metrics.evaluate(trained, table)
-    if args.with_pr_curve:
-        curve = selection_metrics.pr_curve(trained, table)
-        report = dataclasses.replace(report, pr_curve=curve)
+    missing = [n for n in trained.feature_names if n not in table.names]
+    if missing:
+        raise ValueError(f"{args.features}: lacks the model's feature columns {missing}")
+    return doc, trained, table
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    doc, trained, table = _scoring_inputs("evaluate", {"with_pr_curve": args.with_pr_curve}, args)
+    if args.with_pr_curve:  # one scoring pass for the report and the curve
+        scores, is_close = selection_metrics.table_scores(trained, table)
+        report = dataclasses.replace(
+            selection_metrics.report_from_scores(scores, is_close),
+            pr_curve=selection_metrics.pr_points_from_scores(scores, is_close),
+        )
+    else:
+        report = selection_metrics.evaluate(trained, table)
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     _write_meta(args.report_out, doc)
@@ -319,13 +340,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_pr_curve(args: argparse.Namespace) -> int:
-    config = {"n_thresholds": args.n_thresholds}
-    doc = _print_header(
-        "pr-curve", None, config, [_require_exists(args.model), _require_exists(args.features)]
+    doc, trained, table = _scoring_inputs("pr-curve", {"n_thresholds": args.n_thresholds}, args)
+    curve = selection_metrics.pr_points_from_scores(
+        *selection_metrics.table_scores(trained, table), n_thresholds=args.n_thresholds
     )
-    trained = model.load_model(args.model)
-    table = features.read_feature_table(args.features)
-    curve = selection_metrics.pr_curve(trained, table, n_thresholds=args.n_thresholds)
     selection_metrics.write_pr_points(curve, args.out)
     _write_meta(args.out, doc)
     print(f"points={len(curve)}")
@@ -334,11 +352,6 @@ def cmd_pr_curve(args: argparse.Namespace) -> int:
 
 def _spread(counts: Sequence[int]) -> dict:
     return {"min": min(counts), "median": float(np.median(counts)), "max": max(counts)}
-
-
-def _dataclass_dict(obj) -> dict:
-    d = dataclasses.asdict(obj)
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in d.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=Path, required=True)
     p.add_argument("--fingerprints", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("select", help="rank features with mRMR")

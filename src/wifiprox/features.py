@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
@@ -109,33 +109,33 @@ def _build_feature_names() -> tuple[str, ...]:
 FEATURE_NAMES: tuple[str, ...] = _build_feature_names()
 N_FEATURES = len(FEATURE_NAMES)
 
-#: names whose value must not change when RSSIs undergo a strictly
-#: increasing affine recalibration (used by invariance checks)
+#: names whose value does not change, bit for bit, when one fingerprint's
+#: RSSIs undergo a strictly increasing affine recalibration.  The rank
+#: statistics of pairwise differences are not among them: rounding in
+#: (a*x_i + b) - (a*x_j + b) breaks the ties that integer readings leave.
 MONOTONE_INVARIANT_NAMES: tuple[str, ...] = tuple(
     n
     for n in FEATURE_NAMES
-    if n.startswith(("corr_rssi.spearman", "corr_rssi.kendall"))
-    or n.startswith(("corr_pairdiff.spearman", "corr_pairdiff.kendall"))
-    or n.startswith("corr_rank.")
+    if n.startswith(("corr_rssi.spearman", "corr_rssi.kendall", "corr_rank."))
     or n == "device.re3.none"
 )
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    names: tuple[str, ...]
+    """The ``FEATURE_NAMES`` values of one pair, in that order."""
+
     values: np.ndarray
-    label: Optional[ProximityClass] = None
 
     def __post_init__(self) -> None:
-        if len(self.names) != len(self.values):
-            raise ValueError(f"{len(self.names)} names but {len(self.values)} values")
+        if len(self.values) != N_FEATURES:
+            raise ValueError(f"{N_FEATURES} names but {len(self.values)} values")
 
     def __getitem__(self, name: str) -> float:
-        return float(self.values[self.names.index(name)])
+        return float(self.values[FEATURE_NAMES.index(name)])
 
     def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, self.values)}
+        return {n: float(v) for n, v in zip(FEATURE_NAMES, self.values)}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +476,7 @@ def extract(pair: FingerprintPair) -> FeatureVector:
     if not np.all(np.isfinite(arr)):
         bad = [FEATURE_NAMES[i] for i in np.nonzero(~np.isfinite(arr))[0]]
         raise NonFiniteFeatureError(f"non-finite feature values for pair {pair.key}: {bad}")
-    return FeatureVector(names=FEATURE_NAMES, values=arr, label=pair.label)
+    return FeatureVector(values=arr)
 
 
 def extract_many(pairs: Sequence[FingerprintPair], workers: int = 1) -> list[FeatureVector]:
@@ -504,7 +504,7 @@ class FeatureTable:
     names: tuple[str, ...]
     pair_ids: tuple[str, ...]
     distances: np.ndarray
-    labels: tuple[Optional[ProximityClass], ...]
+    labels: tuple[ProximityClass, ...]
     matrix: np.ndarray  # shape (n_pairs, n_features)
 
     def __post_init__(self) -> None:
@@ -522,9 +522,7 @@ class FeatureTable:
 
     def label_array(self) -> np.ndarray:
         """Boolean array, True where the row is labeled Close."""
-        if any(lab is None for lab in self.labels):
-            raise ValueError("table contains unlabeled rows")
-        return np.array([lab is ProximityClass.CLOSE for lab in self.labels])
+        return np.array([lab is ProximityClass.CLOSE for lab in self.labels], dtype=bool)
 
     def project(self, names: Sequence[str]) -> "FeatureTable":
         """Restrict to the given feature columns, in the given order."""
@@ -547,17 +545,9 @@ def table_from_vectors(
 ) -> FeatureTable:
     if len(pairs) != len(vectors):
         raise ValueError("pairs/vectors length mismatch")
-    names = vectors[0].names if vectors else FEATURE_NAMES
-    for v in vectors:
-        if v.names != names:
-            raise ValueError("inconsistent feature names across vectors")
-    matrix = (
-        np.stack([v.values for v in vectors])
-        if vectors
-        else np.empty((0, len(names)))
-    )
+    matrix = np.stack([v.values for v in vectors]) if vectors else np.empty((0, N_FEATURES))
     return FeatureTable(
-        names=tuple(names),
+        names=FEATURE_NAMES,
         pair_ids=tuple(f"{p.a.id}|{p.b.id}" for p in pairs),
         distances=np.array([p.distance_m for p in pairs], dtype=np.float64),
         labels=tuple(p.label for p in pairs),
@@ -571,12 +561,11 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow([*_META_COLUMNS, *table.names])
         for i, pid in enumerate(table.pair_ids):
-            label = table.labels[i]
             writer.writerow(
                 [
                     pid,
                     repr(float(table.distances[i])),
-                    "" if label is None else label.value,
+                    table.labels[i].value,
                     *(repr(float(v)) for v in table.matrix[i]),
                 ]
             )
@@ -595,7 +584,7 @@ def read_feature_table(path: str | Path) -> FeatureTable:
         names = tuple(header[len(_META_COLUMNS):])
         pair_ids: list[str] = []
         distances: list[float] = []
-        labels: list[Optional[ProximityClass]] = []
+        labels: list[ProximityClass] = []
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -603,7 +592,7 @@ def read_feature_table(path: str | Path) -> FeatureTable:
             pair_ids.append(row[0])
             try:
                 distances.append(float(row[1]))
-                labels.append(ProximityClass(row[2]) if row[2] else None)
+                labels.append(ProximityClass(row[2]))
                 rows.append([float(c) for c in row[3:]])
             except ValueError as e:
                 raise ValueError(f"{p}:{lineno}: bad cell ({e})") from e

@@ -1,8 +1,8 @@
 """Attribute-bagged decision-tree ensemble for Close/Far classification.
 
-Many shallow-input trees: each tree sees a small random subset of feature
-columns (drawn without replacement) and, by default, a bootstrap sample of
-the training rows.  Trees are plain CART with Gini impurity, grown until
+Many shallow-input trees: each tree sees ``MAX_FEATURES`` random feature
+columns (drawn without replacement) and a bootstrap sample of the training
+rows.  Trees are plain CART with Gini impurity, grown until
 pure, with deterministic tie-breaking (lowest feature index, then lowest
 threshold) so that training is exactly reproducible from the seed.
 
@@ -25,7 +25,7 @@ does not depend on how its trees were grown; ``tests/test_model.py`` checks
 ``train_tree`` array for array against a node-at-a-time grower.
 
 The ensemble's score for a pair is the fraction of trees voting Close; the
-decision compares that score to a threshold (0.5 unless stated otherwise).
+pair is Close when that score is at least ``DECISION_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -38,19 +38,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 SCHEMA_VERSION = 1
+#: feature columns each tree draws (all of them when the table is narrower)
+MAX_FEATURES = 3
+#: a pair is Close when at least this fraction of the trees votes Close
+DECISION_THRESHOLD = 0.5
+#: the training protocol as model files record it; loading checks it
+_FIXED_CONFIG = {"max_features": MAX_FEATURES, "bootstrap": True}
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
     n_estimators: int = 300
-    max_features: int = 3
-    bootstrap: bool = True
 
     def __post_init__(self) -> None:
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if self.max_features < 1:
-            raise ValueError("max_features must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -320,9 +322,9 @@ class BaggedEnsemble:
             )
         return float(self.predict_scores(values[None, :])[0])
 
-    def predict_labels(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        """Boolean per row: True means Close (score >= threshold)."""
-        return self.predict_scores(X) >= threshold
+    def predict_labels(self, X: np.ndarray) -> np.ndarray:
+        """Boolean per row: True means Close (score >= DECISION_THRESHOLD)."""
+        return self.predict_scores(X) >= DECISION_THRESHOLD
 
 
 def train_ensemble(
@@ -348,11 +350,11 @@ def train_ensemble(
         raise ValueError("feature_names length does not match matrix width")
     y = y.astype(np.int64)
     n, n_feat = X.shape
-    k = min(config.max_features, n_feat)
+    k = min(MAX_FEATURES, n_feat)
     trees = []
     for i in range(config.n_estimators):
         rng = np.random.default_rng([seed, i])
-        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        rows = rng.integers(0, n, size=n)
         subset = np.sort(rng.choice(n_feat, size=k, replace=False))
         # grow on the k-column slice, then remap indices back to global
         local = train_tree(X[np.ix_(rows, subset)], y[rows], range(k))
@@ -386,11 +388,7 @@ def save_model(model: BaggedEnsemble, path: str | Path) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "rssi-pair-bagging",
-        "config": {
-            "n_estimators": model.config.n_estimators,
-            "max_features": model.config.max_features,
-            "bootstrap": model.config.bootstrap,
-        },
+        "config": {"n_estimators": model.config.n_estimators, **_FIXED_CONFIG},
         "feature_names": list(model.feature_names),
         "train_seed": model.train_seed,
         "class_balance": list(model.class_balance),
@@ -425,7 +423,8 @@ def load_model(path: str | Path) -> BaggedEnsemble:
             f"{p}: unsupported schema version {doc.get('schema_version')!r}"
         )
     try:
-        cfg = EnsembleConfig(**doc["config"])
+        fixed = {k: doc["config"][k] for k in _FIXED_CONFIG}
+        cfg = EnsembleConfig(**{k: v for k, v in doc["config"].items() if k not in fixed})
         trees = tuple(
             Tree(
                 feature=np.asarray(t["feature"], dtype=np.int32),
@@ -449,6 +448,12 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         raise ValueError(f"{p}: malformed model file ({e})") from e
     if not model.trees:
         raise ValueError(f"{p}: malformed model file (no trees)")
+    # repr, so that 1 does not pass for true nor 3.0 for 3
+    if repr(fixed) != repr(_FIXED_CONFIG):
+        raise ValueError(
+            f"{p}: malformed model file (config records {fixed}, "
+            f"but every model is trained with {_FIXED_CONFIG})"
+        )
     if cfg.n_estimators != len(model.trees):
         raise ValueError(
             f"{p}: malformed model file (config.n_estimators is {cfg.n_estimators}, "

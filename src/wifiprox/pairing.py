@@ -57,10 +57,8 @@ def make_pair(
     return FingerprintPair(a=a, b=b, distance_m=distance_m, label=label)
 
 
-def enumerate_pairs(
-    fps: Sequence[Fingerprint], cfg: PairingConfig = PairingConfig()
-) -> list[FingerprintPair]:
-    """Enumerate labeled pairs across all floor subsets.
+def enumerate_pairs(fps: Sequence[Fingerprint]) -> list[FingerprintPair]:
+    """Enumerate pairs across all floor subsets, labeled by the default gates.
 
     Fingerprints with no readings are not admitted to pairing.  Output order
     is deterministic: floors sorted, fingerprints sorted by id within each
@@ -71,12 +69,13 @@ def enumerate_pairs(
         if not fp.readings:
             continue
         by_floor.setdefault(fp.floor_key, []).append(fp)
+    gates = PairingConfig()
     pairs: list[FingerprintPair] = []
     for floor_key in sorted(by_floor):
         group = sorted(by_floor[floor_key], key=lambda fp: fp.id)
         for a, b in combinations(group, 2):
             d = math.dist(a.position, b.position)
-            label = cfg.classify(d)
+            label = gates.classify(d)
             if label is None:
                 continue
             pairs.append(make_pair(a, b, d, label))

@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from .model import DECISION_THRESHOLD
+
 if TYPE_CHECKING:  # pragma: no cover
     from .features import FeatureTable
     from .model import BaggedEnsemble
@@ -39,7 +41,6 @@ class EvalReport:
     tpr: float
     tnr: float
     balanced_accuracy: float
-    threshold: float
     pr_curve: tuple[tuple[float, float, float], ...] = ()
 
     @property
@@ -55,7 +56,7 @@ class EvalReport:
             "tpr": self.tpr,
             "tnr": self.tnr,
             "balanced_accuracy": self.balanced_accuracy,
-            "threshold": self.threshold,
+            "threshold": DECISION_THRESHOLD,
         }
         if self.pr_curve:
             d["pr_curve"] = [list(p) for p in self.pr_curve]
@@ -68,7 +69,7 @@ class EvalReport:
         """Small human-readable table."""
         lines = [
             f"pairs evaluated   {self.n_pairs}",
-            f"decision threshold {self.threshold:g}",
+            f"decision threshold {DECISION_THRESHOLD:g}",
             f"confusion          tp={self.tp} fn={self.fn} fp={self.fp} tn={self.tn}",
             f"TPR (Close recall) {self.tpr:.4f}",
             f"TNR (Far recall)   {self.tnr:.4f}",
@@ -77,11 +78,9 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def confusion_counts(
-    scores: np.ndarray, is_close: np.ndarray, threshold: float
-) -> tuple[int, int, int, int]:
-    """(tp, tn, fp, fn) for 'predict Close iff score >= threshold'."""
-    pred = scores >= threshold
+def confusion_counts(scores: np.ndarray, is_close: np.ndarray) -> tuple[int, int, int, int]:
+    """(tp, tn, fp, fn) for 'predict Close iff score >= DECISION_THRESHOLD'."""
+    pred = scores >= DECISION_THRESHOLD
     tp = int(np.sum(pred & is_close))
     tn = int(np.sum(~pred & ~is_close))
     fp = int(np.sum(pred & ~is_close))
@@ -89,12 +88,10 @@ def confusion_counts(
     return tp, tn, fp, fn
 
 
-def report_from_scores(
-    scores: np.ndarray, is_close: np.ndarray, threshold: float = 0.5
-) -> EvalReport:
+def report_from_scores(scores: np.ndarray, is_close: np.ndarray) -> EvalReport:
     if len(scores) == 0:
         raise ValueError("cannot evaluate an empty pair set")
-    tp, tn, fp, fn = confusion_counts(scores, is_close, threshold)
+    tp, tn, fp, fn = confusion_counts(scores, is_close)
     tpr = tp / (tp + fn) if tp + fn else 0.0
     tnr = tn / (tn + fp) if tn + fp else 0.0
     return EvalReport(
@@ -105,17 +102,17 @@ def report_from_scores(
         tpr=tpr,
         tnr=tnr,
         balanced_accuracy=balanced_accuracy(tpr, tnr),
-        threshold=threshold,
     )
 
 
-def evaluate(
-    model: "BaggedEnsemble", table: "FeatureTable", threshold: float = 0.5
-) -> EvalReport:
-    """Score a labeled feature table with the model at the given threshold."""
-    projected = table.project(model.feature_names)
-    scores = model.predict_scores(projected.matrix)
-    return report_from_scores(scores, table.label_array(), threshold)
+def table_scores(model: "BaggedEnsemble", table: "FeatureTable") -> tuple[np.ndarray, np.ndarray]:
+    """The model's score for every row of a labeled table, and whether the row is Close."""
+    return model.predict_scores(table.project(model.feature_names).matrix), table.label_array()
+
+
+def evaluate(model: "BaggedEnsemble", table: "FeatureTable") -> EvalReport:
+    """Score a labeled feature table with the model at DECISION_THRESHOLD."""
+    return report_from_scores(*table_scores(model, table))
 
 
 def pr_points_from_scores(
@@ -156,14 +153,6 @@ def pr_points_from_scores(
         recall = tp / n_pos
         points.append((float(thr), precision, recall))
     return tuple(points)
-
-
-def pr_curve(
-    model: "BaggedEnsemble", table: "FeatureTable", n_thresholds: Optional[int] = None
-) -> tuple[tuple[float, float, float], ...]:
-    projected = table.project(model.feature_names)
-    scores = model.predict_scores(projected.matrix)
-    return pr_points_from_scores(scores, table.label_array(), n_thresholds)
 
 
 def write_pr_points(points: Sequence[tuple[float, float, float]], path) -> None:
@@ -266,8 +255,8 @@ def write_ranking(names: Sequence[str], path) -> None:
             fh.write(n + "\n")
 
 
-def read_ranking(path) -> list[str]:
-    """Feature names, one per line, blank lines skipped; none or a repeat is an error."""
+def read_ranking(path) -> dict[str, int]:
+    """Feature names in file order, each with its line; none or a repeat is an error."""
     line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -278,4 +267,4 @@ def read_ranking(path) -> list[str]:
                 line_of[name] = lineno
     if not line_of:
         raise ValueError(f"{path}: lists no feature names")
-    return list(line_of)
+    return line_of

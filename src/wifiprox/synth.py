@@ -8,9 +8,10 @@ the log-distance path-loss model
     rssi(d) = tx - 10 * n * log10(max(d, d0) / d0) + noise
 
 with Gaussian shadowing noise, per-device gain/offset heterogeneity, and
-integer-quantized readings; an AP is detected only above a threshold, minus
-occasional dropouts.  AP density presets roughly track real deployments:
-low ~ 5-15 APs per fingerprint, medium ~ 30-70, high ~ 70-90.
+integer-quantized readings; an AP is detected only at or above
+``DETECT_THRESHOLD_DBM``, minus occasional dropouts.  AP density presets
+roughly track real deployments: low ~ 5-15 APs per fingerprint, medium ~
+30-70, high ~ 70-90.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Fingerprint, bssid_from_int
+
+#: survey positions are uniform over a disk of this radius around each cluster center
+CLUSTER_RADIUS_M = 1.0
+#: scans in one burst (with ``bursts``)
+SCANS_PER_BURST = 9
+#: standard deviation of each AP's transmit power around ``tx_power_dbm``
+TX_JITTER_DB = 2.0
+#: path-loss reference distance d0; closer positions receive the power at d0
+REFERENCE_DISTANCE_M = 1.0
+#: weakest reading a scan reports
+DETECT_THRESHOLD_DBM = -88.0
 
 #: (model name, rssi gain, rssi offset in dB) -- mild receiver heterogeneity
 DEVICE_POOL: tuple[tuple[str, float, float], ...] = (
@@ -98,16 +110,11 @@ class SiteConfig:
     area_h_m: float = 25.0
     n_clusters: int = 70
     positions_per_cluster: int = 5
-    cluster_radius_m: float = 1.0
     devices_per_position: int = 2
     bursts: bool = False
-    scans_per_burst: int = 9
     tx_power_dbm: float = -40.0
-    tx_jitter_db: float = 2.0
     path_loss_exponent: float = 3.0
-    reference_distance_m: float = 1.0
     noise_sigma_db: float = 3.5
-    detect_threshold_dbm: float = -88.0
     dropout_prob: float = 0.02
     device_pool: tuple[tuple[str, float, float], ...] = DEVICE_POOL
 
@@ -115,29 +122,26 @@ class SiteConfig:
         if not self.site_id:
             raise ValueError("site_id must be nonempty")
         if min(self.ap_count, self.n_clusters, self.positions_per_cluster,
-               self.devices_per_position, self.scans_per_burst) < 1:
+               self.devices_per_position) < 1:
             raise ValueError("counts must all be >= 1")
-        if min(self.area_w_m, self.area_h_m) <= 2 * self.cluster_radius_m:
+        if min(self.area_w_m, self.area_h_m) <= 2 * CLUSTER_RADIUS_M:
             raise ValueError("area too small for the cluster radius")
-        if self.path_loss_exponent <= 0 or self.reference_distance_m <= 0:
-            raise ValueError("path-loss parameters must be positive")
+        if self.path_loss_exponent <= 0:
+            raise ValueError("path_loss_exponent must be positive")
         if not 0 <= self.dropout_prob < 1:
             raise ValueError("dropout_prob must be in [0, 1)")
-        if self.noise_sigma_db < 0 or self.tx_jitter_db < 0:
-            raise ValueError("noise levels must be >= 0")
+        if self.noise_sigma_db < 0:
+            raise ValueError("noise_sigma_db must be >= 0")
         if not self.device_pool:
             raise ValueError("device_pool must be nonempty")
 
 
 def path_loss_rssi(
-    distance_m: float | np.ndarray,
-    tx_power_dbm: float | np.ndarray,
-    exponent: float,
-    reference_m: float = 1.0,
+    distance_m: float | np.ndarray, tx_power_dbm: float | np.ndarray, exponent: float
 ) -> np.ndarray:
     """Mean received power at a distance under log-distance path loss."""
-    d = np.maximum(np.asarray(distance_m, dtype=np.float64), reference_m)
-    return np.asarray(tx_power_dbm) - 10.0 * exponent * np.log10(d / reference_m)
+    d = np.maximum(np.asarray(distance_m, dtype=np.float64), REFERENCE_DISTANCE_M)
+    return np.asarray(tx_power_dbm) - 10.0 * exponent * np.log10(d / REFERENCE_DISTANCE_M)
 
 
 def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
@@ -148,10 +152,10 @@ def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
     ap_xy = rng.uniform(
         [0.0, 0.0], [cfg.area_w_m, cfg.area_h_m], size=(cfg.ap_count, 2)
     )
-    ap_tx = cfg.tx_power_dbm + rng.normal(0.0, cfg.tx_jitter_db, cfg.ap_count)
+    ap_tx = cfg.tx_power_dbm + rng.normal(0.0, TX_JITTER_DB, cfg.ap_count)
     bssids = [bssid_from_int(i + 1) for i in range(cfg.ap_count)]
 
-    r = cfg.cluster_radius_m
+    r = CLUSTER_RADIUS_M
     centers = rng.uniform(
         [r, r], [cfg.area_w_m - r, cfg.area_h_m - r], size=(cfg.n_clusters, 2)
     )
@@ -168,13 +172,11 @@ def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
                 float(centers[ci, 1] + rad * math.sin(ang)),
             )
             dist = np.hypot(ap_xy[:, 0] - pos[0], ap_xy[:, 1] - pos[1])
-            true_rssi = path_loss_rssi(
-                dist, ap_tx, cfg.path_loss_exponent, cfg.reference_distance_m
-            )
+            true_rssi = path_loss_rssi(dist, ap_tx, cfg.path_loss_exponent)
             for di in range(cfg.devices_per_position):
                 model, gain, offset = pool[int(rng.integers(len(pool)))]
                 stem = f"{cfg.site_id}:c{ci:03d}p{pi}d{di}"
-                n_scans = cfg.scans_per_burst if cfg.bursts else 1
+                n_scans = SCANS_PER_BURST if cfg.bursts else 1
                 for si in range(n_scans):
                     measured = (
                         gain * true_rssi
@@ -182,7 +184,7 @@ def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
                         + rng.normal(0.0, cfg.noise_sigma_db, cfg.ap_count)
                     )
                     measured = np.rint(measured)
-                    detected = (measured >= cfg.detect_threshold_dbm) & (
+                    detected = (measured >= DETECT_THRESHOLD_DBM) & (
                         rng.uniform(size=cfg.ap_count) >= cfg.dropout_prob
                     )
                     readings = {

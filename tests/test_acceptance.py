@@ -80,7 +80,7 @@ def test_criterion_02_registry_pin_on_fuzz_corpus():
     for i in range(1000):
         kind = kinds[i % len(kinds)] if i % 10 == 0 else "random"
         vec = extract(_fuzz_pair(rng, kind))
-        assert vec.names == FEATURE_NAMES
+        assert list(vec.as_dict()) == list(FEATURE_NAMES)
         assert vec.values.shape == (323,)
         assert np.all(np.isfinite(vec.values)), f"non-finite values on {kind} pair"
 

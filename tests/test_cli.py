@@ -266,6 +266,13 @@ class TestExitCodes:
             "--n-close", 10_000, "--n-far", 10_000,
         ) == EXIT_VALIDATION
         assert "requested" in capsys.readouterr().err
+        header_only = tmp_path / "header-only.csv"
+        header_only.write_text(pipeline["features"].read_text().splitlines()[0] + "\n")
+        assert run(
+            "train", "--features", header_only, "--model-out", tmp_path / "m.json",
+            "--seed", 1, "--n-close", 1, "--n-far", 1,
+        ) == EXIT_VALIDATION
+        assert "requested 1 rows of one class, have 0" in capsys.readouterr().err
 
     def test_pairs_sampling_failure_writes_no_pseudo_fingerprints(self, tmp_path, capsys):
         site = tmp_path / "bursts.jsonl"

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wifiprox.model import (
+    DECISION_THRESHOLD,
+    MAX_FEATURES,
     SCHEMA_VERSION,
+    BaggedEnsemble,
     EnsembleConfig,
     Tree,
     load_model,
@@ -27,14 +30,12 @@ def _labels(tree, X):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = EnsembleConfig()
-        assert (cfg.n_estimators, cfg.max_features, cfg.bootstrap) == (300, 3, True)
+        assert EnsembleConfig().n_estimators == 300
+        assert (MAX_FEATURES, DECISION_THRESHOLD) == (3, 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EnsembleConfig(n_estimators=0)
-        with pytest.raises(ValueError):
-            EnsembleConfig(max_features=0)
 
 
 class TestTrainTree:
@@ -314,11 +315,14 @@ class TestEnsemble:
             np.testing.assert_array_equal(ts.threshold, tb.threshold)
 
     def test_full_view_tree_memorizes_training_set(self, rng):
-        X, y = _toy_data(rng, n=40)
+        # a table MAX_FEATURES wide: the one tree sees every column and
+        # memorizes the bootstrap rows drawn from its (seed, 0) stream
+        X, y = _toy_data(rng, n=40, n_feat=MAX_FEATURES)
         names = tuple(f"f{i}" for i in range(X.shape[1]))
-        cfg = EnsembleConfig(n_estimators=1, max_features=X.shape[1], bootstrap=False)
-        m = train_ensemble(X, y, names, cfg, seed=0)
-        np.testing.assert_array_equal(m.predict_scores(X), y.astype(float))
+        m = train_ensemble(X, y, names, EnsembleConfig(n_estimators=1), seed=0)
+        rows = np.random.default_rng([0, 0]).integers(0, len(X), size=len(X))
+        assert m.trees[0].feature_subset == tuple(range(MAX_FEATURES))
+        np.testing.assert_array_equal(m.predict_scores(X[rows]), y[rows].astype(float))
 
     def test_scores_are_vote_fractions(self, rng):
         X, y = _toy_data(rng)
@@ -330,26 +334,26 @@ class TestEnsemble:
         np.testing.assert_allclose(scores, votes.mean(axis=0))
 
     def test_predict_label_threshold_is_inclusive(self):
-        X = np.zeros((4, 1))
-        y = np.array([1, 0, 1, 0])
-        m = train_ensemble(
-            X, y, ("f0",), EnsembleConfig(n_estimators=1, bootstrap=False), seed=0
-        )
-        assert m.predict_scores(X)[0] == 0.5  # tied leaf
-        assert m.predict_labels(X, threshold=0.5).all()
-        assert not m.predict_labels(X, threshold=0.50001).any()
+        # two single-leaf trees: one tied leaf, one Far leaf; the score 0.25
+        # sits below the threshold, a lone tied tree's 0.5 exactly on it
+        def leaf(n_close, n_far):
+            return Tree(
+                feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
+                left=np.array([-1], dtype=np.int32), right=np.array([-1], dtype=np.int32),
+                n_close=np.array([n_close]), n_far=np.array([n_far]), feature_subset=(0,),
+            )
 
-    def test_higher_threshold_never_adds_close_predictions(self, rng):
-        X, y = _toy_data(rng)
-        names = tuple(f"f{i}" for i in range(X.shape[1]))
-        m = train_ensemble(X, y, names, EnsembleConfig(n_estimators=15), seed=2)
-        Xq = rng.normal(size=(50, X.shape[1]))
-        prev = None
-        for thr in np.linspace(0, 1, 11):
-            cur = int(m.predict_labels(Xq, threshold=thr).sum())
-            if prev is not None:
-                assert cur <= prev
-            prev = cur
+        def ensemble(*trees):
+            return BaggedEnsemble(trees=trees, config=EnsembleConfig(n_estimators=len(trees)),
+                                  feature_names=("f0",), train_seed=0, class_balance=(1, 1))
+
+        X = np.zeros((3, 1))
+        tied = ensemble(leaf(1, 1))
+        assert (tied.predict_scores(X) == DECISION_THRESHOLD).all()
+        assert tied.predict_labels(X).all()
+        below = ensemble(leaf(1, 1), leaf(0, 2))
+        assert (below.predict_scores(X) == 0.25).all()
+        assert not below.predict_labels(X).any()
 
     def test_predict_score_single_vector(self, rng):
         X, y = _toy_data(rng)
@@ -378,7 +382,7 @@ class TestEnsemble:
     def test_max_features_capped_at_width(self, rng):
         X, y = _toy_data(rng, n=30, n_feat=2)
         m = train_ensemble(
-            X, y, ("a", "b"), EnsembleConfig(n_estimators=3, max_features=50), seed=0
+            X, y, ("a", "b"), EnsembleConfig(n_estimators=3), seed=0
         )
         assert all(len(t.feature_subset) == 2 for t in m.trees)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wifiprox.model import EnsembleConfig, train_ensemble
+from wifiprox.model import DECISION_THRESHOLD, EnsembleConfig, train_ensemble
 from wifiprox.features import FeatureTable
 from wifiprox.core import ProximityClass
 from wifiprox.selection_metrics import (
@@ -34,11 +34,12 @@ class TestMetrics:
         assert balanced_accuracy(0.8, 0.6) == pytest.approx(0.7)
 
     def test_confusion_counts_hand_case(self):
+        assert DECISION_THRESHOLD == 0.5
         scores = np.array([0.9, 0.4, 0.6, 0.1])
         is_close = np.array([True, True, False, False])
-        assert confusion_counts(scores, is_close, 0.5) == (1, 1, 1, 1)
+        assert confusion_counts(scores, is_close) == (1, 1, 1, 1)
         # threshold is inclusive
-        assert confusion_counts(scores, is_close, 0.4) == (2, 1, 1, 0)
+        assert confusion_counts(np.array([0.5, 0.5]), np.array([True, False])) == (1, 0, 1, 0)
 
     def test_report_from_scores(self):
         scores = np.array([0.9, 0.9, 0.1, 0.9])
@@ -61,9 +62,7 @@ class TestMetrics:
             report_from_scores(np.empty(0), np.empty(0, dtype=bool))
 
     def test_report_json_round_trip(self):
-        rep = report_from_scores(
-            np.array([0.9, 0.1]), np.array([True, False]), threshold=0.5
-        )
+        rep = report_from_scores(np.array([0.9, 0.1]), np.array([True, False]))
         doc = json.loads(rep.to_json())
         assert doc == {
             "tp": 1, "tn": 1, "fp": 0, "fn": 0,
@@ -80,8 +79,7 @@ class TestMetrics:
         X = rng.normal(size=(40, 3))
         y = X[:, 0] > 0
         m = train_ensemble(
-            X, y, ("a", "b", "c"), EnsembleConfig(n_estimators=5, bootstrap=False),
-            seed=0,
+            X, y, ("a", "b", "c"), EnsembleConfig(n_estimators=5), seed=0
         )
         # table carries an extra column and a different column order
         matrix = np.column_stack([X[:, 2], X[:, 0], rng.normal(size=40), X[:, 1]])
@@ -454,9 +452,9 @@ class TestRankingIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ranking.txt"
         write_ranking(["b.x.none", "a.y.single_ls"], path)
-        assert read_ranking(path) == ["b.x.none", "a.y.single_ls"]
+        assert read_ranking(path) == {"b.x.none": 1, "a.y.single_ls": 2}
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ranking.txt"
         path.write_text("one\n\ntwo\n   \n")
-        assert read_ranking(path) == ["one", "two"]
+        assert read_ranking(path) == {"one": 1, "two": 3}

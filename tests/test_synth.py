@@ -7,6 +7,8 @@ from wifiprox.core import Burst
 from wifiprox.ingest import group_bursts
 from wifiprox.synth import (
     DENSITY_PRESETS,
+    DETECT_THRESHOLD_DBM,
+    SCANS_PER_BURST,
     SiteConfig,
     generate_site,
     path_loss_rssi,
@@ -42,7 +44,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="counts"):
             SiteConfig(site_id="s", seed=0, ap_count=0)
         with pytest.raises(ValueError, match="area too small"):
-            SiteConfig(site_id="s", seed=0, area_w_m=1.0, cluster_radius_m=2.0)
+            SiteConfig(site_id="s", seed=0, area_w_m=2.0)  # the cluster disk is 2 m across
         with pytest.raises(ValueError, match="dropout"):
             SiteConfig(site_id="s", seed=0, dropout_prob=1.0)
         with pytest.raises(ValueError, match="device_pool"):
@@ -101,7 +103,7 @@ class TestGenerateSite:
             assert fp.burst_id is None
             for rssi in fp.readings.values():
                 assert rssi == int(rssi)  # integer-quantized like real scans
-                assert rssi >= cfg.detect_threshold_dbm
+                assert rssi >= DETECT_THRESHOLD_DBM
 
     def test_nearby_positions_see_stronger_signals(self):
         # RSSI should decay with distance on average: correlate the mean
@@ -124,7 +126,7 @@ class TestGenerateSite:
         fps = generate_site(cfg)
         bursts = group_bursts(fps)
         assert all(isinstance(b, Burst) for b in bursts)
-        assert all(len(b.scans) == cfg.scans_per_burst for b in bursts)
+        assert all(len(b.scans) == SCANS_PER_BURST for b in bursts)
         assert len(bursts) == 2 * 2 * cfg.devices_per_position
         # scan ids are derived from the burst stem
         for b in bursts:
