@@ -441,10 +441,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match="schema version"):
             load_model(path)
 
-    @pytest.mark.parametrize("key, value", [("max_features", 5), ("bootstrap", False)])
+    @pytest.mark.parametrize("key, value", [
+        ("max_features", 5), ("bootstrap", False), ("max_features", 3.0), ("bootstrap", 1),
+    ])
     def test_rejects_other_fixed_config(self, rng, tmp_path, key, value):
         # every model is trained on 3 features per tree and bootstrap rows;
-        # a file recording anything else was not made by this protocol
+        # a file recording anything else, even 3.0 or 1, was not made by
+        # this protocol and would not save back to the same bytes
         m, _ = self._model(rng, n=1)
         path = tmp_path / "m.json"
         save_model(m, path)
