@@ -214,6 +214,14 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     vectors = features.extract_many(pairs, workers=args.workers)
     table = features.table_from_vectors(pairs, vectors)
     features.write_feature_table(table, args.out)
+    shared = table.matrix[:, table.names.index("ap.shared_count.none")].astype(int).tolist()
+    doc["table"] = {
+        "no_shared_ap_pairs": shared.count(0),
+        "constant_columns": (
+            int(np.all(table.matrix == table.matrix[:1], axis=0).sum()) if shared else 0
+        ),
+        "shared_ap_count": _spread(shared) if shared else None,
+    }
     _write_meta(args.out, doc)
     print(f"pairs={len(table)} features={len(table.names)}")
     return EXIT_OK

@@ -40,6 +40,24 @@ zero variance in the source readings gives slope 1 and the mean offset.
 Vectors over APs follow each fingerprint's ``encoding`` (ascending BSSID),
 so a stable sort breaks ties between equal readings by BSSID.
 
+The four variants of a pair are computed together, one row each of a
+``(4, n)`` batch, and each vector is sorted once for all its rank
+statistics (Spearman's average ranks, Kendall's tie groups, the rank
+vectors' max ranks).  Kendall's tau-b is scipy's statistic, bit for bit:
+
+* up to ``KENDALL_SIGNS_MAX`` (64) entries it counts the signs of all pair
+  differences;
+* longer vectors take scipy's integer counts (pairs, pairs tied in u, in v
+  and in both, discordant pairs) from the contingency table of the two
+  vectors' tie groups (Christensen 2005, *Comput. Stat.* 20:51), with the
+  discordant pairs from 2-D cumulative sums, and evaluate scipy's
+  expression ``(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie)`` clipped
+  to [-1, 1];
+* the table serves while it has at most ``KENDALL_TABLE_CELLS_PER_ENTRY``
+  (64) cells per entry and ``KENDALL_TABLE_MAX_CELLS`` (2**15) cells in all.
+  Only larger tables, mostly the pair-ratio vectors of pairs sharing dozens
+  of APs, go to ``scipy.stats.kendalltau`` itself.
+
 Fixed constants of the catalog:
 
 * ``REDPIN_MATCH_THRESHOLD_DBM`` (10): a shared AP whose two readings differ
@@ -57,7 +75,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -167,101 +185,165 @@ def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, flo
 
 
 # ---------------------------------------------------------------------------
-# Correlation and descriptive-statistic kernels
+# Correlation and descriptive-statistic kernels, one result per row
 # ---------------------------------------------------------------------------
+#
+# Every kernel takes (r, m) arrays and treats each row as one vector.  Sums,
+# means, medians and standard deviations reduce along axis 1, which gives the
+# same bits as the 1-D calls on C-contiguous rows; dot products and norms stay
+# per-row 1-D ``@``, because batched forms round differently.
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    if u.size < 2:
-        return 0.0
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v) / (nu * nv)
-
-
-def _pearson(u: np.ndarray, v: np.ndarray) -> float:
-    if u.size < 2:
-        return 0.0
-    du = u - u.mean()
-    dv = v - v.mean()
-    su = float(du @ du)
-    sv = float(dv @ dv)
-    if su == 0.0 or sv == 0.0:
-        return 0.0
-    return float(du @ dv) / math.sqrt(su * sv)
+#: Kendall's tau-b counts pair signs directly up to this many entries
+KENDALL_SIGNS_MAX = 64
+#: beyond it, the contingency table of the two vectors' tie groups is used
+#: while it has at most this many cells per entry ...
+KENDALL_TABLE_CELLS_PER_ENTRY = 64
+#: ... and at most this many cells in all; larger tables go to scipy
+KENDALL_TABLE_MAX_CELLS = 1 << 15
 
 
-def _ranks(v: np.ndarray, method: str) -> np.ndarray:
-    """1-based ranks of a non-empty vector.
+class _Ranked:
+    """The rows of an (r, m) array and their tie groups, from one sort per row.
 
-    Tied entries share their group's mean rank (``"average"``), or its last
-    rank (``"max"``: how many entries are <= this one).
+    Only tie-group ranks are read, so the order within ties does not matter
+    and the default (unstable) argsort serves.
     """
-    n = v.size
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sv[1:], sv[:-1], out=new_group[1:])
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    ends = np.cumsum(counts)  # 1-based rank of each group's last member
-    if method == "average":
-        rank = ends - (counts - 1) / 2.0
-    else:
-        rank = ends.astype(np.float64)
-    out = np.empty(n)
-    out[order] = rank[group]
+
+    def __init__(self, values: np.ndarray):
+        r, m = values.shape
+        self.values = values
+        flat = np.argsort(values, axis=1)
+        flat += m * np.arange(r)[:, None]
+        self._flat = flat.ravel()  # sorted position -> flat index in values
+        sv = values.ravel()[self._flat]
+        starts = np.ones(r * m, dtype=bool)
+        np.not_equal(sv[1:], sv[:-1], out=starts[1:])
+        starts.reshape(r, m)[:, :1] = True
+        first = np.flatnonzero(starts)  # each group's first sorted position
+        self._size = np.diff(first, append=r * m)
+        self._row = first // max(m, 1)
+        self._first = first - self._row * m  # ... counted within its row
+        #: (r,) tie groups per row
+        self.groups = np.bincount(self._row, minlength=r)
+        #: (r,) pairs of entries that share a group
+        self.tied = np.bincount(
+            self._row, weights=self._size * (self._size - 1) // 2, minlength=r
+        ).astype(np.int64)
+        #: 1-based mean rank of each entry's tie group
+        self.average = self._per_entry(self._first + (self._size + 1) / 2.0)
+
+    def _per_entry(self, per_group: np.ndarray) -> np.ndarray:
+        out = np.empty(self.values.size, dtype=per_group.dtype)
+        out[self._flat] = np.repeat(per_group, self._size)
+        return out.reshape(self.values.shape)
+
+    @cached_property
+    def top(self) -> np.ndarray:
+        """1-based last rank of each entry's group: how many entries are <= it."""
+        return self._per_entry((self._first + self._size).astype(np.float64))
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """0-based index of each entry's group, in ascending order of value."""
+        row_start = np.cumsum(self.groups) - self.groups
+        return self._per_entry(np.arange(self._size.size) - row_start[self._row])
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(u))
+    if u.shape[1] < 2:
+        return out
+    for i, (ui, vi) in enumerate(zip(u, v)):
+        nu = math.sqrt(ui @ ui)
+        nv = math.sqrt(vi @ vi)
+        if nu != 0.0 and nv != 0.0:
+            out[i] = float(ui @ vi) / (nu * nv)
     return out
 
 
-def _spearman(u: np.ndarray, v: np.ndarray) -> float:
-    if u.size < 2:
-        return 0.0
-    return _pearson(_ranks(u, "average"), _ranks(v, "average"))
+def _pearson(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(u))
+    if u.shape[1] < 2:
+        return out
+    du = u - u.mean(axis=1, keepdims=True)
+    dv = v - v.mean(axis=1, keepdims=True)
+    for i, (dui, dvi) in enumerate(zip(du, dv)):
+        su = float(dui @ dui)
+        sv = float(dvi @ dvi)
+        if su != 0.0 and sv != 0.0:
+            out[i] = float(dui @ dvi) / math.sqrt(su * sv)
+    return out
 
 
-def _kendall(u: np.ndarray, v: np.ndarray) -> float:
-    """Kendall's tau-b; 0.0 when undefined (short or constant input)."""
-    if u.size < 2:
-        return 0.0
-    if np.all(u == u[0]) or np.all(v == v[0]):
-        return 0.0
-    if u.size <= 64:
-        # direct pair enumeration beats the library call at this size
-        sx, sy = _pair_signs(u, v)
-        num = float(sx @ sy)
-        n0 = sx.size
-        ties_x = n0 - np.count_nonzero(sx)
-        ties_y = n0 - np.count_nonzero(sy)
-        denom = math.sqrt(float(n0 - ties_x) * float(n0 - ties_y))
-        return num / denom if denom else 0.0
-    tau = stats.kendalltau(u, v).statistic
-    return 0.0 if math.isnan(tau) else float(tau)
+def _spearman(ru: _Ranked, rv: _Ranked) -> np.ndarray:
+    return _pearson(ru.average, rv.average)
 
 
-def _corr4(u: np.ndarray, v: np.ndarray) -> list[float]:
-    return [_cosine(u, v), _pearson(u, v), _spearman(u, v), _kendall(u, v)]
+def _kendall(ru: _Ranked, rv: _Ranked) -> np.ndarray:
+    """Kendall's tau-b per row; 0.0 where undefined (short or constant input)."""
+    r, m = ru.values.shape
+    out = np.zeros(r)
+    live = (ru.groups > 1) & (rv.groups > 1)
+    if m < 2 or not live.any():
+        return out
+    if m <= KENDALL_SIGNS_MAX:
+        sx, sy = _pair_signs(ru.values, rv.values)
+        num = (sx * sy).sum(axis=1)  # sums of -1, 0 and 1: exact in any order
+        denom = np.sqrt(
+            np.count_nonzero(sx, axis=1).astype(np.float64)
+            * np.count_nonzero(sy, axis=1).astype(np.float64)
+        )
+        out[live] = num[live] / denom[live]
+        return out
+    for i in np.flatnonzero(live):
+        cells = int(ru.groups[i]) * int(rv.groups[i])
+        if cells <= min(KENDALL_TABLE_CELLS_PER_ENTRY * m, KENDALL_TABLE_MAX_CELLS):
+            out[i] = _tau_b_from_table(ru, rv, i)
+        else:
+            tau = stats.kendalltau(ru.values[i], rv.values[i]).statistic
+            out[i] = 0.0 if math.isnan(tau) else tau
+    return out
 
 
-def _stats7(v: np.ndarray) -> list[float]:
-    if v.size == 0:
-        return [0.0] * 7
-    if np.any(v == 0.0):
-        hmean = 0.0
-    else:
-        hmean = v.size / float(np.sum(1.0 / v))
-    std_s = float(v.std(ddof=1)) if v.size >= 2 else 0.0
-    return [
-        float(v.min()),
-        float(v.max()),
-        float(v.mean()),
-        float(np.median(v)),
+def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int) -> float:
+    """scipy's tau-b from exact counts over the tie-group contingency table."""
+    m = ru.values.shape[1]
+    ku, kv = int(ru.groups[i]), int(rv.groups[i])
+    table = np.bincount(ru.dense[i] * kv + rv.dense[i], minlength=ku * kv).reshape(ku, kv)
+    # entries in a later u group: those in an earlier v group are discordant
+    later_u = table.sum(axis=0) - np.cumsum(table, axis=0)
+    earlier_v = np.cumsum(later_u, axis=1) - later_u
+    dis = int((table * earlier_v).sum())
+    joint_ties = int((table * (table - 1)).sum()) // 2
+    xtie, ytie = int(ru.tied[i]), int(rv.tied[i])
+    tot = m * (m - 1) // 2
+    con_minus_dis = tot - xtie - ytie + joint_ties - 2 * dis
+    tau = con_minus_dis / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
+    return min(1.0, max(-1.0, tau))
+
+
+def _corr4(ru: _Ranked, rv: _Ranked) -> np.ndarray:
+    """(r, 4): cosine, Pearson, Spearman and Kendall of each row pair."""
+    u, v = ru.values, rv.values
+    return np.column_stack([_cosine(u, v), _pearson(u, v), _spearman(ru, rv), _kendall(ru, rv)])
+
+
+def _stats7(v: np.ndarray) -> np.ndarray:
+    """(r, 7): min, max, mean, median, harmonic mean, sample and population std."""
+    r, m = v.shape
+    if m == 0:
+        return np.zeros((r, 7))
+    hmean = np.where((v == 0.0).any(axis=1), 0.0, m / np.sum(1.0 / v, axis=1))
+    std_s = v.std(axis=1, ddof=1) if m >= 2 else np.zeros(r)
+    return np.column_stack([
+        v.min(axis=1),
+        v.max(axis=1),
+        v.mean(axis=1),
+        np.median(v, axis=1),
         hmean,
         std_s,
-        float(v.std(ddof=0)),
-    ]
+        v.std(axis=1, ddof=0),
+    ])
 
 
 @lru_cache(maxsize=512)
@@ -278,8 +360,9 @@ def _ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_differences(v: np.ndarray) -> np.ndarray:
-    ii, jj = _upper_pairs(v.size)
-    return v[ii] - v[jj]
+    """v_i - v_j over unordered pairs i < j of the last axis."""
+    ii, jj = _upper_pairs(v.shape[-1])
+    return np.take(v, ii, axis=-1) - np.take(v, jj, axis=-1)
 
 
 def _pair_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,19 +371,21 @@ def _pair_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_ratios(v: np.ndarray) -> np.ndarray:
+    """v_i / v_j over ordered pairs i != j of the last axis."""
     safe = np.where(v == 0.0, ZERO_RSSI_SUBSTITUTE, v)
-    ii, jj = _ordered_pairs(v.size)
-    return safe[ii] / safe[jj]
+    ii, jj = _ordered_pairs(v.shape[-1])
+    return np.take(safe, ii, axis=-1) / np.take(safe, jj, axis=-1)
 
 
-def _normalized_rank_vectors(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_rank_vectors(rx: _Ranked, ry: _Ranked) -> tuple[np.ndarray, np.ndarray]:
     """Unit-L2 rank vectors ordered by descending rank in x, ties by AP id."""
-    rx = _ranks(x, "max")
-    ry = _ranks(y, "max")
-    order = np.argsort(-rx, kind="stable")
-    rx = rx[order]
-    ry = ry[order]
-    return rx / np.linalg.norm(rx), ry / np.linalg.norm(ry)
+    order = np.argsort(-rx.top, axis=1, kind="stable")
+    kx = np.take_along_axis(rx.top, order, axis=1)
+    ky = np.take_along_axis(ry.top, order, axis=1)
+    for k in (kx, ky):
+        for row in k:
+            row /= math.sqrt(row @ row)
+    return kx, ky
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +406,18 @@ def ap_detection_features(a: Fingerprint, b: Fingerprint) -> tuple[float, ...]:
     )
 
 
+def _shared_index(a: Fingerprint, b: Fingerprint) -> tuple[np.ndarray, np.ndarray]:
+    """Where the APs both fingerprints detected sit in a's and b's encodings."""
+    _, ia, ib = np.intersect1d(
+        a.encoding[0], b.encoding[0], assume_unique=True, return_indices=True
+    )
+    return ia, ib
+
+
 def _shared_values(a: Fingerprint, b: Fingerprint) -> tuple[np.ndarray, np.ndarray]:
     """RSSIs of the APs both fingerprints detected, in ascending BSSID order."""
-    (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
-    _, ia, ib = np.intersect1d(a_ids, b_ids, assume_unique=True, return_indices=True)
-    return a_vals[ia], b_vals[ib]
+    ia, ib = _shared_index(a, b)
+    return a.encoding[1][ia], b.encoding[1][ib]
 
 
 def _rank_concordance(x: np.ndarray, y: np.ndarray) -> float:
@@ -359,88 +451,78 @@ def _variant_block(
     a_vals: np.ndarray,
     b_ids: np.ndarray,
     b_vals: np.ndarray,
-) -> list[float]:
-    """The 79 RSSI-dependent features for one calibration variant.
+) -> np.ndarray:
+    """The 79 RSSI-dependent features of each calibration variant, one row each.
 
-    ``x``/``y`` are the shared-AP readings of a resp. b, already calibrated;
-    ``a_vals``/``b_vals`` the calibrated full-fingerprint readings aligned
-    with ``a_ids``/``b_ids``; all in ascending BSSID order.
+    Row i of ``x``/``y`` holds the shared-AP readings of a resp. b under
+    variant i; row i of ``a_vals``/``b_vals`` the full-fingerprint readings
+    aligned with ``a_ids``/``b_ids``; all in ascending BSSID order.
     """
-    n = x.size
-    feats: list[float] = []
+    r, n = x.shape
+    gaps = np.abs(x - y)
 
     # dist
     if n:
         d = x - y
-        feats += [float(np.abs(d).sum()), float(math.sqrt(d @ d))]
+        dist = np.column_stack([gaps.sum(axis=1), [math.sqrt(row @ row) for row in d]])
     else:
-        feats += [0.0, 0.0]
+        dist = np.zeros((r, 2))
 
-    # top_ap_within, z = 1..15
+    # top_ap_within and rssi_within_pct, z = 1..15
+    z = np.arange(1, 16)
     if n:
-        depth = float(np.maximum(a_vals.max() - x, b_vals.max() - y).min())
-        feats += [1.0 if depth <= z else 0.0 for z in _Z_RANGE]
+        depth = np.maximum(
+            a_vals.max(axis=1, keepdims=True) - x, b_vals.max(axis=1, keepdims=True) - y
+        ).min(axis=1)
+        within = (depth[:, None] <= z).astype(np.float64)
+        within_pct = (gaps[:, :, None] <= z).sum(axis=1) / n
     else:
-        feats += [0.0] * len(_Z_RANGE)
+        within = within_pct = np.zeros((r, len(z)))
 
-    # rssi_within_pct, z = 1..15
-    if n:
-        gaps = np.sort(np.abs(x - y))
-        counts = np.searchsorted(gaps, list(_Z_RANGE), side="right")
-        feats += [float(c) / n for c in counts]
-    else:
-        feats += [0.0] * len(_Z_RANGE)
-
-    # shared_top_k, k = 1..8
-    order_a = np.argsort(-a_vals, kind="stable")
-    order_b = np.argsort(-b_vals, kind="stable")
-    top_a = list(a_ids[order_a[:8]])
-    top_b = list(b_ids[order_b[:8]])
-    for k in _K_RANGE:
-        if a_ids.size < k or b_ids.size < k:
-            feats.append(0.0)
-        else:
-            feats.append(1.0 if set(top_a[:k]) == set(top_b[:k]) else 0.0)
+    # shared_top_k, k = 1..8: the k strongest APs coincide as sets
+    top_a = a_ids[np.argsort(-a_vals, axis=1, kind="stable")[:, :8]]
+    top_b = b_ids[np.argsort(-b_vals, axis=1, kind="stable")[:, :8]]
+    kk = min(top_a.shape[1], top_b.shape[1])
+    hits = (top_a[:, :kk, None] == top_b[:, None, :kk]).cumsum(axis=1).cumsum(axis=2)
+    top_k = np.zeros((r, 8))
+    top_k[:, :kk] = hits[:, np.arange(kk), np.arange(kk)] == np.arange(1, kk + 1)
 
     # redpin, both directions (b is the AP-richer fingerprint by pair order)
-    if n:
-        n_full = int(np.sum(np.abs(x - y) <= REDPIN_MATCH_THRESHOLD_DBM))
-    else:
-        n_full = 0
+    n_full = (gaps <= REDPIN_MATCH_THRESHOLD_DBM).sum(axis=1)
     n_partial = n - n_full
-    for p_count in (b_ids.size, a_ids.size):
-        if p_count == 0:
-            feats.append(0.0)
-        else:
-            score = (
+    redpin = np.zeros((r, 2))
+    for j, p_count in enumerate((b_ids.size, a_ids.size)):
+        if p_count:
+            redpin[:, j] = (
                 REDPIN_MATCH_CREDIT * n_full
                 + REDPIN_PARTIAL_CREDIT * n_partial
                 - REDPIN_MISS_PENALTY * (p_count - n)
-            )
-            feats.append(score / p_count)
+            ) / p_count
 
-    # correlations over four vector pairs
-    if n >= 2:
-        pd_x = _pair_differences(x)
-        pd_y = _pair_differences(y)
-        pr_x = _pair_ratios(x)
-        pr_y = _pair_ratios(y)
-    else:
-        pd_x = pd_y = pr_x = pr_y = np.empty(0)
-    if n:
-        rk_x, rk_y = _normalized_rank_vectors(x, y)
-    else:
-        rk_x = rk_y = np.empty(0)
-    feats += _corr4(x, y)
-    feats += _corr4(pd_x, pd_y)
-    feats += _corr4(pr_x, pr_y)
-    feats += _corr4(rk_x, rk_y)
+    # correlations over four vector pairs, each vector sorted once
+    rx, ry = _Ranked(x), _Ranked(y)
+    pd_x, pd_y = _pair_differences(x), _pair_differences(y)
+    pr_x, pr_y = _pair_ratios(x), _pair_ratios(y)
+    rk_x, rk_y = _normalized_rank_vectors(rx, ry)
 
-    # descriptive statistics of absolute gaps
-    feats += _stats7(np.abs(x - y))
-    feats += _stats7(np.abs(pd_x - pd_y))
-    feats += _stats7(np.abs(pr_x - pr_y))
-    return feats
+    return np.concatenate(
+        [
+            dist,
+            within,
+            within_pct,
+            top_k,
+            redpin,
+            _corr4(rx, ry),
+            _corr4(_Ranked(pd_x), _Ranked(pd_y)),
+            _corr4(_Ranked(pr_x), _Ranked(pr_y)),
+            _corr4(_Ranked(rk_x), _Ranked(rk_y)),
+            # descriptive statistics of absolute gaps
+            _stats7(gaps),
+            _stats7(np.abs(pd_x - pd_y)),
+            _stats7(np.abs(pr_x - pr_y)),
+        ],
+        axis=1,
+    )
 
 
 def extract(pair: FingerprintPair) -> FeatureVector:
@@ -449,30 +531,23 @@ def extract(pair: FingerprintPair) -> FeatureVector:
     # feature names, rather than as numpy RuntimeWarnings from deep inside
     with np.errstate(all="ignore"):
         a, b = pair.a, pair.b
-        x, y = _shared_values(a, b)
         (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
-        slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(x, y)
+        ia, ib = _shared_index(a, b)
+        slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(a_vals[ia], b_vals[ib])
+        # one row per variant: none, single_ls, single_half_ls, double_ls
+        a_ls = slope_ab * a_vals + inter_ab
+        a_half = (slope_ab / 2.0) * a_vals + inter_ab / 2.0
+        av = np.stack([a_vals, a_ls, a_half, a_ls])
+        bv = np.stack([b_vals, b_vals, b_vals, slope_ba * b_vals + inter_ba])
+        block = _variant_block(
+            np.take(av, ia, axis=1), np.take(bv, ib, axis=1), a_ids, av, b_ids, bv
+        )
+        arr = np.concatenate([
+            ap_detection_features(a, b),
+            block.ravel(),
+            [identical_devices(a, b), _rank_concordance(a_vals[ia], b_vals[ib])],
+        ])
 
-        values: list[float] = list(ap_detection_features(a, b))
-        for variant in VARIANTS:
-            if variant == "none":
-                xa, av, yb, bv = x, a_vals, y, b_vals
-            elif variant == "single_ls":
-                xa, av = slope_ab * x + inter_ab, slope_ab * a_vals + inter_ab
-                yb, bv = y, b_vals
-            elif variant == "single_half_ls":
-                half_a, half_b = slope_ab / 2.0, inter_ab / 2.0
-                xa, av = half_a * x + half_b, half_a * a_vals + half_b
-                yb, bv = y, b_vals
-            else:  # double_ls
-                xa, av = slope_ab * x + inter_ab, slope_ab * a_vals + inter_ab
-                yb, bv = slope_ba * y + inter_ba, slope_ba * b_vals + inter_ba
-            values += _variant_block(xa, yb, a_ids, av, b_ids, bv)
-
-        values.append(identical_devices(a, b))
-        values.append(_rank_concordance(x, y))
-
-    arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         bad = [FEATURE_NAMES[i] for i in np.nonzero(~np.isfinite(arr))[0]]
         raise NonFiniteFeatureError(f"non-finite feature values for pair {pair.key}: {bad}")
@@ -560,15 +635,10 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*_META_COLUMNS, *table.names])
-        for i, pid in enumerate(table.pair_ids):
-            writer.writerow(
-                [
-                    pid,
-                    repr(float(table.distances[i])),
-                    table.labels[i].value,
-                    *(repr(float(v)) for v in table.matrix[i]),
-                ]
-            )
+        for pid, dist, label, row in zip(
+            table.pair_ids, table.distances.tolist(), table.labels, table.matrix
+        ):
+            writer.writerow([pid, repr(dist), label.value, *map(repr, row.tolist())])
 
 
 def read_feature_table(path: str | Path) -> FeatureTable:

@@ -28,6 +28,7 @@ from wifiprox.selection_metrics import (
 )
 
 from conftest import bss, make_fp, random_readings
+from feature_oracles import one_row
 
 
 def _run(*argv) -> None:
@@ -268,10 +269,13 @@ def test_criterion_06_correlation_textbook_oracles():
         u = rng.integers(-20, 0, size=n).astype(float)  # narrow range forces ties
         v = rng.integers(-20, 0, size=n).astype(float)
         ul, vl = u.tolist(), v.tolist()
-        assert features._cosine(u, v) == pytest.approx(_cosine_textbook(ul, vl), abs=1e-9)
-        assert features._pearson(u, v) == pytest.approx(_pearson_textbook(ul, vl), abs=1e-9)
-        assert features._spearman(u, v) == pytest.approx(_spearman_textbook(ul, vl), abs=1e-9)
-        assert features._kendall(u, v) == pytest.approx(_kendall_textbook(ul, vl), abs=1e-9)
+        for kernel, textbook in (
+            (features._cosine, _cosine_textbook),
+            (features._pearson, _pearson_textbook),
+            (features._spearman, _spearman_textbook),
+            (features._kendall, _kendall_textbook),
+        ):
+            assert one_row(kernel, u, v) == pytest.approx(textbook(ul, vl), abs=1e-9)
         checked += 1
     assert checked == 1000
 

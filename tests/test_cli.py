@@ -391,6 +391,38 @@ class TestArtifacts:
             if key != "site":
                 assert doc["inputs"]  # every later stage records input digests
 
+    def test_featurize_sidecar_counts_the_written_table(self, tmp_path):
+        a = make_fp(id="a", readings={bss(1): -50.0, bss(2): -61.0, bss(3): -70.0})
+        b = make_fp(id="b", readings={bss(1): -52.0, bss(2): -64.0}, position=(1.0, 0.0))
+        c = make_fp(id="c", readings={bss(7): -55.0, bss(8): -66.0}, position=(2.0, 0.0))
+        site, pairs, out = tmp_path / "site.jsonl", tmp_path / "pairs.jsonl", tmp_path / "f.csv"
+        ingest.save_canonical([a, b, c], site)
+        pairing.save_pairs(
+            [pairing.make_pair(p, q, 1.0, ProximityClass.CLOSE) for p, q in ((a, b), (a, c), (b, c))],
+            pairs,
+        )
+        assert run("featurize", "--pairs", pairs, "--fingerprints", site, "--out", out) == EXIT_OK
+        doc = json.loads(Path(str(out) + ".meta.json").read_text())
+        table = features.read_feature_table(out)
+        constant = sum(len(set(column)) == 1 for column in table.matrix.T.tolist())
+        assert 0 < constant < len(table.names)
+        assert doc["table"] == {
+            "no_shared_ap_pairs": 2,
+            "constant_columns": constant,
+            "shared_ap_count": {"min": 0, "median": 0.0, "max": 2},
+        }
+
+    def test_featurize_sidecar_of_an_empty_table(self, pipeline, tmp_path):
+        pairs, out = tmp_path / "none.jsonl", tmp_path / "f.csv"
+        pairs.write_text("")
+        assert run(
+            "featurize", "--pairs", pairs, "--fingerprints", pipeline["site"], "--out", out
+        ) == EXIT_OK
+        doc = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert doc["table"] == {
+            "no_shared_ap_pairs": 0, "constant_columns": 0, "shared_ap_count": None,
+        }
+
     def test_header_printed(self, pipeline, tmp_path, capsys):
         out = tmp_path / "p2.jsonl"
         assert run("pairs", "--in", pipeline["site"], "--out", out) == EXIT_OK

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -20,6 +20,7 @@ from wifiprox.features import (
     MONOTONE_INVARIANT_NAMES,
     N_FEATURES,
     VARIANTS,
+    FeatureTable,
     FeatureVector,
     NonFiniteFeatureError,
     ap_detection_features,
@@ -35,6 +36,7 @@ from wifiprox.pairing import enumerate_pairs, make_pair
 from wifiprox.synth import generate_site, site_config_for_density
 
 from conftest import bss, make_fp, pair_of, random_readings
+from feature_oracles import extract_oracle, one_row
 
 GOLDEN = Path(__file__).parent / "data" / "feature_names.txt"
 
@@ -252,6 +254,63 @@ def _vec_pairs(rng, n_trials=30):
         yield u, v
 
 
+def _heavy_ties(rng):
+    # 3000 entries over 41 x 41 values: a small table, far past the sign path
+    u = rng.integers(-20, 21, size=3000).astype(float)
+    v = np.clip(u + rng.integers(-6, 7, size=3000), -20, 20).astype(float)
+    return u, v, "table"
+
+
+def _long_pair_ratios(rng):
+    # ratios of 80 readings: thousands of distinct values in both vectors
+    x = rng.integers(-95, -30, size=80).astype(float)
+    y = np.clip(x + rng.normal(0, 6, size=80), -99, -20)
+    return features._pair_ratios(x), features._pair_ratios(y), "scipy"
+
+
+def _with_groups(rng, m, ku, kv):
+    """m entries taking ku resp. kv distinct values, in shuffled order."""
+    u = np.concatenate([np.arange(ku), rng.integers(0, ku, size=m - ku)]).astype(float)
+    v = np.concatenate([np.arange(kv), rng.integers(0, kv, size=m - kv)]).astype(float)
+    return rng.permutation(u), rng.permutation(v)
+
+
+#: name -> rng -> (u, v, path that Kendall's tau-b must take)
+_KENDALL_LONG_CASES = {
+    "table-heavy-ties": _heavy_ties,
+    "scipy-long-pair-ratios": _long_pair_ratios,
+    # 80 x 80 = 6400 cells = 64 per entry at m = 100 (the cap is inclusive)
+    "table-at-cells-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 80), "table"),
+    "scipy-past-cells-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 81), "scipy"),
+    # 128 x 256 = 2**15 cells, well under 64 per entry at m = 1000
+    "table-at-cell-cap": lambda rng: (*_with_groups(rng, 1000, 128, 256), "table"),
+    "scipy-past-cell-cap": lambda rng: (*_with_groups(rng, 1000, 129, 256), "scipy"),
+    # one entry differs from 199 tied ones
+    "table-all-tied-but-one": lambda rng: (
+        np.r_[np.full(199, -60.0), -59.0],
+        rng.integers(-95, -30, size=200).astype(float),
+        "table",
+    ),
+}
+
+
+def _count_kendall_paths(monkeypatch):
+    """Count the long Kendall inputs that take the table and the scipy path."""
+    taken = {}
+
+    def counting(path, f):
+        def wrapper(*args):
+            taken[path] = taken.get(path, 0) + 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(features, "_tau_b_from_table",
+                        counting("table", features._tau_b_from_table))
+    monkeypatch.setattr(features.stats, "kendalltau",
+                        counting("scipy", features.stats.kendalltau))
+    return taken
+
+
 class TestKernels:
     def test_pearson_matches_numpy(self, rng):
         for u, v in _vec_pairs(rng):
@@ -259,7 +318,7 @@ class TestKernels:
                 expected = np.corrcoef(u, v)[0, 1]
             if np.isnan(expected):
                 continue
-            assert math.isclose(features._pearson(u, v), expected, abs_tol=1e-12)
+            assert math.isclose(one_row(features._pearson, u, v), expected, abs_tol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::scipy.stats.ConstantInputWarning")
     def test_spearman_matches_scipy_with_ties(self, rng):
@@ -267,7 +326,7 @@ class TestKernels:
             expected = stats.spearmanr(u, v).statistic
             if np.isnan(expected):
                 continue
-            assert math.isclose(features._spearman(u, v), expected, abs_tol=1e-12)
+            assert math.isclose(one_row(features._spearman, u, v), expected, abs_tol=1e-12)
 
     def test_kendall_small_path_matches_scipy(self, rng):
         # integer RSSIs produce plenty of ties; n <= 64 exercises the
@@ -276,45 +335,54 @@ class TestKernels:
             expected = stats.kendalltau(u, v).statistic
             if np.isnan(expected):
                 continue
-            assert math.isclose(features._kendall(u, v), expected, abs_tol=1e-12)
+            assert math.isclose(one_row(features._kendall, u, v), expected, abs_tol=1e-12)
 
-    def test_kendall_large_path_delegates(self, rng):
-        u = rng.integers(-95, -30, size=120).astype(float)
-        v = rng.integers(-95, -30, size=120).astype(float)
-        assert features._kendall(u, v) == pytest.approx(
-            stats.kendalltau(u, v).statistic, abs=1e-15
-        )
+    @pytest.mark.parametrize("case", sorted(_KENDALL_LONG_CASES))
+    def test_kendall_long_input_equals_scipy_exactly(self, case, monkeypatch):
+        u, v, path = _KENDALL_LONG_CASES[case](np.random.default_rng(2108))
+        expected = stats.kendalltau(u, v).statistic
+        taken = _count_kendall_paths(monkeypatch)
+        got = one_row(features._kendall, u, v)
+        assert taken == {path: 1}
+        assert got == expected
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_kendall_path_consistency_at_boundary(self, rng):
         # same data evaluated through both code paths must agree
         u = rng.integers(-95, -30, size=64).astype(float)
         v = rng.integers(-95, -30, size=64).astype(float)
-        small = features._kendall(u, v)
+        small = one_row(features._kendall, u, v)
         big = stats.kendalltau(u, v).statistic
         assert math.isclose(small, big, abs_tol=1e-12)
 
     def test_cosine_hand_value(self):
         u = np.array([1.0, 0.0])
         v = np.array([1.0, 1.0])
-        assert math.isclose(features._cosine(u, v), 1 / math.sqrt(2), abs_tol=1e-15)
+        assert math.isclose(one_row(features._cosine, u, v), 1 / math.sqrt(2), abs_tol=1e-15)
 
     def test_avg_ranks_matches_scipy(self, rng):
         for _ in range(20):
-            v = rng.integers(-10, 10, size=int(rng.integers(1, 40))).astype(float)
-            np.testing.assert_allclose(features._ranks(v, "average"), stats.rankdata(v))
-            np.testing.assert_array_equal(
-                features._ranks(v, "max"), stats.rankdata(v, method="max")
-            )
+            rows = rng.integers(-10, 10, size=(3, int(rng.integers(1, 40)))).astype(float)
+            ranked = features._Ranked(rows)
+            for i, v in enumerate(rows):
+                np.testing.assert_array_equal(ranked.average[i], stats.rankdata(v))
+                np.testing.assert_array_equal(ranked.top[i], stats.rankdata(v, method="max"))
+                np.testing.assert_array_equal(
+                    ranked.dense[i], stats.rankdata(v, method="dense") - 1
+                )
+                counts = np.unique(v, return_counts=True)[1]
+                assert ranked.groups[i] == counts.size
+                assert ranked.tied[i] == int((counts * (counts - 1) // 2).sum())
 
     @pytest.mark.parametrize("kernel", ["_cosine", "_pearson", "_spearman", "_kendall"])
     def test_degenerate_inputs_give_zero(self, kernel):
         f = getattr(features, kernel)
-        assert f(np.empty(0), np.empty(0)) == 0.0
-        assert f(np.array([1.0]), np.array([2.0])) == 0.0
+        assert one_row(f, np.empty(0), np.empty(0)) == 0.0
+        assert one_row(f, np.array([1.0]), np.array([2.0])) == 0.0
         if kernel != "_cosine":
             const = np.array([5.0, 5.0, 5.0])
             vary = np.array([1.0, 2.0, 3.0])
-            assert f(const, vary) == 0.0
+            assert one_row(f, const, vary) == 0.0
 
     @given(
         st.lists(st.integers(-95, -30), min_size=2, max_size=40),
@@ -325,13 +393,13 @@ class TestKernels:
         u = np.array(xs, dtype=float)
         v = np.random.default_rng(seed).permutation(u) - 1.0
         for f in (features._spearman, features._kendall):
-            r = f(u, v)
+            r = one_row(f, u, v)
             assert -1.0 - 1e-12 <= r <= 1.0 + 1e-12
-            assert math.isclose(r, f(v, u), abs_tol=1e-12)
+            assert math.isclose(r, one_row(f, v, u), abs_tol=1e-12)
 
     def test_stats7_hand_values(self):
         v = np.array([1.0, 2.0, 4.0])
-        mn, mx, mean, median, hmean, std_s, std_p = features._stats7(v)
+        mn, mx, mean, median, hmean, std_s, std_p = features._stats7(v[None])[0]
         assert (mn, mx, median) == (1.0, 4.0, 2.0)
         assert math.isclose(mean, 7 / 3)
         assert math.isclose(hmean, 3 / (1 + 0.5 + 0.25))
@@ -339,11 +407,12 @@ class TestKernels:
         assert math.isclose(std_p, np.std(v, ddof=0))
 
     def test_stats7_zero_value_kills_harmonic_mean(self):
-        assert features._stats7(np.array([0.0, 2.0]))[4] == 0.0
+        with np.errstate(divide="ignore"):  # extract runs every kernel this way
+            assert features._stats7(np.array([[0.0, 2.0]]))[0, 4] == 0.0
 
     def test_stats7_empty_and_singleton(self):
-        assert features._stats7(np.empty(0)) == [0.0] * 7
-        out = features._stats7(np.array([3.0]))
+        assert features._stats7(np.empty((1, 0))).tolist() == [[0.0] * 7]
+        out = features._stats7(np.array([[3.0]]))[0].tolist()
         assert out[:5] == [3.0, 3.0, 3.0, 3.0, 3.0]
         assert out[5] == 0.0  # sample std undefined for n=1
 
@@ -495,6 +564,86 @@ def _dense_pairs(rng, per_density=40, min_shared=12):
                  if len(p.a.ap_set & p.b.ap_set) >= min_shared]
         out += [pairs[i] for i in rng.choice(len(pairs), per_density, replace=False)]
     return out
+
+
+_ORACLE_KINDS = (
+    "random", "no_shared", "single_ap", "many_shared", "constant", "negative_slope", "zero_dbm",
+)
+
+
+def _oracle_pair(kind, seed):
+    """A pair of one of the edge-case kinds that extraction must handle."""
+    rng = np.random.default_rng(seed)
+
+    def readings(ids, low=-95, high=-30):
+        return {bss(int(i) + 1): float(rng.integers(low, high)) for i in ids}
+
+    extra_a = readings(rng.choice(np.arange(400, 440), int(rng.integers(0, 6)), replace=False))
+    extra_b = readings(rng.choice(np.arange(440, 480), int(rng.integers(0, 6)), replace=False))
+    if kind == "random":
+        return pair_of(random_readings(rng, int(rng.integers(1, 40))),
+                       random_readings(rng, int(rng.integers(1, 40))))
+    if kind == "no_shared":
+        return pair_of({**readings(range(int(rng.integers(0, 12)))), **extra_a},
+                       readings(range(20, 20 + int(rng.integers(1, 12)))))
+    n = {"single_ap": 1, "many_shared": int(rng.integers(65, 91))}.get(
+        kind, int(rng.integers(2, 40))
+    )
+    shared = rng.choice(400, size=n, replace=False)
+    a_read = readings(shared)
+    if kind == "constant":
+        a_read = dict.fromkeys(a_read, float(rng.integers(-80, -40)))
+        b_read = dict.fromkeys(a_read, float(rng.integers(-80, -40)))
+    elif kind == "negative_slope":
+        b_read = {k: float(np.clip(-130.0 - v + rng.integers(-3, 4), -99, -20))
+                  for k, v in a_read.items()}
+    else:
+        b_read = {k: float(np.clip(v + rng.normal(0, 6), -99, -20)) for k, v in a_read.items()}
+    if kind == "zero_dbm":
+        for k in rng.choice(list(a_read), size=max(1, n // 3), replace=False):
+            (a_read if rng.integers(2) else b_read)[k] = 0.0
+    return pair_of({**a_read, **extra_a}, {**b_read, **extra_b})
+
+
+class TestAgainstOracle:
+    """The four-variant batch gives the per-variant reference's bytes."""
+
+    @given(st.sampled_from(_ORACLE_KINDS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    @example("no_shared", 1)
+    @example("single_ap", 2)
+    @example("many_shared", 3)
+    @example("constant", 4)
+    @example("negative_slope", 5)
+    @example("zero_dbm", 6)
+    def test_values_equal_oracle_bytes(self, kind, seed):
+        pair = _oracle_pair(kind, seed)
+        shared = len(pair.a.ap_set & pair.b.ap_set)
+        if kind == "no_shared":
+            assert shared == 0
+        elif kind == "single_ap":
+            assert shared == 1
+        elif kind == "many_shared":
+            assert shared > 64
+        elif kind == "negative_slope":
+            assert fit_least_squares(pair.a, pair.b)[0] < 0
+        elif kind == "zero_dbm":
+            assert 0.0 in [*pair.a.readings.values(), *pair.b.readings.values()]
+        assert extract(pair).values.tobytes() == extract_oracle(pair).tobytes()
+
+    @pytest.mark.parametrize("shared", [2, 12, 70])
+    def test_overflow_names_the_oracle_columns(self, shared):
+        rng = np.random.default_rng(shared)
+        a_read = {bss(i): float(rng.integers(-95, -30)) for i in range(1, shared + 1)}
+        b_read = {k: float(rng.integers(-95, -30)) for k in a_read}
+        a_read[bss(1)], b_read[bss(1)] = 1e200, -1e200
+        pair = pair_of(a_read, b_read)
+        expected = extract_oracle(pair)
+        bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~np.isfinite(expected))]
+        assert "dist.euclidean.none" in bad
+        with pytest.raises(NonFiniteFeatureError) as err:
+            extract(pair)
+        assert str(err.value) == f"non-finite feature values for pair {pair.key}: {bad}"
 
 
 class TestExtract:
@@ -775,6 +924,27 @@ class TestFeatureTable:
         write_feature_table(table, p1)
         write_feature_table(table, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_cell_bytes_pinned(self, tmp_path):
+        # shortest round-trip repr: signed zero, subnormals, exponent forms
+        # and integral floats keep the bytes the format has always had
+        table = FeatureTable(
+            names=("f1", "f2", "f3", "f4", "f5"),
+            pair_ids=("a|b", "c|d"),
+            distances=np.array([2.0, 0.1]),
+            labels=(ProximityClass.CLOSE, ProximityClass.FAR),
+            matrix=np.array([
+                [-0.0, 5e-324, 1e16, 3.0, 0.1],
+                [1e-7, -12.0, 1 / 3, 123456789012345680.0, 2.5e-308],
+            ]),
+        )
+        path = tmp_path / "pin.csv"
+        write_feature_table(table, path)
+        assert path.read_bytes() == (
+            b"pair_id,distance_m,label,f1,f2,f3,f4,f5\r\n"
+            b"a|b,2.0,Close,-0.0,5e-324,1e+16,3.0,0.1\r\n"
+            b"c|d,0.1,Far,1e-07,-12.0,0.3333333333333333,1.2345678901234568e+17,2.5e-308\r\n"
+        )
 
     def test_project_selects_and_orders(self, rng):
         _, table = _small_table(rng, n=3)
