@@ -75,7 +75,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -214,39 +214,45 @@ class _Ranked:
         self.values = values
         flat = np.argsort(values, axis=1)
         flat += m * np.arange(r)[:, None]
-        self._flat = flat.ravel()  # sorted position -> flat index in values
+        self._flat = flat.ravel()  # sorted position -> flat index into values
         sv = values.ravel()[self._flat]
-        starts = np.ones(r * m, dtype=bool)
-        np.not_equal(sv[1:], sv[:-1], out=starts[1:])
-        starts.reshape(r, m)[:, :1] = True
-        first = np.flatnonzero(starts)  # each group's first sorted position
-        self._size = np.diff(first, append=r * m)
-        self._row = first // max(m, 1)
-        self._first = first - self._row * m  # ... counted within its row
+        self._starts = np.ones(r * m, dtype=bool)  # a tie group starts here
+        np.not_equal(sv[1:], sv[:-1], out=self._starts[1:])
+        del sv
+        self._starts.reshape(r, m)[:, :1] = True
+        first, size, row = self._runs()
         #: (r,) tie groups per row
-        self.groups = np.bincount(self._row, minlength=r)
+        self.groups = np.bincount(row, minlength=r)
         #: (r,) pairs of entries that share a group
-        self.tied = np.bincount(
-            self._row, weights=self._size * (self._size - 1) // 2, minlength=r
-        ).astype(np.int64)
+        self.tied = np.bincount(row, weights=size * (size - 1) // 2, minlength=r).astype(np.int64)
         #: 1-based mean rank of each entry's tie group
-        self.average = self._per_entry(self._first + (self._size + 1) / 2.0)
+        self.average = self._per_entry(first + (size + 1) / 2.0, size)
 
-    def _per_entry(self, per_group: np.ndarray) -> np.ndarray:
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each group's first sorted position within its row, size and row."""
+        m = self.values.shape[1]
+        first = np.flatnonzero(self._starts)
+        size = np.diff(first, append=self._starts.size)
+        row = first // max(m, 1)
+        return first - row * m, size, row
+
+    def _per_entry(self, per_group: np.ndarray, size: np.ndarray) -> np.ndarray:
         out = np.empty(self.values.size, dtype=per_group.dtype)
-        out[self._flat] = np.repeat(per_group, self._size)
+        out[self._flat] = np.repeat(per_group, size)
         return out.reshape(self.values.shape)
 
-    @cached_property
     def top(self) -> np.ndarray:
         """1-based last rank of each entry's group: how many entries are <= it."""
-        return self._per_entry((self._first + self._size).astype(np.float64))
+        first, size, _ = self._runs()
+        return self._per_entry((first + size).astype(np.float64), size)
 
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """0-based index of each entry's group, in ascending order of value."""
-        row_start = np.cumsum(self.groups) - self.groups
-        return self._per_entry(np.arange(self._size.size) - row_start[self._row])
+    def dense(self, i: int) -> np.ndarray:
+        """0-based index of each entry's group in row ``i``, in ascending order."""
+        m = self.values.shape[1]
+        row = slice(i * m, (i + 1) * m)
+        out = np.empty(m, dtype=np.intp)
+        out[self._flat[row] - i * m] = np.cumsum(self._starts[row]) - 1
+        return out
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -265,9 +271,8 @@ def _pearson(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.zeros(len(u))
     if u.shape[1] < 2:
         return out
-    du = u - u.mean(axis=1, keepdims=True)
-    dv = v - v.mean(axis=1, keepdims=True)
-    for i, (dui, dvi) in enumerate(zip(du, dv)):
+    for i, (mu, mv) in enumerate(zip(u.mean(axis=1), v.mean(axis=1))):
+        dui, dvi = u[i] - mu, v[i] - mv
         su = float(dui @ dui)
         sv = float(dvi @ dvi)
         if su != 0.0 and sv != 0.0:
@@ -309,12 +314,15 @@ def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int) -> float:
     """scipy's tau-b from exact counts over the tie-group contingency table."""
     m = ru.values.shape[1]
     ku, kv = int(ru.groups[i]), int(rv.groups[i])
-    table = np.bincount(ru.dense[i] * kv + rv.dense[i], minlength=ku * kv).reshape(ku, kv)
-    # entries in a later u group: those in an earlier v group are discordant
-    later_u = table.sum(axis=0) - np.cumsum(table, axis=0)
-    earlier_v = np.cumsum(later_u, axis=1) - later_u
-    dis = int((table * earlier_v).sum())
-    joint_ties = int((table * (table - 1)).sum()) // 2
+    table = np.bincount(ru.dense(i) * kv + rv.dense(i), minlength=ku * kv).reshape(ku, kv)
+    # entries in a later u group (column totals minus running sums) and an
+    # earlier v group are discordant
+    later_u = np.cumsum(table, axis=0)
+    np.subtract(later_u[-1], later_u, out=later_u)
+    earlier_v = np.cumsum(later_u, axis=1)
+    earlier_v -= later_u
+    dis = int(np.vdot(table, earlier_v))
+    joint_ties = (int(np.vdot(table, table)) - m) // 2
     xtie, ytie = int(ru.tied[i]), int(rv.tied[i])
     tot = m * (m - 1) // 2
     con_minus_dis = tot - xtie - ytie + joint_ties - 2 * dis
@@ -322,10 +330,19 @@ def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int) -> float:
     return min(1.0, max(-1.0, tau))
 
 
-def _corr4(ru: _Ranked, rv: _Ranked) -> np.ndarray:
-    """(r, 4): cosine, Pearson, Spearman and Kendall of each row pair."""
-    u, v = ru.values, rv.values
-    return np.column_stack([_cosine(u, v), _pearson(u, v), _spearman(ru, rv), _kendall(ru, rv)])
+def _corr4(u: np.ndarray, v: np.ndarray, ranked: tuple[_Ranked, _Ranked] | None = None
+           ) -> np.ndarray:
+    """(r, 4): cosine, Pearson, Spearman and Kendall of each row pair.
+
+    ``ranked`` passes the rows' ranks when the caller already has them.
+    """
+    by_value = [_cosine(u, v), _pearson(u, v)]
+    ru, rv = ranked or (_Ranked(u), _Ranked(v))
+    return np.column_stack([*by_value, _spearman(ru, rv), _kendall(ru, rv)])
+
+
+def _corr4_and_stats7(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _corr4(u, v), _stats7(np.abs(u - v))
 
 
 def _stats7(v: np.ndarray) -> np.ndarray:
@@ -379,9 +396,10 @@ def _pair_ratios(v: np.ndarray) -> np.ndarray:
 
 def _normalized_rank_vectors(rx: _Ranked, ry: _Ranked) -> tuple[np.ndarray, np.ndarray]:
     """Unit-L2 rank vectors ordered by descending rank in x, ties by AP id."""
-    order = np.argsort(-rx.top, axis=1, kind="stable")
-    kx = np.take_along_axis(rx.top, order, axis=1)
-    ky = np.take_along_axis(ry.top, order, axis=1)
+    tx, ty = rx.top(), ry.top()
+    order = np.argsort(-tx, axis=1, kind="stable")
+    kx = np.take_along_axis(tx, order, axis=1)
+    ky = np.take_along_axis(ty, order, axis=1)
     for k in (kx, ky):
         for row in k:
             row /= math.sqrt(row @ row)
@@ -459,14 +477,11 @@ def _variant_block(
     aligned with ``a_ids``/``b_ids``; all in ascending BSSID order.
     """
     r, n = x.shape
-    gaps = np.abs(x - y)
+    d = x - y
+    gaps = np.abs(d)
 
-    # dist
-    if n:
-        d = x - y
-        dist = np.column_stack([gaps.sum(axis=1), [math.sqrt(row @ row) for row in d]])
-    else:
-        dist = np.zeros((r, 2))
+    # dist (0 without shared APs: empty sums)
+    dist = np.column_stack([gaps.sum(axis=1), [math.sqrt(row @ row) for row in d]])
 
     # top_ap_within and rssi_within_pct, z = 1..15
     z = np.arange(1, 16)
@@ -499,27 +514,18 @@ def _variant_block(
                 - REDPIN_MISS_PENALTY * (p_count - n)
             ) / p_count
 
-    # correlations over four vector pairs, each vector sorted once
+    # correlations over four vector pairs, and statistics of their absolute
+    # gaps; each vector is sorted once, and the long pairwise vectors live
+    # one family at a time
     rx, ry = _Ranked(x), _Ranked(y)
-    pd_x, pd_y = _pair_differences(x), _pair_differences(y)
-    pr_x, pr_y = _pair_ratios(x), _pair_ratios(y)
-    rk_x, rk_y = _normalized_rank_vectors(rx, ry)
-
+    corr_rk = _corr4(*_normalized_rank_vectors(rx, ry))
+    corr_pd, diff_pd = _corr4_and_stats7(_pair_differences(x), _pair_differences(y))
+    corr_pr, diff_pr = _corr4_and_stats7(_pair_ratios(x), _pair_ratios(y))
     return np.concatenate(
         [
-            dist,
-            within,
-            within_pct,
-            top_k,
-            redpin,
-            _corr4(rx, ry),
-            _corr4(_Ranked(pd_x), _Ranked(pd_y)),
-            _corr4(_Ranked(pr_x), _Ranked(pr_y)),
-            _corr4(_Ranked(rk_x), _Ranked(rk_y)),
-            # descriptive statistics of absolute gaps
-            _stats7(gaps),
-            _stats7(np.abs(pd_x - pd_y)),
-            _stats7(np.abs(pr_x - pr_y)),
+            dist, within, within_pct, top_k, redpin,
+            _corr4(x, y, (rx, ry)), corr_pd, corr_pr, corr_rk,
+            _stats7(gaps), diff_pd, diff_pr,
         ],
         axis=1,
     )

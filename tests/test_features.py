@@ -366,10 +366,8 @@ class TestKernels:
             ranked = features._Ranked(rows)
             for i, v in enumerate(rows):
                 np.testing.assert_array_equal(ranked.average[i], stats.rankdata(v))
-                np.testing.assert_array_equal(ranked.top[i], stats.rankdata(v, method="max"))
-                np.testing.assert_array_equal(
-                    ranked.dense[i], stats.rankdata(v, method="dense") - 1
-                )
+                np.testing.assert_array_equal(ranked.top()[i], stats.rankdata(v, method="max"))
+                np.testing.assert_array_equal(ranked.dense(i), stats.rankdata(v, method="dense") - 1)
                 counts = np.unique(v, return_counts=True)[1]
                 assert ranked.groups[i] == counts.size
                 assert ranked.tied[i] == int((counts * (counts - 1) // 2).sum())
