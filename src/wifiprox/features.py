@@ -40,10 +40,13 @@ zero variance in the source readings gives slope 1 and the mean offset.
 Vectors over APs follow each fingerprint's ``encoding`` (ascending BSSID),
 so a stable sort breaks ties between equal readings by BSSID.
 
-The four variants of a pair are computed together, one row each of a
-``(4, n)`` batch, and each vector is sorted once for all its rank
-statistics (Spearman's average ranks, Kendall's tie groups, the rank
-vectors' max ranks).  Kendall's tau-b is scipy's statistic, bit for bit:
+The four variants of a pair are computed as one batch.  They share their
+inputs: a's readings take three calibrated forms (as read, A*r+B and
+(A/2)*r+B/2) and b's two (as read, C*r+D), and each variant pairs one form
+of a with one of b.  Each form is one row of a stacked array; its vectors
+are built once and sorted once for all their rank statistics (Spearman's
+average ranks, Kendall's tie groups, the rank vectors' max ranks).
+Kendall's tau-b is scipy's statistic, bit for bit:
 
 * up to ``KENDALL_SIGNS_MAX`` (64) entries it counts the signs of all pair
   differences;
@@ -185,13 +188,15 @@ def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, flo
 
 
 # ---------------------------------------------------------------------------
-# Correlation and descriptive-statistic kernels, one result per row
+# Correlation and descriptive-statistic kernels over stacked rows
 # ---------------------------------------------------------------------------
 #
-# Every kernel takes (r, m) arrays and treats each row as one vector.  Sums,
-# means, medians and standard deviations reduce along axis 1, which gives the
-# same bits as the 1-D calls on C-contiguous rows; dot products and norms stay
-# per-row 1-D ``@``, because batched forms round differently.
+# The correlation kernels take two stacks of vectors, u (one per row) and v,
+# and ``pairs`` of row indices; each pair (i, j) gives one result, for u[i]
+# against v[j].  Each row is centred, normed and ranked once however many
+# pairs read it.  Means, medians and standard deviations reduce along axis 1,
+# which gives the same bits as the 1-D calls on C-contiguous rows; dot
+# products and norms stay 1-D ``@``, because batched forms round differently.
 
 #: Kendall's tau-b counts pair signs directly up to this many entries
 KENDALL_SIGNS_MAX = 64
@@ -220,13 +225,11 @@ class _Ranked:
         np.not_equal(sv[1:], sv[:-1], out=self._starts[1:])
         del sv
         self._starts.reshape(r, m)[:, :1] = True
-        first, size, row = self._runs()
+        _, size, row = self._runs()
         #: (r,) tie groups per row
         self.groups = np.bincount(row, minlength=r)
         #: (r,) pairs of entries that share a group
         self.tied = np.bincount(row, weights=size * (size - 1) // 2, minlength=r).astype(np.int64)
-        #: 1-based mean rank of each entry's tie group
-        self.average = self._per_entry(first + (size + 1) / 2.0, size)
 
     def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each group's first sorted position within its row, size and row."""
@@ -240,6 +243,11 @@ class _Ranked:
         out = np.empty(self.values.size, dtype=per_group.dtype)
         out[self._flat] = np.repeat(per_group, size)
         return out.reshape(self.values.shape)
+
+    def average(self) -> np.ndarray:
+        """1-based mean rank of each entry's tie group."""
+        first, size, _ = self._runs()
+        return self._per_entry(first + (size + 1) / 2.0, size)
 
     def top(self) -> np.ndarray:
         """1-based last rank of each entry's group: how many entries are <= it."""
@@ -255,66 +263,67 @@ class _Ranked:
         return out
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(u))
+def _cosine(u: np.ndarray, v: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    out = np.zeros(len(pairs))
     if u.shape[1] < 2:
         return out
-    for i, (ui, vi) in enumerate(zip(u, v)):
-        nu = math.sqrt(ui @ ui)
-        nv = math.sqrt(vi @ vi)
-        if nu != 0.0 and nv != 0.0:
-            out[i] = float(ui @ vi) / (nu * nv)
+    norm_u = [math.sqrt(row @ row) for row in u]
+    norm_v = [math.sqrt(row @ row) for row in v]
+    for k, (i, j) in enumerate(pairs):
+        if norm_u[i] != 0.0 and norm_v[j] != 0.0:
+            out[k] = float(u[i] @ v[j]) / (norm_u[i] * norm_v[j])
     return out
 
 
-def _pearson(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(u))
+def _pearson(u: np.ndarray, v: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    out = np.zeros(len(pairs))
     if u.shape[1] < 2:
         return out
-    for i, (mu, mv) in enumerate(zip(u.mean(axis=1), v.mean(axis=1))):
-        dui, dvi = u[i] - mu, v[i] - mv
-        su = float(dui @ dui)
-        sv = float(dvi @ dvi)
-        if su != 0.0 and sv != 0.0:
-            out[i] = float(dui @ dvi) / math.sqrt(su * sv)
+    du = u - u.mean(axis=1, keepdims=True)
+    dv = v - v.mean(axis=1, keepdims=True)
+    ss_u = [float(row @ row) for row in du]
+    ss_v = [float(row @ row) for row in dv]
+    for k, (i, j) in enumerate(pairs):
+        if ss_u[i] != 0.0 and ss_v[j] != 0.0:
+            out[k] = float(du[i] @ dv[j]) / math.sqrt(ss_u[i] * ss_v[j])
     return out
 
 
-def _spearman(ru: _Ranked, rv: _Ranked) -> np.ndarray:
-    return _pearson(ru.average, rv.average)
+def _spearman(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    return _pearson(ru.average(), rv.average(), pairs)
 
 
-def _kendall(ru: _Ranked, rv: _Ranked) -> np.ndarray:
-    """Kendall's tau-b per row; 0.0 where undefined (short or constant input)."""
-    r, m = ru.values.shape
-    out = np.zeros(r)
-    live = (ru.groups > 1) & (rv.groups > 1)
-    if m < 2 or not live.any():
+def _kendall(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Kendall's tau-b per pair; 0.0 where undefined (short or constant input)."""
+    m = ru.values.shape[1]
+    out = np.zeros(len(pairs))
+    if m < 2:
         return out
     if m <= KENDALL_SIGNS_MAX:
-        sx, sy = _pair_signs(ru.values, rv.values)
-        num = (sx * sy).sum(axis=1)  # sums of -1, 0 and 1: exact in any order
-        denom = np.sqrt(
-            np.count_nonzero(sx, axis=1).astype(np.float64)
-            * np.count_nonzero(sy, axis=1).astype(np.float64)
-        )
-        out[live] = num[live] / denom[live]
-        return out
-    for i in np.flatnonzero(live):
-        cells = int(ru.groups[i]) * int(rv.groups[i])
-        if cells <= min(KENDALL_TABLE_CELLS_PER_ENTRY * m, KENDALL_TABLE_MAX_CELLS):
-            out[i] = _tau_b_from_table(ru, rv, i)
+        sx, sy = np.sign(_pair_differences(ru.values)), np.sign(_pair_differences(rv.values))
+        nonzero_x, nonzero_y = np.count_nonzero(sx, axis=1), np.count_nonzero(sy, axis=1)
+    for k, (i, j) in enumerate(pairs):
+        ku, kv = int(ru.groups[i]), int(rv.groups[j])
+        if ku < 2 or kv < 2:
+            continue
+        if m <= KENDALL_SIGNS_MAX:
+            # sums of -1, 0 and 1 are exact in any order
+            denom = math.sqrt(float(nonzero_x[i]) * float(nonzero_y[j]))
+            out[k] = float(sx[i] @ sy[j]) / denom
+        elif ku * kv <= min(KENDALL_TABLE_CELLS_PER_ENTRY * m, KENDALL_TABLE_MAX_CELLS):
+            out[k] = _tau_b_from_table(ru, rv, i, j)
         else:
-            tau = stats.kendalltau(ru.values[i], rv.values[i]).statistic
-            out[i] = 0.0 if math.isnan(tau) else tau
+            tau = stats.kendalltau(ru.values[i], rv.values[j]).statistic
+            out[k] = 0.0 if math.isnan(tau) else tau
     return out
 
 
-def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int) -> float:
-    """scipy's tau-b from exact counts over the tie-group contingency table."""
+def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int, j: int) -> float:
+    """scipy's tau-b of u[i] and v[j] from exact counts over their tie groups'
+    contingency table."""
     m = ru.values.shape[1]
-    ku, kv = int(ru.groups[i]), int(rv.groups[i])
-    table = np.bincount(ru.dense(i) * kv + rv.dense(i), minlength=ku * kv).reshape(ku, kv)
+    ku, kv = int(ru.groups[i]), int(rv.groups[j])
+    table = np.bincount(ru.dense(i) * kv + rv.dense(j), minlength=ku * kv).reshape(ku, kv)
     # entries in a later u group (column totals minus running sums) and an
     # earlier v group are discordant
     later_u = np.cumsum(table, axis=0)
@@ -323,26 +332,26 @@ def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int) -> float:
     earlier_v -= later_u
     dis = int(np.vdot(table, earlier_v))
     joint_ties = (int(np.vdot(table, table)) - m) // 2
-    xtie, ytie = int(ru.tied[i]), int(rv.tied[i])
+    xtie, ytie = int(ru.tied[i]), int(rv.tied[j])
     tot = m * (m - 1) // 2
     con_minus_dis = tot - xtie - ytie + joint_ties - 2 * dis
     tau = con_minus_dis / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
     return min(1.0, max(-1.0, tau))
 
 
-def _corr4(u: np.ndarray, v: np.ndarray, ranked: tuple[_Ranked, _Ranked] | None = None
-           ) -> np.ndarray:
-    """(r, 4): cosine, Pearson, Spearman and Kendall of each row pair.
+def _corr4(
+    u: np.ndarray,
+    v: np.ndarray,
+    pairs: Sequence[tuple[int, int]],
+    ranked: tuple[_Ranked, _Ranked] | None = None,
+) -> np.ndarray:
+    """(len(pairs), 4): cosine, Pearson, Spearman and Kendall of each pair.
 
     ``ranked`` passes the rows' ranks when the caller already has them.
     """
-    by_value = [_cosine(u, v), _pearson(u, v)]
+    by_value = [_cosine(u, v, pairs), _pearson(u, v, pairs)]
     ru, rv = ranked or (_Ranked(u), _Ranked(v))
-    return np.column_stack([*by_value, _spearman(ru, rv), _kendall(ru, rv)])
-
-
-def _corr4_and_stats7(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _corr4(u, v), _stats7(np.abs(u - v))
+    return np.column_stack([*by_value, _spearman(ru, rv, pairs), _kendall(ru, rv, pairs)])
 
 
 def _stats7(v: np.ndarray) -> np.ndarray:
@@ -394,12 +403,16 @@ def _pair_ratios(v: np.ndarray) -> np.ndarray:
     return np.take(safe, ii, axis=-1) / np.take(safe, jj, axis=-1)
 
 
-def _normalized_rank_vectors(rx: _Ranked, ry: _Ranked) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-L2 rank vectors ordered by descending rank in x, ties by AP id."""
+def _normalized_rank_vectors(
+    rx: _Ranked, ry: _Ranked, pairs: Sequence[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair (i, j): unit-L2 max-rank vectors of x[i] and y[j], ordered by
+    descending rank in x[i], ties by AP id; one row each."""
     tx, ty = rx.top(), ry.top()
     order = np.argsort(-tx, axis=1, kind="stable")
-    kx = np.take_along_axis(tx, order, axis=1)
-    ky = np.take_along_axis(ty, order, axis=1)
+    iu, iv = (np.array(side) for side in zip(*pairs))
+    kx = np.take_along_axis(tx, order, axis=1)[iu]
+    ky = np.take_along_axis(ty[iv], order[iu], axis=1)
     for k in (kx, ky):
         for row in k:
             row /= math.sqrt(row @ row)
@@ -462,6 +475,14 @@ def identical_devices(a: Fingerprint, b: Fingerprint) -> float:
 # Full extraction
 # ---------------------------------------------------------------------------
 
+#: the calibrated forms that each variant pairs, as (row of a's, row of b's)
+#: in the stacks that ``extract`` builds: a as read, A*r+B and (A/2)*r+B/2;
+#: b as read and C*r+D
+_VARIANT_FORMS = ((0, 0), (1, 0), (2, 0), (1, 1))
+_FORM_A, _FORM_B = (np.array(side) for side in zip(*_VARIANT_FORMS))
+_SAME_ROW = tuple((k, k) for k in range(len(_VARIANT_FORMS)))
+
+
 def _variant_block(
     x: np.ndarray,
     y: np.ndarray,
@@ -472,12 +493,14 @@ def _variant_block(
 ) -> np.ndarray:
     """The 79 RSSI-dependent features of each calibration variant, one row each.
 
-    Row i of ``x``/``y`` holds the shared-AP readings of a resp. b under
-    variant i; row i of ``a_vals``/``b_vals`` the full-fingerprint readings
-    aligned with ``a_ids``/``b_ids``; all in ascending BSSID order.
+    Each row of ``x``/``a_vals`` holds one calibrated form of a's shared-AP
+    resp. full readings, aligned with ``a_ids``; ``y``/``b_vals`` the same
+    for b; all in ascending BSSID order.  Variant k pairs the forms named by
+    ``_VARIANT_FORMS[k]``, so each form's vectors are built and sorted once.
     """
-    r, n = x.shape
-    d = x - y
+    n = x.shape[1]
+    r = len(_VARIANT_FORMS)
+    d = x[_FORM_A] - y[_FORM_B]
     gaps = np.abs(d)
 
     # dist (0 without shared APs: empty sums)
@@ -487,7 +510,8 @@ def _variant_block(
     z = np.arange(1, 16)
     if n:
         depth = np.maximum(
-            a_vals.max(axis=1, keepdims=True) - x, b_vals.max(axis=1, keepdims=True) - y
+            a_vals.max(axis=1)[_FORM_A, None] - x[_FORM_A],
+            b_vals.max(axis=1)[_FORM_B, None] - y[_FORM_B],
         ).min(axis=1)
         within = (depth[:, None] <= z).astype(np.float64)
         within_pct = (gaps[:, :, None] <= z).sum(axis=1) / n
@@ -495,8 +519,8 @@ def _variant_block(
         within = within_pct = np.zeros((r, len(z)))
 
     # shared_top_k, k = 1..8: the k strongest APs coincide as sets
-    top_a = a_ids[np.argsort(-a_vals, axis=1, kind="stable")[:, :8]]
-    top_b = b_ids[np.argsort(-b_vals, axis=1, kind="stable")[:, :8]]
+    top_a = a_ids[np.argsort(-a_vals, axis=1, kind="stable")[_FORM_A, :8]]
+    top_b = b_ids[np.argsort(-b_vals, axis=1, kind="stable")[_FORM_B, :8]]
     kk = min(top_a.shape[1], top_b.shape[1])
     hits = (top_a[:, :kk, None] == top_b[:, None, :kk]).cumsum(axis=1).cumsum(axis=2)
     top_k = np.zeros((r, 8))
@@ -515,20 +539,26 @@ def _variant_block(
             ) / p_count
 
     # correlations over four vector pairs, and statistics of their absolute
-    # gaps; each vector is sorted once, and the long pairwise vectors live
-    # one family at a time
+    # gaps; the long pairwise vectors live one family at a time
     rx, ry = _Ranked(x), _Ranked(y)
-    corr_rk = _corr4(*_normalized_rank_vectors(rx, ry))
-    corr_pd, diff_pd = _corr4_and_stats7(_pair_differences(x), _pair_differences(y))
-    corr_pr, diff_pr = _corr4_and_stats7(_pair_ratios(x), _pair_ratios(y))
+    corr_rk = _corr4(*_normalized_rank_vectors(rx, ry, _VARIANT_FORMS), _SAME_ROW)
+    corr_pd, diff_pd = _pairwise_family(_pair_differences(x), _pair_differences(y))
+    corr_pr, diff_pr = _pairwise_family(_pair_ratios(x), _pair_ratios(y))
     return np.concatenate(
         [
             dist, within, within_pct, top_k, redpin,
-            _corr4(x, y, (rx, ry)), corr_pd, corr_pr, corr_rk,
+            _corr4(x, y, _VARIANT_FORMS, (rx, ry)), corr_pd, corr_pr, corr_rk,
             _stats7(gaps), diff_pd, diff_pr,
         ],
         axis=1,
     )
+
+
+def _pairwise_family(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Correlations of the variants' pairwise vectors and statistics of their gaps."""
+    gaps = u[_FORM_A]
+    gaps -= v[_FORM_B]
+    return _corr4(u, v, _VARIANT_FORMS), _stats7(np.abs(gaps, out=gaps))
 
 
 def extract(pair: FingerprintPair) -> FeatureVector:
@@ -540,11 +570,11 @@ def extract(pair: FingerprintPair) -> FeatureVector:
         (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
         ia, ib = _shared_index(a, b)
         slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(a_vals[ia], b_vals[ib])
-        # one row per variant: none, single_ls, single_half_ls, double_ls
-        a_ls = slope_ab * a_vals + inter_ab
-        a_half = (slope_ab / 2.0) * a_vals + inter_ab / 2.0
-        av = np.stack([a_vals, a_ls, a_half, a_ls])
-        bv = np.stack([b_vals, b_vals, b_vals, slope_ba * b_vals + inter_ba])
+        # one row per calibrated form (see _VARIANT_FORMS)
+        av = np.stack([
+            a_vals, slope_ab * a_vals + inter_ab, (slope_ab / 2.0) * a_vals + inter_ab / 2.0
+        ])
+        bv = np.stack([b_vals, slope_ba * b_vals + inter_ba])
         block = _variant_block(
             np.take(av, ia, axis=1), np.take(bv, ib, axis=1), a_ids, av, b_ids, bv
         )

@@ -35,7 +35,7 @@ def one_row(kernel, u, v) -> float:
     u, v = np.atleast_2d(np.asarray(u, dtype=float)), np.atleast_2d(np.asarray(v, dtype=float))
     if kernel in (features._spearman, features._kendall):
         u, v = features._Ranked(u), features._Ranked(v)
-    return float(kernel(u, v)[0])
+    return float(kernel(u, v, ((0, 0),))[0])
 
 
 def cosine(u, v):

@@ -365,7 +365,7 @@ class TestKernels:
             rows = rng.integers(-10, 10, size=(3, int(rng.integers(1, 40)))).astype(float)
             ranked = features._Ranked(rows)
             for i, v in enumerate(rows):
-                np.testing.assert_array_equal(ranked.average[i], stats.rankdata(v))
+                np.testing.assert_array_equal(ranked.average()[i], stats.rankdata(v))
                 np.testing.assert_array_equal(ranked.top()[i], stats.rankdata(v, method="max"))
                 np.testing.assert_array_equal(ranked.dense(i), stats.rankdata(v, method="dense") - 1)
                 counts = np.unique(v, return_counts=True)[1]
