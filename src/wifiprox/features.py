@@ -300,7 +300,7 @@ def _kendall(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.n
     if m < 2:
         return out
     if m <= KENDALL_SIGNS_MAX:
-        sx, sy = np.sign(_pair_differences(ru.values)), np.sign(_pair_differences(rv.values))
+        sx, sy = _pair_signs(ru.values, rv.values)
         nonzero_x, nonzero_y = np.count_nonzero(sx, axis=1), np.count_nonzero(sy, axis=1)
     for k, (i, j) in enumerate(pairs):
         ku, kv = int(ru.groups[i]), int(rv.groups[j])
@@ -558,7 +558,9 @@ def _pairwise_family(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Correlations of the variants' pairwise vectors and statistics of their gaps."""
     gaps = u[_FORM_A]
     gaps -= v[_FORM_B]
-    return _corr4(u, v, _VARIANT_FORMS), _stats7(np.abs(gaps, out=gaps))
+    diff = _stats7(np.abs(gaps, out=gaps))
+    del gaps  # freed before the correlations rank u and v
+    return _corr4(u, v, _VARIANT_FORMS), diff
 
 
 def extract(pair: FingerprintPair) -> FeatureVector:
