@@ -571,7 +571,8 @@ def extract(pair: FingerprintPair) -> FeatureVector:
         a, b = pair.a, pair.b
         (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
         ia, ib = _shared_index(a, b)
-        slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(a_vals[ia], b_vals[ib])
+        x, y = a_vals[ia], b_vals[ib]
+        slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(x, y)
         # one row per calibrated form (see _VARIANT_FORMS)
         av = np.stack([
             a_vals, slope_ab * a_vals + inter_ab, (slope_ab / 2.0) * a_vals + inter_ab / 2.0
@@ -583,7 +584,7 @@ def extract(pair: FingerprintPair) -> FeatureVector:
         arr = np.concatenate([
             ap_detection_features(a, b),
             block.ravel(),
-            [identical_devices(a, b), _rank_concordance(a_vals[ia], b_vals[ib])],
+            [identical_devices(a, b), _rank_concordance(x, y)],
         ])
 
     if not np.all(np.isfinite(arr)):

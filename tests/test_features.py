@@ -593,6 +593,10 @@ def _oracle_pair(kind, seed):
         a_read = dict.fromkeys(a_read, float(rng.integers(-80, -40)))
         b_read = dict.fromkeys(a_read, float(rng.integers(-80, -40)))
     elif kind == "negative_slope":
+        # two readings 30 dB apart keep a's spread above the +-3 dB noise on
+        # b = -130 - a, so the least-squares slope stays near -1
+        first, second = list(a_read)[:2]
+        a_read[first], a_read[second] = -50.0, -80.0
         b_read = {k: float(np.clip(-130.0 - v + rng.integers(-3, 4), -99, -20))
                   for k, v in a_read.items()}
     else:
