@@ -139,19 +139,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    if args.manifest is not None:
-        manifest = ingest.load_manifest(_require_exists(args.manifest))
-        config = {"manifest": str(args.manifest), "format": manifest.format}
-        doc = _print_header("ingest", None, config, [args.manifest, Path(manifest.path)])
-        fps, report = ingest.load_dataset(manifest)
-    else:
-        _require_exists(args.canonical)
-        config = {"canonical": str(args.canonical)}
-        doc = _print_header("ingest", None, config, [args.canonical])
-        fps = ingest.load_canonical(args.canonical)
-        report = ingest.SkipReport(rows_read=len(fps), loaded=len(fps))
+    manifest = ingest.load_manifest(_require_exists(args.manifest))
+    config = {"manifest": str(args.manifest), "format": manifest.format}
+    doc = _print_header("ingest", None, config, [args.manifest, Path(manifest.path)])
+    fps, report = ingest.load_dataset(manifest)
     ingest.save_canonical(fps, args.out)
-    doc["skip_report"] = report.as_dict()
+    doc["skip_report"] = dataclasses.asdict(report)
     _write_meta(args.out, doc)
     print(
         f"loaded={report.loaded} skipped_empty={report.skipped_empty} "
@@ -384,9 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="load a dataset into canonical form")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--manifest", type=Path)
-    g.add_argument("--canonical", type=Path)
+    p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_ingest)
 

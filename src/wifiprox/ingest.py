@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -42,14 +42,9 @@ class SkipReport:
     bursts_seen: int = 0
     bursts_too_short: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "loaded": self.loaded,
-            "skipped_empty": self.skipped_empty,
-            "bursts_seen": self.bursts_seen,
-            "bursts_too_short": self.bursts_too_short,
-        }
+
+#: the values each annotated manifest field accepts (annotations are strings here)
+_MANIFEST_KINDS = {"str": str, "Optional[str]": (str, type(None)), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -79,6 +74,10 @@ class DatasetManifest:
     floor_default: str = "0"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, kinds = getattr(self, f.name), _MANIFEST_KINDS.get(f.type)
+            if kinds and (not isinstance(value, kinds) or isinstance(value, bool)):
+                raise ManifestError(f"{f.name} must be {f.type}, got {value!r}")
         if self.format not in ("canonical_jsonl", "wide_csv"):
             raise ManifestError(f"unknown dataset format {self.format!r}")
         if self.unit_scale_to_m <= 0:
@@ -102,8 +101,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         if key not in doc:
             raise ManifestError(f"{p}: missing required key {key!r}")
     doc = dict(doc)
-    doc["path"] = (p.parent / doc["path"]).resolve()
-    manifest = DatasetManifest(**doc)
+    try:
+        doc["path"] = (p.parent / doc["path"]).resolve()
+        manifest = DatasetManifest(**doc)
+    except (ManifestError, TypeError) as e:
+        raise ManifestError(f"{p}: {e}") from None
     if not manifest.path.exists():
         raise ManifestError(f"{p}: data file {manifest.path} does not exist")
     return manifest
@@ -241,6 +243,10 @@ def load_wide_csv(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRep
         for rowno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{manifest.path}:{rowno}: expected {len(header)} cells, got {len(row)}"
+                )
             report.rows_read += 1
             readings: dict[str, float] = {}
             for i, bssid in ap_cols:
@@ -258,21 +264,19 @@ def load_wide_csv(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRep
             if not readings:
                 report.skipped_empty += 1
                 continue
-            try:
-                x = float(row[ix]) * manifest.unit_scale_to_m
-                y = float(row[iy]) * manifest.unit_scale_to_m
-            except ValueError:
-                raise ParseError(f"{manifest.path}:{rowno}: non-numeric coordinate") from None
             floor_key: FloorKey = (
                 manifest.dataset_id,
                 row[ibld].strip() if ibld is not None else manifest.building_default,
                 row[iflr].strip() if iflr is not None else manifest.floor_default,
             )
-            fps.append(
-                Fingerprint(
+            try:
+                fp = Fingerprint(
                     id=f"{manifest.dataset_id}:{rowno}",
                     readings=readings,
-                    position=(x, y),
+                    position=(
+                        float(row[ix]) * manifest.unit_scale_to_m,
+                        float(row[iy]) * manifest.unit_scale_to_m,
+                    ),
                     floor_key=floor_key,
                     device_model=(
                         row[idev].strip() if idev is not None else manifest.device_default
@@ -280,7 +284,9 @@ def load_wide_csv(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRep
                     burst_id=row[ibst].strip() if ibst is not None else None,
                     scan_index=int(row[iscn]) if iscn is not None else None,
                 )
-            )
+            except ValueError as e:  # a coordinate or scan cell that does not parse
+                raise ParseError(f"{manifest.path}:{rowno}: {e}") from None
+            fps.append(fp)
             report.loaded += 1
     return fps, report
 

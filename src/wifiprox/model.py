@@ -42,8 +42,11 @@ SCHEMA_VERSION = 1
 MAX_FEATURES = 3
 #: a pair is Close when at least this fraction of the trees votes Close
 DECISION_THRESHOLD = 0.5
-#: the training protocol as model files record it; loading checks it
-_FIXED_CONFIG = {"max_features": MAX_FEATURES, "bootstrap": True}
+
+
+def _recorded_config(n_trees: int) -> dict:
+    """The training protocol as a model file of ``n_trees`` trees records it."""
+    return {"n_estimators": n_trees, "max_features": MAX_FEATURES, "bootstrap": True}
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,6 @@ def _depth_first_ids(
 @dataclass(frozen=True)
 class BaggedEnsemble:
     trees: tuple[Tree, ...]
-    config: EnsembleConfig
     feature_names: tuple[str, ...]
     train_seed: int
     class_balance: tuple[int, int]  # (n_close, n_far) in the training data
@@ -372,7 +374,6 @@ def train_ensemble(
         )
     return BaggedEnsemble(
         trees=tuple(trees),
-        config=config,
         feature_names=tuple(feature_names),
         train_seed=seed,
         class_balance=(int(y.sum()), int(len(y) - y.sum())),
@@ -388,7 +389,7 @@ def save_model(model: BaggedEnsemble, path: str | Path) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "rssi-pair-bagging",
-        "config": {"n_estimators": model.config.n_estimators, **_FIXED_CONFIG},
+        "config": _recorded_config(len(model.trees)),
         "feature_names": list(model.feature_names),
         "train_seed": model.train_seed,
         "class_balance": list(model.class_balance),
@@ -423,8 +424,7 @@ def load_model(path: str | Path) -> BaggedEnsemble:
             f"{p}: unsupported schema version {doc.get('schema_version')!r}"
         )
     try:
-        fixed = {k: doc["config"][k] for k in _FIXED_CONFIG}
-        cfg = EnsembleConfig(**{k: v for k, v in doc["config"].items() if k not in fixed})
+        recorded = doc["config"]
         trees = tuple(
             Tree(
                 feature=np.asarray(t["feature"], dtype=np.int32),
@@ -439,7 +439,6 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         )
         model = BaggedEnsemble(
             trees=trees,
-            config=cfg,
             feature_names=tuple(doc["feature_names"]),
             train_seed=int(doc["train_seed"]),
             class_balance=tuple(doc["class_balance"]),  # type: ignore[arg-type]
@@ -448,16 +447,12 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         raise ValueError(f"{p}: malformed model file ({e})") from e
     if not model.trees:
         raise ValueError(f"{p}: malformed model file (no trees)")
-    # repr, so that 1 does not pass for true nor 3.0 for 3
-    if repr(fixed) != repr(_FIXED_CONFIG):
+    # compared as saved, so that 1 does not pass for true nor 3.0 for 3
+    expected = _recorded_config(len(model.trees))
+    if json.dumps(recorded, sort_keys=True) != json.dumps(expected, sort_keys=True):
         raise ValueError(
-            f"{p}: malformed model file (config records {fixed}, "
-            f"but every model is trained with {_FIXED_CONFIG})"
-        )
-    if cfg.n_estimators != len(model.trees):
-        raise ValueError(
-            f"{p}: malformed model file (config.n_estimators is {cfg.n_estimators}, "
-            f"but it holds {len(model.trees)} trees)"
+            f"{p}: malformed model file (config records {recorded}, "
+            f"but a {len(model.trees)}-tree model records {expected})"
         )
     for i, tree in enumerate(model.trees):
         problem = _tree_problem(tree, len(model.feature_names))

@@ -143,16 +143,14 @@ def pr_points_from_scores(
                 np.linspace(0, len(grid) - 1, n_thresholds).round().astype(int)
             )
             grid = [grid[i] for i in pick]
-    n_pos = int(is_close.sum())
-    points = []
-    for thr in grid:
-        pred = scores >= thr
-        tp = int(np.sum(pred & is_close))
-        fp = int(np.sum(pred & ~is_close))
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        recall = tp / n_pos
-        points.append((float(thr), precision, recall))
-    return tuple(points)
+    # rows scoring >= thr, per class: those at or after thr's left insertion point
+    pos, neg = np.sort(scores[is_close]), np.sort(scores[~is_close])
+    tps = (len(pos) - np.searchsorted(pos, grid)).tolist()
+    fps = (len(neg) - np.searchsorted(neg, grid)).tolist()
+    return tuple(
+        (float(thr), tp / (tp + fp) if tp + fp else 1.0, tp / len(pos))
+        for thr, tp, fp in zip(grid, tps, fps)
+    )
 
 
 def write_pr_points(points: Sequence[tuple[float, float, float]], path) -> None:

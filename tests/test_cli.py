@@ -85,6 +85,46 @@ class TestExitCodes:
         ) == EXIT_CONFIG
         assert "format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("columns, text, where", [
+        ({}, "WAP001,WAP002,LONGITUDE,LATITUDE\n-60,-70,3.0\n", "2: expected 4 cells, got 3"),
+        ({"scan_column": "SCAN"}, "WAP001,LONGITUDE,LATITUDE,SCAN\n-60,3.0,4.0,1.5\n",
+         "2: invalid literal for int() with base 10: '1.5'"),
+    ], ids=["ragged-row", "non-integer-scan"])
+    def test_bad_wide_csv_row_names_file_and_line(self, tmp_path, columns, text, where):
+        data = tmp_path / "survey.csv"
+        data.write_text(text)
+        mf = tmp_path / "manifest.json"
+        mf.write_text(json.dumps(
+            {"dataset_id": "s", "format": "wide_csv", "path": "survey.csv", **columns}
+        ))
+        done = run_subprocess("ingest", "--manifest", mf, "--out", tmp_path / "out.jsonl")
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        assert f"error: {data}:{where}\n" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_null_coordinate_column_is_config_error(self, tmp_path):
+        (tmp_path / "survey.csv").write_text("WAP001,LONGITUDE,LATITUDE\n-60,3.0,4.0\n")
+        mf = tmp_path / "manifest.json"
+        mf.write_text(json.dumps(
+            {"dataset_id": "s", "format": "wide_csv", "path": "survey.csv", "x_column": None}
+        ))
+        done = run_subprocess("ingest", "--manifest", mf, "--out", tmp_path / "out.jsonl")
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert f"error: {mf}: x_column must be str, got None\n" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_rejected_pair_record_names_file_and_line(self, pipeline, tmp_path):
+        first, second = pipeline["pairs"].read_text().splitlines()[:2]
+        bad = tmp_path / "bad-pairs.jsonl"
+        bad.write_text(first + "\n" + json.dumps({**json.loads(second), "distance_m": -1.0}) + "\n")
+        done = run_subprocess(
+            "featurize", "--pairs", bad, "--fingerprints", pipeline["site"],
+            "--out", tmp_path / "f.csv",
+        )
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        assert f"error: {bad}:2: bad pair record (negative pair distance)\n" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_pairs_sampling_flag_gates(self, pipeline, tmp_path):
         out = tmp_path / "p.jsonl"
         assert run(
@@ -240,7 +280,7 @@ class TestExitCodes:
             "--report-out", tmp_path / "report.json",
         ) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"{bad}: malformed model file (config.n_estimators is 99" in err
+        assert f"{bad}: malformed model file (config records {doc['config']}, but a 3-tree" in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_feature_cell_is_validation_error(self, pipeline, tmp_path, capsys, cell):
@@ -346,7 +386,7 @@ class TestFlags:
     FLAGS = {
         "synth": ["--out", "--seed", "--site-id", "--density", "--ap-count", "--clusters",
                   "--positions-per-cluster", "--devices-per-position", "--bursts"],
-        "ingest": ["--manifest", "--canonical", "--out"],
+        "ingest": ["--manifest", "--out"],
         "pairs": ["--in", "--out", "--sub-bursts", "--pseudo-out", "--n-close", "--n-far",
                   "--seed", "--remainder-out"],
         "featurize": ["--pairs", "--fingerprints", "--out", "--workers"],
@@ -370,7 +410,7 @@ class TestFlags:
             for name, parser in sub.choices.items()
         }
         assert found == self.FLAGS
-        assert sum(len(flags) for flags in found.values()) == 42
+        assert sum(len(flags) for flags in found.values()) == 41
 
 
 class TestArtifacts:
@@ -548,8 +588,12 @@ class TestArtifacts:
 
 class TestIngest:
     def test_canonical_route(self, pipeline, tmp_path, capsys):
+        mf = tmp_path / "manifest.json"
+        mf.write_text(json.dumps(
+            {"dataset_id": "tiny", "format": "canonical_jsonl", "path": str(pipeline["site"])}
+        ))
         out = tmp_path / "copy.jsonl"
-        assert run("ingest", "--canonical", pipeline["site"], "--out", out) == EXIT_OK
+        assert run("ingest", "--manifest", mf, "--out", out) == EXIT_OK
         assert out.read_bytes() == pipeline["site"].read_bytes()
         assert "loaded=" in capsys.readouterr().out
 

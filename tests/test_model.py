@@ -344,8 +344,8 @@ class TestEnsemble:
             )
 
         def ensemble(*trees):
-            return BaggedEnsemble(trees=trees, config=EnsembleConfig(n_estimators=len(trees)),
-                                  feature_names=("f0",), train_seed=0, class_balance=(1, 1))
+            return BaggedEnsemble(trees=trees, feature_names=("f0",), train_seed=0,
+                                  class_balance=(1, 1))
 
         X = np.zeros((3, 1))
         tied = ensemble(leaf(1, 1))
@@ -407,7 +407,7 @@ class TestPersistence:
         save_model(m, path)
         back = load_model(path)
         assert back.feature_names == m.feature_names
-        assert back.config == m.config
+        assert len(back.trees) == len(m.trees)
         assert back.train_seed == m.train_seed
         assert back.class_balance == m.class_balance
         np.testing.assert_array_equal(back.predict_scores(X), m.predict_scores(X))
@@ -456,6 +456,23 @@ class TestPersistence:
         doc["config"][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file (") + f".*{key}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", ["drop-n_estimators", "extra-key"])
+    def test_rejects_config_other_than_recorded(self, rng, tmp_path, edit):
+        m, _ = self._model(rng, n=2)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        if edit == "drop-n_estimators":
+            del doc["config"]["n_estimators"]
+        else:
+            doc["config"]["min_samples_leaf"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: malformed model file (config records {doc['config']}, but a 2-tree "
+            "model records {'n_estimators': 2, 'max_features': 3, 'bootstrap': True})"
+        )):
             load_model(path)
 
     def test_rejects_missing_fields(self, rng, tmp_path):

@@ -1,11 +1,15 @@
 """Pair enumeration, distance gates, class sampling, persistence."""
 
 import math
+import re
 
 import pytest
 
 from wifiprox.core import ProximityClass
 from wifiprox.pairing import (
+    CLOSE_MAX_M,
+    FAR_MAX_M,
+    FAR_MIN_M,
     PairingConfig,
     enumerate_pairs,
     holdout,
@@ -21,21 +25,7 @@ from conftest import bss, make_fp
 
 class TestConfig:
     def test_defaults(self):
-        cfg = PairingConfig()
-        assert (cfg.close_max_m, cfg.far_min_m, cfg.far_max_m) == (2.25, 3.25, 20.0)
-
-    @pytest.mark.parametrize(
-        "gates",
-        [
-            (3.25, 2.25, 20.0),  # close gate above far gate
-            (2.25, 2.25, 20.0),  # gates must not touch
-            (2.25, 3.25, 3.0),  # far band inverted
-            (0.0, 3.25, 20.0),  # close gate must be positive
-        ],
-    )
-    def test_bad_gates_rejected(self, gates):
-        with pytest.raises(ValueError, match="close_max_m"):
-            PairingConfig(*gates)
+        assert (CLOSE_MAX_M, FAR_MIN_M, FAR_MAX_M) == (2.25, 3.25, 20.0)
 
     @pytest.mark.parametrize(
         "d,expected",
@@ -221,6 +211,18 @@ class TestPersistence:
         path.write_text('{"a":"f0","b":"f1","distance_m":1.0,"label":"Near"}\n')
         fps = [make_fp(id="f0"), make_fp(id="f1", position=(1.0, 0.0))]
         with pytest.raises(ValueError, match=":1:"):
+            load_pairs(path, fps)
+
+    @pytest.mark.parametrize("record, reason", [
+        ('{"a":"f0","b":"f1","distance_m":-1.0,"label":"Close"}', "negative pair distance"),
+        ('{"a":"f0","b":"f0","distance_m":0.0,"label":"Close"}',
+         "cannot pair a fingerprint with itself"),
+    ], ids=["negative-distance", "self-pair"])
+    def test_rejected_pair_reports_line(self, tmp_path, record, reason):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"a":"f0","b":"f1","distance_m":1.0,"label":"Close"}\n' + record + "\n")
+        fps = [make_fp(id="f0"), make_fp(id="f1", position=(1.0, 0.0))]
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad pair record (") + reason):
             load_pairs(path, fps)
 
     def test_duplicate_fingerprint_ids_rejected(self, tmp_path):

@@ -143,6 +143,17 @@ class TestPrCurve:
                 np.array([0.5, 0.6]), np.array([True, False]), n_thresholds=1
             )
 
+    @pytest.mark.parametrize("n_thresholds", [None, 2, 7, 40])
+    def test_matches_per_threshold_oracle(self, rng, n_thresholds):
+        # vote fractions of 20 trees: heavy ties, and both 0 and 1 appear
+        for n in (2, 9, 300):
+            scores = rng.integers(0, 21, size=n) / 20
+            is_close = rng.random(n) < 0.5
+            is_close[:2] = (True, False)
+            assert pr_points_from_scores(scores, is_close, n_thresholds) == (
+                oracle_pr_points(scores, is_close, n_thresholds)
+            )
+
     def test_write_pr_points_format(self, tmp_path):
         path = tmp_path / "pr.txt"
         write_pr_points([(0.0, 2 / 3, 1.0), (1.0, 1.0, 0.0)], path)
@@ -152,9 +163,28 @@ class TestPrCurve:
 
 
 # ---------------------------------------------------------------------------
-# Scalar oracles: the per-column discretizer, the two-array plug-in mutual
-# information and the greedy loop that the whole-array passes replaced.
+# Scalar oracles: the per-threshold precision-recall sweep, the per-column
+# discretizer, the two-array plug-in mutual information and the greedy loop
+# that the whole-array passes replaced.
 # ---------------------------------------------------------------------------
+
+def oracle_pr_points(scores, is_close, n_thresholds=None):
+    """The sweep that masked the whole table once per threshold."""
+    grid = sorted(set(scores.tolist()) | {0.0, 1.0})
+    grid.append(math.nextafter(grid[-1], math.inf))
+    if n_thresholds is not None and len(grid) > n_thresholds:
+        pick = np.unique(np.linspace(0, len(grid) - 1, n_thresholds).round().astype(int))
+        grid = [grid[i] for i in pick]
+    n_pos = int(is_close.sum())
+    points = []
+    for thr in grid:
+        pred = scores >= thr
+        tp = int(np.sum(pred & is_close))
+        fp = int(np.sum(pred & ~is_close))
+        precision = tp / (tp + fp) if tp + fp else 1.0
+        points.append((float(thr), precision, tp / n_pos))
+    return tuple(points)
+
 
 def oracle_discretize_column(v):
     mu = float(v.mean())
