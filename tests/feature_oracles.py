@@ -9,14 +9,21 @@ compare ``extract`` with ``extract_oracle`` byte for byte.
 The features that the batch did not touch (AP detection, device features,
 the least-squares fit) are read from ``wifiprox.features`` itself, so that
 each of them keeps one implementation.
+
+``read_feature_table_oracle`` is the ``csv.reader`` loop that
+``features.read_feature_table`` replaced with one ``np.loadtxt`` pass: a
+Python ``float()`` per cell.  Tests compare the two readers byte for byte.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
 from wifiprox import features
+from wifiprox.core import ProximityClass
 from wifiprox.features import (
     REDPIN_MATCH_CREDIT,
     REDPIN_MATCH_THRESHOLD_DBM,
@@ -240,3 +247,27 @@ def extract_oracle(pair) -> np.ndarray:
         values.append(features.identical_devices(a, b))
         values.append(features._rank_concordance(x, y))
     return np.asarray(values, dtype=np.float64)
+
+
+def read_feature_table_oracle(path) -> features.FeatureTable:
+    """A feature CSV read one record and one ``float()`` per cell at a time."""
+    p = Path(path)
+    with open(p, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        assert tuple(header[:3]) == ("pair_id", "distance_m", "label"), header[:3]
+        pair_ids, distances, labels, rows = [], [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            assert len(row) == len(header), f"{p}:{lineno}: {len(row)} cells"
+            pair_ids.append(row[0])
+            distances.append(float(row[1]))
+            labels.append(ProximityClass(row[2]))
+            rows.append([float(c) for c in row[3:]])
+    names = tuple(header[3:])
+    return features.FeatureTable(
+        names=names,
+        pair_ids=tuple(pair_ids),
+        distances=np.array(distances, dtype=np.float64),
+        labels=tuple(labels),
+        matrix=np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names))),
+    )

@@ -363,6 +363,31 @@ class TestExitCodes:
         assert f"error: {ranking}:3: 'nope.feature' is not a column of {pipeline['features']}" in err
         assert not mdl.exists()
 
+    @pytest.mark.parametrize("kind", ["features", "site", "pairs", "feature-list", "model"])
+    def test_input_that_is_not_utf8_names_its_file(self, pipeline, tmp_path, kind):
+        ranking = tmp_path / "ranking.txt"
+        ranking.write_text("dist.euclidean.none\nap.shared_count.none\n")
+        good = {**pipeline, "feature-list": ranking}[kind]
+        data = good.read_bytes()
+        bad = tmp_path / f"bad-{good.name}"
+        bad.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        ins = {**pipeline, "feature-list": ranking, kind: bad}
+        argv = {
+            "features": ("train", "--features", ins["features"], "--model-out", tmp_path / "m.json",
+                         "--seed", 1),
+            "site": ("pairs", "--in", ins["site"], "--out", tmp_path / "p.jsonl"),
+            "pairs": ("featurize", "--pairs", ins["pairs"], "--fingerprints", ins["site"],
+                      "--out", tmp_path / "f.csv"),
+            "feature-list": ("train", "--features", ins["features"], "--feature-list",
+                             ins["feature-list"], "--model-out", tmp_path / "m.json", "--seed", 1),
+            "model": ("evaluate", "--model", ins["model"], "--features", ins["features"],
+                      "--report-out", tmp_path / "r.json"),
+        }[kind]
+        done = run_subprocess(*argv)
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        assert f"error: {bad}: not valid UTF-8 (" in done.stderr
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("command", ["evaluate", "pr-curve"])
     def test_table_lacking_a_model_column_is_named(self, pipeline, tmp_path, capsys, command):
         table = features.read_feature_table(pipeline["features"])

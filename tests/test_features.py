@@ -36,7 +36,7 @@ from wifiprox.pairing import enumerate_pairs, make_pair
 from wifiprox.synth import generate_site, site_config_for_density
 
 from conftest import bss, make_fp, pair_of, random_readings
-from feature_oracles import extract_oracle, one_row
+from feature_oracles import extract_oracle, one_row, read_feature_table_oracle
 
 GOLDEN = Path(__file__).parent / "data" / "feature_names.txt"
 
@@ -1005,3 +1005,161 @@ class TestFeatureTable:
         pairs, _ = _small_table(rng, n=2)
         with pytest.raises(ValueError, match="length mismatch"):
             table_from_vectors(pairs, [extract(pairs[0])])
+
+
+# cells whose shortest repr takes every form the writer emits: signed zero,
+# subnormals, the extremes, a repeating fraction and integral floats
+_PINNED_CELLS = (-0.0, 0.0, 5e-324, 2.5e-308, 1e308, -1e308, 1 / 3, 3.0, -12.0, 1e16, 1e-7)
+# ids that csv must quote, or that loadtxt would read as a comment or a blank line
+_PINNED_IDS = ("a,b", 'say "hi"', "two\r\nlines", "gap\r\n\r\nline", "lone\rcr",
+               "#not-a-comment", "Zürich|東京", "", " padded ")
+
+_cells = st.one_of(st.sampled_from(_PINNED_CELLS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _tables(draw):
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    ids = st.one_of(st.sampled_from(_PINNED_IDS), st.text(max_size=8))
+    return FeatureTable(
+        names=tuple(f"f{j}" for j in range(n_cols)),
+        pair_ids=tuple(draw(st.lists(ids, min_size=n_rows, max_size=n_rows))),
+        distances=np.array(draw(st.lists(_cells, min_size=n_rows, max_size=n_rows)), dtype=float),
+        labels=tuple(draw(st.lists(st.sampled_from(list(ProximityClass)),
+                                   min_size=n_rows, max_size=n_rows))),
+        matrix=np.array(draw(st.lists(_cells, min_size=n_rows * n_cols, max_size=n_rows * n_cols)),
+                        dtype=float).reshape(n_rows, n_cols),
+    )
+
+
+def _assert_same_table(got, want):
+    assert got.names == want.names
+    assert got.pair_ids == want.pair_ids
+    assert got.labels == want.labels
+    assert got.matrix.shape == want.matrix.shape and got.matrix.flags.c_contiguous
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.distances.shape == want.distances.shape
+    assert got.distances.tobytes() == want.distances.tobytes()
+
+
+class TestReaderAgainstOracle:
+    """``read_feature_table`` gives the bytes of the one-``float()``-per-cell reader."""
+
+    @given(_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_written_tables_read_as_the_oracle(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("oracle") / "t.csv"
+        write_feature_table(table, path)
+        want = read_feature_table_oracle(path)
+        _assert_same_table(read_feature_table(path), want)
+        _assert_same_table(want, table)
+
+    def test_single_row(self, tmp_path):
+        table = FeatureTable(names=("f1", "f2"), pair_ids=("#a,b",), distances=np.array([2.5]),
+                             labels=(ProximityClass.FAR,), matrix=np.array([[5e-324, -0.0]]))
+        path = tmp_path / "t.csv"
+        write_feature_table(table, path)
+        _assert_same_table(read_feature_table(path), read_feature_table_oracle(path))
+
+    def test_header_only_is_empty_and_silent(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        write_feature_table(table_from_vectors([], []), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_feature_table(path)
+        assert got.matrix.shape == (0, N_FEATURES) and got.distances.shape == (0,)
+        _assert_same_table(got, read_feature_table_oracle(path))
+        assert capsys.readouterr() == ("", "")
+
+    def test_real_table(self, rng, tmp_path):
+        _, table = _small_table(rng, n=4)
+        path = tmp_path / "t.csv"
+        write_feature_table(table, path)
+        _assert_same_table(read_feature_table(path), read_feature_table_oracle(path))
+
+
+def _table_lines(tmp_path, n=3):
+    """A written 2-feature table's path and lines; the header is line 1."""
+    table = FeatureTable(
+        names=("f1", "f2"), pair_ids=tuple(f"p{i}" for i in range(n)),
+        distances=np.arange(n, dtype=float), labels=(ProximityClass.CLOSE,) * n,
+        matrix=np.arange(2.0 * n).reshape(n, 2),
+    )
+    path = tmp_path / "t.csv"
+    write_feature_table(table, path)
+    return path, path.read_bytes().decode().split("\r\n")[:-1]
+
+
+class TestReaderErrors:
+    """Each rejected table names its file and the line (CSV record) at fault."""
+
+    @pytest.mark.parametrize("at", [2, 3, 4])
+    def test_blank_line(self, tmp_path, at):
+        path, lines = _table_lines(tmp_path)
+        lines.insert(at - 1, "")
+        path.write_text("\r\n".join(lines) + "\r\n", newline="")
+        with pytest.raises(ValueError) as err:
+            read_feature_table(path)
+        assert str(err.value) == f"{path}:{at}: expected 5 cells, got 0"
+
+    def test_trailing_blank_line(self, tmp_path):
+        path, lines = _table_lines(tmp_path)
+        path.write_text("\n".join(lines) + "\n\n", newline="")
+        with pytest.raises(ValueError) as err:
+            read_feature_table(path)
+        assert str(err.value) == f"{path}:5: expected 5 cells, got 0"
+
+    def test_every_row_too_wide(self, tmp_path):
+        path, lines = _table_lines(tmp_path)
+        path.write_text("\n".join([lines[0], *(line + ",1.0" for line in lines[1:])]) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_feature_table(path)
+        assert str(err.value) == f"{path}:2: expected 5 cells, got 6"
+
+    def test_non_numeric_cell(self, tmp_path):
+        path, lines = _table_lines(tmp_path)
+        lines[3] = lines[3].replace(",5.0", ",x")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_feature_table(path)
+        assert str(err.value) == f"{path}:4: bad cell (could not convert string to float: 'x')"
+
+    def test_unknown_label(self, tmp_path):
+        path, lines = _table_lines(tmp_path)
+        lines[2] = lines[2].replace(",Close,", ",Near,")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_feature_table(path)
+        assert str(err.value) == f"{path}:3: bad cell ('Near' is not a valid ProximityClass)"
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "2\u0665"])
+    def test_underscored_or_non_ascii_digits_rejected(self, tmp_path, cell):
+        # float() takes these, np.loadtxt does not, and the writer never emits them
+        path, lines = _table_lines(tmp_path)
+        lines[2] = lines[2].replace(",3.0", f",{cell}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_feature_table(path)
+        assert str(err.value) == f"{path}:3: bad cell (could not convert string to float: {cell!r})"
+
+    @given(st.text(alphabet="0123456789_.eE+-infatyINF \t\xa0\u0663\u2003", max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @example("1_000")
+    @example("\xa01.5\u2003")
+    @example("\u0663")
+    def test_cells_parse_as_loadtxt_parses_them(self, tmp_path_factory, cell):
+        path = tmp_path_factory.mktemp("cell") / "t.csv"
+        path.write_text(f"pair_id,distance_m,label,f1\na,1.0,Close,{cell}\n", encoding="utf-8")
+        try:
+            want = np.loadtxt([f"1.0,{cell}"], delimiter=",", comments=None, encoding=None)[1]
+        except ValueError:
+            with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+                read_feature_table(path)
+            return
+        if not np.isfinite(want):
+            with pytest.raises(ValueError, match=re.escape(f"{path}:2: non-finite cell")):
+                read_feature_table(path)
+            return
+        assert read_feature_table(path).matrix.tobytes() == np.float64(float(cell)).tobytes()
+        assert float(cell) == want or np.isnan(want)
