@@ -44,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -57,7 +53,8 @@ def _sha256_file(path: Path) -> str:
 
 
 def _config_digest(config: dict) -> str:
-    return _sha256_text(json.dumps(config, sort_keys=True, separators=(",", ":")))
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _print_header(command: str, seed: Optional[int], config: dict, inputs: Sequence[Path]) -> dict:
@@ -196,12 +193,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     config = {"workers": args.workers}
-    doc = _print_header(
-        "featurize",
-        None,
-        config,
-        [_require_exists(args.pairs), _require_exists(args.fingerprints)],
-    )
+    doc = _print_header("featurize", None, config,
+                        [_require_exists(args.pairs), _require_exists(args.fingerprints)])
     fps = ingest.load_canonical(args.fingerprints)
     pairs = pairing.load_pairs(args.pairs, fps)
     vectors = features.extract_many(pairs, workers=args.workers)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import enum
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional, TextIO
 
 import numpy as np
 
@@ -27,6 +28,16 @@ _BARE_RE = re.compile("([0-9a-f]{2})" * 6)
 # (dataset_id, building_id, floor_id) — fingerprints are only ever compared
 # within one floor subset.
 FloorKey = tuple[str, str, str]
+
+
+@contextmanager
+def open_utf8(path, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text input; a byte that does not decode is a ValueError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not valid UTF-8 ({e.reason})") from e
 
 
 def is_canonical_bssid(bssid: str) -> bool:

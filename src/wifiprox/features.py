@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -85,7 +86,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .core import Fingerprint, FingerprintPair, ProximityClass
+from .core import Fingerprint, FingerprintPair, ProximityClass, open_utf8
 
 VARIANTS = ("none", "single_ls", "single_half_ls", "double_ls")
 
@@ -681,40 +682,59 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
 
 
 def read_feature_table(path: str | Path) -> FeatureTable:
+    """Parse a feature CSV in one ``np.loadtxt`` pass, every number in C.
+
+    When that pass fails, or a line is blank (``loadtxt`` skips those),
+    ``_check_records`` raises the first bad CSV record's error.
+    """
     p = Path(path)
-    with open(p, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{p}: empty feature table") from None
+    pair_ids: list[str] = []
+    labels: list[ProximityClass] = []
+    with open_utf8(p, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{p}: empty feature table")
         if tuple(header[: len(_META_COLUMNS)]) != _META_COLUMNS:
             raise ValueError(f"{p}: unexpected header {header[:3]!r}")
-        names = tuple(header[len(_META_COLUMNS):])
-        pair_ids: list[str] = []
-        distances: list[float] = []
-        labels: list[ProximityClass] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{p}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            pair_ids.append(row[0])
-            try:
-                distances.append(float(row[1]))
-                labels.append(ProximityClass(row[2]))
-                rows.append([float(c) for c in row[3:]])
-            except ValueError as e:
-                raise ValueError(f"{p}:{lineno}: bad cell ({e})") from e
-    matrix = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
-    dist = np.array(distances, dtype=np.float64)
+        lines, width = fh.readlines(), len(header)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # one structured field of ``width`` cells: a row of another width is an error
+            cells = np.loadtxt(
+                lines, dtype=[("row", np.float64, width)], delimiter=",", comments=None,
+                quotechar='"', encoding=None,
+                converters={0: pair_ids.append, 2: lambda s: labels.append(ProximityClass(s))},
+            )["row"].reshape(-1, width)
+    except ValueError as e:
+        _check_records(p, width)
+        raise ValueError(f"{p}: {e}") from e
+    if any(line in ("\n", "\r\n", "\r") for line in lines):
+        _check_records(p, width)  # passes when each blank line sits inside a quoted pair id
+    matrix = np.ascontiguousarray(cells[:, len(_META_COLUMNS):])
+    dist = cells[:, 1].copy()
     finite = np.isfinite(matrix).all(axis=1) & np.isfinite(dist)
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"{p}:{row + 2}: non-finite cell")
-    return FeatureTable(
-        names=names,
-        pair_ids=tuple(pair_ids),
-        distances=dist,
-        labels=tuple(labels),
-        matrix=matrix,
-    )
+    return FeatureTable(names=tuple(header[len(_META_COLUMNS):]), pair_ids=tuple(pair_ids),
+                        distances=dist, labels=tuple(labels), matrix=matrix)
+
+
+def _check_records(p: Path, width: int) -> None:
+    """Raise the error of the first record that ``read_feature_table`` rejects."""
+    with open_utf8(p, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise ValueError(f"{p}:{lineno}: expected {width} cells, got {len(row)}")
+            try:
+                ProximityClass(row[2])
+                for cell in (row[1], *row[3:]):
+                    # float() also takes "1_0" and non-ASCII digits; np.loadtxt does not
+                    if "_" in cell or not cell.strip().isascii():
+                        raise ValueError(f"could not convert string to float: {cell!r}")
+                    float(cell)
+            except ValueError as e:
+                raise ValueError(f"{p}:{lineno}: bad cell ({e})") from e

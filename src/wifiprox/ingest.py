@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .core import Burst, Fingerprint, FloorKey, bssid_from_int, normalize_bssid
+from .core import Burst, Fingerprint, FloorKey, bssid_from_int, normalize_bssid, open_utf8
 
 
 class ParseError(ValueError):
@@ -148,7 +148,7 @@ def load_canonical(path: str | Path) -> list[Fingerprint]:
     """
     out: list[Fingerprint] = []
     p = Path(path)
-    with open(p, encoding="utf-8") as fh:
+    with open_utf8(p) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -204,7 +204,7 @@ def load_wide_csv(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRep
         raise ManifestError(f"manifest {manifest.dataset_id!r} is not wide_csv")
     report = SkipReport()
     fps: list[Fingerprint] = []
-    with open(manifest.path, newline="", encoding="utf-8") as fh:
+    with open_utf8(manifest.path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -31,17 +31,22 @@ pair is Close when that score is at least ``DECISION_THRESHOLD``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .core import open_utf8
 
 SCHEMA_VERSION = 1
 #: feature columns each tree draws (all of them when the table is narrower)
 MAX_FEATURES = 3
 #: a pair is Close when at least this fraction of the trees votes Close
 DECISION_THRESHOLD = 0.5
+#: a tree's node arrays, by the name a model file stores each under, with their dtypes
+_NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+                "right": np.int32, "n_close": np.int64, "n_far": np.int64}
 
 
 def _recorded_config(n_trees: int) -> dict:
@@ -260,15 +265,8 @@ def train_tree(
     right[parents] = new_id[np.concatenate(rights)]
     n_close[leaf] = np.concatenate(leaf_closes)
     n_far[leaf] = np.concatenate(leaf_sizes) - n_close[leaf]
-    return Tree(
-        feature=feature,
-        threshold=threshold,
-        left=left,
-        right=right,
-        n_close=n_close,
-        n_far=n_far,
-        feature_subset=subset,
-    )
+    return Tree(feature=feature, threshold=threshold, left=left, right=right,
+                n_close=n_close, n_far=n_far, feature_subset=subset)
 
 
 def _depth_first_ids(
@@ -361,17 +359,8 @@ def train_ensemble(
         # grow on the k-column slice, then remap indices back to global
         local = train_tree(X[np.ix_(rows, subset)], y[rows], range(k))
         remap = np.concatenate([subset, [-1]]).astype(np.int32)
-        trees.append(
-            Tree(
-                feature=remap[local.feature],
-                threshold=local.threshold,
-                left=local.left,
-                right=local.right,
-                n_close=local.n_close,
-                n_far=local.n_far,
-                feature_subset=tuple(int(g) for g in subset),
-            )
-        )
+        trees.append(replace(local, feature=remap[local.feature],
+                             feature_subset=tuple(int(g) for g in subset)))
     return BaggedEnsemble(
         trees=tuple(trees),
         feature_names=tuple(feature_names),
@@ -394,15 +383,8 @@ def save_model(model: BaggedEnsemble, path: str | Path) -> None:
         "train_seed": model.train_seed,
         "class_balance": list(model.class_balance),
         "trees": [
-            {
-                "feature_subset": list(t.feature_subset),
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "n_close": t.n_close.tolist(),
-                "n_far": t.n_far.tolist(),
-            }
+            {"feature_subset": list(t.feature_subset),
+             **{name: getattr(t, name).tolist() for name in _NODE_ARRAYS}}
             for t in model.trees
         ],
     }
@@ -412,7 +394,7 @@ def save_model(model: BaggedEnsemble, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> BaggedEnsemble:
     p = Path(path)
-    with open(p, encoding="utf-8") as fh:
+    with open_utf8(p) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
@@ -426,15 +408,8 @@ def load_model(path: str | Path) -> BaggedEnsemble:
     try:
         recorded = doc["config"]
         trees = tuple(
-            Tree(
-                feature=np.asarray(t["feature"], dtype=np.int32),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int32),
-                right=np.asarray(t["right"], dtype=np.int32),
-                n_close=np.asarray(t["n_close"], dtype=np.int64),
-                n_far=np.asarray(t["n_far"], dtype=np.int64),
-                feature_subset=tuple(t["feature_subset"]),
-            )
+            Tree(**{name: np.asarray(t[name], dtype=d) for name, d in _NODE_ARRAYS.items()},
+                 feature_subset=tuple(t["feature_subset"]))
             for t in doc["trees"]
         )
         model = BaggedEnsemble(
@@ -469,7 +444,7 @@ def _tree_problem(tree: Tree, n_features: int) -> Optional[str]:
     range, and must split on a column of the tree's ``feature_subset``.
     """
     n = tree.feature.size
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.n_close, tree.n_far)
+    arrays = [getattr(tree, name) for name in _NODE_ARRAYS]
     if n == 0 or any(a.shape != (n,) for a in arrays):
         return "node arrays are empty or differ in length"
     if tree.feature.min() < -1 or tree.feature.max() >= n_features:

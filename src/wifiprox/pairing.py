@@ -16,7 +16,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .core import Fingerprint, FingerprintPair, FloorKey, ProximityClass
+from .core import Fingerprint, FingerprintPair, FloorKey, ProximityClass, open_utf8
 
 
 #: the fixed distance gates in meters: Close up to the first, Far between the others
@@ -134,7 +134,7 @@ def load_pairs(path: str | Path, fps: Sequence[Fingerprint]) -> list[Fingerprint
         raise ValueError("fingerprint ids are not unique; cannot resolve pairs")
     out: list[FingerprintPair] = []
     p = Path(path)
-    with open(p, encoding="utf-8") as fh:
+    with open_utf8(p) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from .core import open_utf8
 from .model import DECISION_THRESHOLD
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -256,7 +257,7 @@ def write_ranking(names: Sequence[str], path) -> None:
 def read_ranking(path) -> dict[str, int]:
     """Feature names in file order, each with its line; none or a repeat is an error."""
     line_of: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             name = line.strip()
             if name in line_of:
