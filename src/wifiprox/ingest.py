@@ -89,7 +89,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ManifestError(f"{p}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise ManifestError(f"{p}: manifest must be a JSON object")

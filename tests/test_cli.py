@@ -388,6 +388,22 @@ class TestExitCodes:
         assert f"error: {bad}: not valid UTF-8 (" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("kind", ["manifest", "wide-csv"])
+    def test_ingest_input_that_is_not_utf8_names_its_file(self, tmp_path, kind):
+        data = tmp_path / "survey.csv"
+        data.write_bytes(b"WAP001,LONGITUDE,LATITUDE\n-60,3.0,4.0\n"
+                         + (b"-6\xff,3.0,4.0\n" if kind == "wide-csv" else b""))
+        mf = tmp_path / "manifest.json"
+        mf.write_bytes(b'{"dataset_id": "x\xff", "format": "wide_csv", "path": "survey.csv"}'
+                       if kind == "manifest" else
+                       b'{"dataset_id": "x", "format": "wide_csv", "path": "survey.csv"}')
+        done = run_subprocess("ingest", "--manifest", mf, "--out", tmp_path / "out.jsonl")
+        bad, code, problem = ((mf, EXIT_CONFIG, "not valid JSON") if kind == "manifest"
+                              else (data, EXIT_VALIDATION, "not valid UTF-8"))
+        assert done.returncode == code, done.stderr
+        assert f"error: {bad}: {problem} (" in done.stderr
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("command", ["evaluate", "pr-curve"])
     def test_table_lacking_a_model_column_is_named(self, pipeline, tmp_path, capsys, command):
         table = features.read_feature_table(pipeline["features"])

@@ -1072,12 +1072,6 @@ class TestReaderAgainstOracle:
         _assert_same_table(got, read_feature_table_oracle(path))
         assert capsys.readouterr() == ("", "")
 
-    def test_real_table(self, rng, tmp_path):
-        _, table = _small_table(rng, n=4)
-        path = tmp_path / "t.csv"
-        write_feature_table(table, path)
-        _assert_same_table(read_feature_table(path), read_feature_table_oracle(path))
-
 
 def _table_lines(tmp_path, n=3):
     """A written 2-feature table's path and lines; the header is line 1."""
