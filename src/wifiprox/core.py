@@ -174,8 +174,9 @@ class FingerprintPair:
             raise ValueError("paired fingerprints must share a floor subset")
         if self.a.id == self.b.id:
             raise ValueError("cannot pair a fingerprint with itself")
-        if self.distance_m < 0:
-            raise ValueError("negative pair distance")
+        if not 0 <= self.distance_m < math.inf:
+            raise ValueError("negative pair distance" if self.distance_m < 0 else
+                             f"non-finite pair distance {self.distance_m}")
         key_a = (self.a.ap_count, self.a.id)
         key_b = (self.b.ap_count, self.b.id)
         if key_a > key_b:

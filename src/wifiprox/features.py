@@ -50,16 +50,14 @@ Kendall's tau-b is scipy's statistic, bit for bit:
 
 * up to ``KENDALL_SIGNS_MAX`` (64) entries it counts the signs of all pair
   differences;
-* longer vectors take scipy's integer counts (pairs, pairs tied in u, in v
-  and in both, discordant pairs) from the contingency table of the two
-  vectors' tie groups (Christensen 2005, *Comput. Stat.* 20:51), with the
-  discordant pairs from 2-D cumulative sums, and evaluate scipy's
-  expression ``(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie)`` clipped
-  to [-1, 1];
-* the table serves while it has at most ``KENDALL_TABLE_CELLS_PER_ENTRY``
-  (64) cells per entry and ``KENDALL_TABLE_MAX_CELLS`` (2**15) cells in all.
-  Only larger tables, mostly the pair-ratio vectors of pairs sharing dozens
-  of APs, go to ``scipy.stats.kendalltau`` itself.
+* longer vectors whose tie groups' contingency table (Christensen 2005,
+  *Comput. Stat.* 20:51) has at most ``KENDALL_TABLE_MAX_CELLS`` (2**15)
+  cells take scipy's integer counts (pairs, pairs tied in u, in v and in
+  both, discordant pairs from 2-D cumulative sums) from that table, and
+  evaluate scipy's expression ``(con - dis) / sqrt(tot - xtie) /
+  sqrt(tot - ytie)`` clipped to [-1, 1];
+* larger tables, mostly the pair-ratio vectors of pairs sharing dozens of
+  APs, go to ``scipy.stats.kendalltau`` itself.
 
 Fixed constants of the catalog:
 
@@ -196,15 +194,14 @@ def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, flo
 # and ``pairs`` of row indices; each pair (i, j) gives one result, for u[i]
 # against v[j].  Each row is centred, normed and ranked once however many
 # pairs read it.  Means, medians and standard deviations reduce along axis 1,
-# which gives the same bits as the 1-D calls on C-contiguous rows; dot
-# products and norms stay 1-D ``@``, because batched forms round differently.
+# which gives the same bits as the 1-D calls on C-contiguous rows.  Dot
+# products and norms stay 1-D ``@``: a stacked ``np.matmul`` keeps their bits
+# too, but is slower over the few rows of one pair.
 
 #: Kendall's tau-b counts pair signs directly up to this many entries
 KENDALL_SIGNS_MAX = 64
 #: beyond it, the contingency table of the two vectors' tie groups is used
-#: while it has at most this many cells per entry ...
-KENDALL_TABLE_CELLS_PER_ENTRY = 64
-#: ... and at most this many cells in all; larger tables go to scipy
+#: while it has at most this many cells; larger tables go to scipy
 KENDALL_TABLE_MAX_CELLS = 1 << 15
 
 
@@ -311,7 +308,7 @@ def _kendall(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.n
             # sums of -1, 0 and 1 are exact in any order
             denom = math.sqrt(float(nonzero_x[i]) * float(nonzero_y[j]))
             out[k] = float(sx[i] @ sy[j]) / denom
-        elif ku * kv <= min(KENDALL_TABLE_CELLS_PER_ENTRY * m, KENDALL_TABLE_MAX_CELLS):
+        elif ku * kv <= KENDALL_TABLE_MAX_CELLS:
             out[k] = _tau_b_from_table(ru, rv, i, j)
         else:
             tau = stats.kendalltau(ru.values[i], rv.values[j]).statistic

@@ -437,11 +437,11 @@ def load_model(path: str | Path) -> BaggedEnsemble:
 
 
 def _tree_problem(tree: Tree, n_features: int) -> Optional[str]:
-    """Why ``tree`` cannot be traversed safely, or None.
+    """Why ``tree`` cannot be traversed and voted safely, or None.
 
     Every internal node must send rows to children stored after itself and
-    inside the tree, so :meth:`Tree.apply` ends and never indexes out of
-    range, and must split on a column of the tree's ``feature_subset``.
+    inside the tree (so :meth:`Tree.apply` ends in range) and split on a
+    ``feature_subset`` column at a non-NaN threshold; no count is negative.
     """
     n = tree.feature.size
     arrays = [getattr(tree, name) for name in _NODE_ARRAYS]
@@ -452,6 +452,8 @@ def _tree_problem(tree: Tree, n_features: int) -> Optional[str]:
     node = np.nonzero(tree.feature >= 0)[0]
     if not np.isin(tree.feature[node], tree.feature_subset).all():
         return "split feature outside the tree's feature_subset"
+    if np.isnan(tree.threshold[node]).any() or min(tree.n_close.min(), tree.n_far.min()) < 0:
+        return "NaN split threshold or negative n_close/n_far"
     for child in (tree.left[node], tree.right[node]):
         if np.any(child <= node) or np.any(child >= n):
             return "child index not after its parent inside the tree"

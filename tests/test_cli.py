@@ -125,6 +125,20 @@ class TestExitCodes:
         assert f"error: {bad}:2: bad pair record (negative pair distance)\n" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_nan_pair_distance_is_validation_error(self, pipeline, tmp_path):
+        first, second = pipeline["pairs"].read_text().splitlines()[:2]
+        bad = tmp_path / "bad-pairs.jsonl"
+        bad.write_text(first + "\n" + json.dumps({**json.loads(second), "distance_m": float("nan")})
+                       + "\n")
+        out = tmp_path / "f.csv"
+        done = run_subprocess(
+            "featurize", "--pairs", bad, "--fingerprints", pipeline["site"], "--out", out,
+        )
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        assert f"error: {bad}:2: bad pair record (non-finite pair distance nan)\n" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
     def test_pairs_sampling_flag_gates(self, pipeline, tmp_path):
         out = tmp_path / "p.jsonl"
         assert run(
@@ -233,7 +247,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flaw",
         ["child-out-of-range", "feature-out-of-range", "split-outside-subset", "cycle",
-         "no-trees"],
+         "no-trees", "nan-threshold", "negative-n_close"],
     )
     def test_malformed_model_is_validation_error(self, pipeline, tmp_path, flaw):
         doc = json.loads(pipeline["model"].read_text())
@@ -249,6 +263,11 @@ class TestExitCodes:
         elif flaw == "cycle":  # the left child sends every row back to the root
             child = tree["left"][0]
             tree["left"][child] = tree["right"][child] = 0
+        elif flaw == "nan-threshold":  # every row would go right
+            tree["threshold"][0] = float("nan")
+        elif flaw == "negative-n_close":  # votes would count -5 Close rows
+            leaf = tree["feature"].index(-1)
+            tree["n_close"][leaf] = -5
         else:  # scores would be 0/0
             doc["trees"] = []
         bad = tmp_path / "bad-model.json"
@@ -260,6 +279,7 @@ class TestExitCodes:
         assert done.returncode == EXIT_VALIDATION, done.stderr
         assert f"{bad}: malformed model file (" in done.stderr
         assert "Traceback" not in done.stderr
+        assert not (tmp_path / "report.json").exists()
 
     def test_tree_count_disagreeing_with_config_is_validation_error(
         self, pipeline, tmp_path, capsys

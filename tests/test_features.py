@@ -279,10 +279,9 @@ def _with_groups(rng, m, ku, kv):
 _KENDALL_LONG_CASES = {
     "table-heavy-ties": _heavy_ties,
     "scipy-long-pair-ratios": _long_pair_ratios,
-    # 80 x 80 = 6400 cells = 64 per entry at m = 100 (the cap is inclusive)
-    "table-at-cells-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 80), "table"),
-    "scipy-past-cells-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 81), "scipy"),
-    # 128 x 256 = 2**15 cells, well under 64 per entry at m = 1000
+    # 80 x 81 = 6480 cells, past 64 per entry at m = 100: no cap per entry
+    "table-past-64-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 81), "table"),
+    # 128 x 256 = 2**15 cells at m = 1000 (the cap is inclusive)
     "table-at-cell-cap": lambda rng: (*_with_groups(rng, 1000, 128, 256), "table"),
     "scipy-past-cell-cap": lambda rng: (*_with_groups(rng, 1000, 129, 256), "scipy"),
     # one entry differs from 199 tied ones
@@ -345,6 +344,26 @@ class TestKernels:
         got = one_row(features._kendall, u, v)
         assert taken == {path: 1}
         assert got == expected
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @given(
+        st.integers(features.KENDALL_SIGNS_MAX + 1, 181),
+        st.one_of(st.integers(2, 8), st.integers(9, 181)),
+        st.one_of(st.integers(2, 8), st.integers(9, 181)),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(m=181, ku=181, kv=181, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_kendall_table_path_past_signs_equals_scipy(self, m, ku, kv, seed):
+        # 2..8 groups tie heavily, ku >= m leaves every entry distinct; even
+        # then 181 x 181 = 32761 cells <= 2**15, so scipy is never reached
+        assert 181 * 181 <= features.KENDALL_TABLE_MAX_CELLS
+        u, v = _with_groups(np.random.default_rng(seed), m, min(ku, m), min(kv, m))
+        expected = stats.kendalltau(u, v).statistic
+        with pytest.MonkeyPatch.context() as mp:
+            taken = _count_kendall_paths(mp)
+            got = one_row(features._kendall, u, v)
+        assert taken == {"table": 1}
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_kendall_path_consistency_at_boundary(self, rng):

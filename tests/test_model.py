@@ -475,6 +475,31 @@ class TestPersistence:
         )):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value, loads", [
+        ("threshold", math.inf, True), ("threshold", -math.inf, True),
+        ("threshold", math.nan, False), ("n_far", -5, False),
+    ], ids=["inf-threshold", "-inf-threshold", "nan-threshold", "negative-n_far"])
+    def test_load_checks_thresholds_and_leaf_counts(self, rng, tmp_path, field, value, loads):
+        # training on data holding -inf can write an infinite threshold; a
+        # NaN one would send every row right, a negative count skew votes
+        m, _ = self._model(rng, n=1)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        tree = doc["trees"][0]
+        node = 0 if field == "threshold" else tree["feature"].index(-1)
+        assert (tree["feature"][node] >= 0) == (field == "threshold")
+        tree[field][node] = value
+        path.write_text(json.dumps(doc))
+        if loads:
+            assert getattr(load_model(path).trees[0], field)[node] == value
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed model file (tree 0: NaN split threshold or negative "
+                "n_close/n_far)"
+            )):
+                load_model(path)
+
     def test_rejects_missing_fields(self, rng, tmp_path):
         m, _ = self._model(rng, n=1)
         path = tmp_path / "m.json"

@@ -215,9 +215,12 @@ class TestPersistence:
 
     @pytest.mark.parametrize("record, reason", [
         ('{"a":"f0","b":"f1","distance_m":-1.0,"label":"Close"}', "negative pair distance"),
+        ('{"a":"f0","b":"f1","distance_m":NaN,"label":"Close"}', "non-finite pair distance nan"),
+        ('{"a":"f0","b":"f1","distance_m":Infinity,"label":"Close"}',
+         "non-finite pair distance inf"),
         ('{"a":"f0","b":"f0","distance_m":0.0,"label":"Close"}',
          "cannot pair a fingerprint with itself"),
-    ], ids=["negative-distance", "self-pair"])
+    ], ids=["negative-distance", "nan-distance", "inf-distance", "self-pair"])
     def test_rejected_pair_reports_line(self, tmp_path, record, reason):
         path = tmp_path / "pairs.jsonl"
         path.write_text('{"a":"f0","b":"f1","distance_m":1.0,"label":"Close"}\n' + record + "\n")
