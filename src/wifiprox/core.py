@@ -159,9 +159,10 @@ class Burst:
 class FingerprintPair:
     """Two same-floor fingerprints with ground-truth distance and label.
 
-    Pairs are canonically ordered: the fingerprint with fewer detected APs
-    comes first, ties broken by id ascending.  This makes every downstream
-    feature invariant under argument swap.
+    A pair puts itself in canonical order, however it is built: the
+    fingerprint with fewer detected APs comes first, ties broken by id
+    ascending.  This makes every downstream feature invariant under
+    argument swap.
     """
 
     a: Fingerprint
@@ -177,12 +178,10 @@ class FingerprintPair:
         if not 0 <= self.distance_m < math.inf:
             raise ValueError("negative pair distance" if self.distance_m < 0 else
                              f"non-finite pair distance {self.distance_m}")
-        key_a = (self.a.ap_count, self.a.id)
-        key_b = (self.b.ap_count, self.b.id)
-        if key_a > key_b:
-            raise ValueError(
-                "pair not canonically ordered (fewer-AP fingerprint must come first)"
-            )
+        if (self.b.ap_count, self.b.id) < (self.a.ap_count, self.a.id):
+            a = self.b
+            object.__setattr__(self, "b", self.a)
+            object.__setattr__(self, "a", a)
 
     @property
     def key(self) -> tuple[str, str]:

@@ -143,10 +143,12 @@ def _fingerprint_from_record(rec: dict, where: str) -> Fingerprint:
 def load_canonical(path: str | Path) -> list[Fingerprint]:
     """Load a canonical JSONL fingerprint file.
 
-    Any malformed line or invariant violation raises :class:`ParseError`
-    naming the offending line; an empty file yields an empty list.
+    Any malformed line, invariant violation or repeated fingerprint id raises
+    :class:`ParseError` naming the offending line; an empty file yields an
+    empty list.
     """
     out: list[Fingerprint] = []
+    line_of: dict[str, int] = {}
     p = Path(path)
     with open_utf8(p) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -156,7 +158,10 @@ def load_canonical(path: str | Path) -> list[Fingerprint]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{p}:{lineno}: malformed JSON ({e})") from e
-            out.append(_fingerprint_from_record(rec, f"{p}:{lineno}"))
+            fp = _fingerprint_from_record(rec, f"{p}:{lineno}")
+            if line_of.setdefault(fp.id, lineno) != lineno:
+                raise ParseError(f"{p}:{lineno}: repeats id {fp.id!r} from line {line_of[fp.id]}")
+            out.append(fp)
     return out
 
 

@@ -49,13 +49,8 @@ def pair_distance(a: Fingerprint, b: Fingerprint) -> float:
     return math.dist(a.position, b.position)
 
 
-def make_pair(
-    a: Fingerprint, b: Fingerprint, distance_m: float, label: ProximityClass
-) -> FingerprintPair:
-    """Build a canonically ordered pair: fewer detected APs first, ties by id."""
-    if (b.ap_count, b.id) < (a.ap_count, a.id):
-        a, b = b, a
-    return FingerprintPair(a=a, b=b, distance_m=distance_m, label=label)
+#: the pair constructor, which orders the two fingerprints itself
+make_pair = FingerprintPair
 
 
 def enumerate_pairs(fps: Sequence[Fingerprint]) -> list[FingerprintPair]:
@@ -79,7 +74,7 @@ def enumerate_pairs(fps: Sequence[Fingerprint]) -> list[FingerprintPair]:
             label = gates.classify(d)
             if label is None:
                 continue
-            pairs.append(make_pair(a, b, d, label))
+            pairs.append(FingerprintPair(a, b, d, label))
     return pairs
 
 
@@ -143,7 +138,7 @@ def load_pairs(path: str | Path, fps: Sequence[Fingerprint]) -> list[Fingerprint
                 a = by_id[rec["a"]]
                 b = by_id[rec["b"]]
                 label = ProximityClass(rec["label"])
-                out.append(make_pair(a, b, float(rec["distance_m"]), label))
+                out.append(FingerprintPair(a, b, float(rec["distance_m"]), label))
             except KeyError as e:
                 raise ValueError(f"{p}:{lineno}: unresolved reference or field {e}") from e
             except (TypeError, ValueError) as e:

@@ -424,6 +424,50 @@ class TestExitCodes:
         assert f"error: {bad}: {problem} (" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("command", ["train", "select", "evaluate"])
+    def test_feature_table_repeating_a_column_name_is_rejected(
+        self, pipeline, tmp_path, capsys, command
+    ):
+        # column 5 renamed to column 4's name: a tree grown on one would be scored on the other
+        lines = pipeline["features"].read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[3] == "ap.shared_count.none"
+        header[4] = header[3]
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("\n".join([",".join(header), *lines[1:]]) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "train": ("--model-out", out, "--seed", 1, "--trees", 2),
+            "select": ("--top-k", 3, "--out", out),
+            "evaluate": ("--model", pipeline["model"], "--report-out", out),
+        }[command]
+        capsys.readouterr()
+        assert run(command, "--features", bad, *argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {bad}:1: repeats 'ap.shared_count.none' from column 4\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "pairs"])
+    def test_site_repeating_a_fingerprint_id_is_rejected(self, pipeline, tmp_path, command):
+        lines = pipeline["site"].read_text().splitlines()
+        bad = tmp_path / "repeated.jsonl"
+        bad.write_text("\n".join([*lines, lines[0]]) + "\n")
+        mf = tmp_path / "manifest.json"
+        mf.write_text(json.dumps({"dataset_id": "tiny", "format": "canonical_jsonl",
+                                  "path": str(bad)}))
+        out = tmp_path / "out.jsonl"
+        argv = {
+            "ingest": ("ingest", "--manifest", mf, "--out", out),
+            "pairs": ("pairs", "--in", bad, "--out", out),
+        }[command]
+        done = run_subprocess(*argv)
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        fp_id = json.loads(lines[0])["id"]
+        assert (f"error: {bad}:{len(lines) + 1}: repeats id {fp_id!r} from line 1\n"
+                in done.stderr)
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "pr-curve"])
     def test_table_lacking_a_model_column_is_named(self, pipeline, tmp_path, capsys, command):
         table = features.read_feature_table(pipeline["features"])

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -193,14 +195,42 @@ class TestBurst:
             Burst(burst_id="b", scans=(a, b), position=a.position, device_model=a.device_model)
 
 
+# two same-floor fingerprints: distinct ids of 1-3 characters (so "b" < "ba"
+# and equal AP counts both come up) with 0-4 readings each
+_pair_fps = st.tuples(
+    st.lists(st.text("ab", min_size=1, max_size=3), min_size=2, max_size=2, unique=True),
+    st.integers(0, 4),
+    st.integers(0, 4),
+).map(lambda t: tuple(
+    make_fp(id=fp_id, readings={bss(k): -50.0 - k for k in range(1, n + 1)})
+    for fp_id, n in zip(t[0], t[1:])
+))
+
+
 class TestPair:
     def test_canonical_order_enforced(self):
         small = make_fp(id="s", readings={bss(1): -50.0})
         big = make_fp(id="b", readings={bss(1): -50.0, bss(2): -60.0}, position=(1.0, 0.0))
-        with pytest.raises(ValueError):
-            FingerprintPair(a=big, b=small, distance_m=1.0, label=ProximityClass.CLOSE)
+        swapped = FingerprintPair(a=big, b=small, distance_m=1.0, label=ProximityClass.CLOSE)
+        assert swapped.a is small and swapped.b is big
         ok = FingerprintPair(a=small, b=big, distance_m=1.0, label=ProximityClass.CLOSE)
-        assert ok.key == ("s", "b")
+        assert ok == swapped and ok.key == ("s", "b")
+
+    @settings(max_examples=300, deadline=None)
+    @given(fps=_pair_fps, distance=st.floats(0.0, 30.0), label=st.sampled_from(ProximityClass))
+    def test_construction_is_canonical_either_way(self, fps, distance, label):
+        x, y = fps
+        forward = FingerprintPair(x, y, distance, label)
+        assert forward == FingerprintPair(y, x, distance, label)
+        first = min(fps, key=lambda fp: (fp.ap_count, fp.id))
+        assert forward.a is first and forward.b is (y if first is x else x)
+
+    def test_replace_and_pickle_keep_the_order(self):
+        small = make_fp(id="z", readings={bss(1): -50.0})
+        big = make_fp(id="a", position=(1.0, 0.0))
+        pair = FingerprintPair(small, big, 1.0, ProximityClass.CLOSE)
+        assert dataclasses.replace(pair, a=big, b=small).key == ("z", "a")
+        assert pickle.loads(pickle.dumps(pair)).key == ("z", "a")
 
     def test_cross_floor_rejected(self):
         a = make_fp(id="a", floor=("ds", "0", "0"))

@@ -1,7 +1,11 @@
 """Lint guards: no module under src/wifiprox imports a name it never uses, and
-only ``features.py`` imports scipy."""
+only ``features.py`` imports scipy, on the first Kendall table too large for
+its own count."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +99,38 @@ def test_import_scan_sees_nested_and_dotted_imports():
         "    import os.path\n"
     )
     assert imported_modules(source) == {"numpy", "scipy", "os"}
+
+
+_SCIPY_ON_DEMAND = """
+import sys
+import numpy as np
+import wifiprox.cli
+from wifiprox.core import Fingerprint, ProximityClass, bssid_from_int
+from wifiprox.features import extract
+from wifiprox.pairing import make_pair
+
+def pair(n_aps):
+    rng = np.random.default_rng(n_aps)
+    a, b = (Fingerprint(id=i, readings={bssid_from_int(k): float(rng.integers(-95, -30))
+                                        for k in range(n_aps)},
+                        position=(0.0, 0.0), floor_key=("ds", "0", "0"), device_model="d")
+            for i in "ab")
+    return make_pair(a, b, 1.0, ProximityClass.CLOSE)
+
+print("scipy.stats" in sys.modules)
+extract(pair(12))
+print("scipy.stats" in sys.modules)
+extract(pair(60))
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_scipy_loads_on_the_first_large_kendall_table():
+    # 12 shared APs keep every tie-group table small (a low-density pair);
+    # 60 give pair-ratio vectors of 3,540 entries, whose table is far past 2**15 cells
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _SCIPY_ON_DEMAND], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "True"]

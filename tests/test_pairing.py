@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from wifiprox.core import ProximityClass
+from wifiprox.core import FingerprintPair, ProximityClass
 from wifiprox.pairing import (
     CLOSE_MAX_M,
     FAR_MAX_M,
@@ -56,6 +56,9 @@ class TestDistanceAndOrder:
         b = make_fp(id="b", floor=("ds", "0", "1"))
         with pytest.raises(ValueError, match="across floors"):
             pair_distance(a, b)
+
+    def test_make_pair_is_the_pair_constructor(self):
+        assert make_pair is FingerprintPair
 
     def test_make_pair_puts_fewer_aps_first(self):
         small = make_fp(id="z-small", readings={bss(1): -50.0})
