@@ -111,12 +111,7 @@ def _require_exists(path: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    overrides = dict(
-        n_clusters=args.clusters,
-        positions_per_cluster=args.positions_per_cluster,
-        devices_per_position=args.devices_per_position,
-        bursts=args.bursts,
-    )
+    overrides = dict(n_clusters=args.clusters, bursts=args.bursts)
     if args.ap_count is not None:
         overrides["ap_count"] = args.ap_count
     if args.density is not None:
@@ -300,13 +295,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scoring_inputs(command: str, config: dict, args: argparse.Namespace):
+def _scoring_inputs(command: str, args: argparse.Namespace):
     """Print the header, then load ``--model`` and the ``--features`` table it scores.
 
-    The table must hold every column the model reads.
+    The table must hold every column the model reads; the command takes no settings.
     """
     doc = _print_header(
-        command, None, config, [_require_exists(args.model), _require_exists(args.features)]
+        command, None, {}, [_require_exists(args.model), _require_exists(args.features)]
     )
     trained = model.load_model(args.model)
     table = features.read_feature_table(args.features)
@@ -317,15 +312,8 @@ def _scoring_inputs(command: str, config: dict, args: argparse.Namespace):
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    doc, trained, table = _scoring_inputs("evaluate", {"with_pr_curve": args.with_pr_curve}, args)
-    if args.with_pr_curve:  # one scoring pass for the report and the curve
-        scores, is_close = selection_metrics.table_scores(trained, table)
-        report = dataclasses.replace(
-            selection_metrics.report_from_scores(scores, is_close),
-            pr_curve=selection_metrics.pr_points_from_scores(scores, is_close),
-        )
-    else:
-        report = selection_metrics.evaluate(trained, table)
+    doc, trained, table = _scoring_inputs("evaluate", args)
+    report = selection_metrics.evaluate(trained, table)
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     _write_meta(args.report_out, doc)
@@ -334,9 +322,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_pr_curve(args: argparse.Namespace) -> int:
-    doc, trained, table = _scoring_inputs("pr-curve", {"n_thresholds": args.n_thresholds}, args)
+    doc, trained, table = _scoring_inputs("pr-curve", args)
     curve = selection_metrics.pr_points_from_scores(
-        *selection_metrics.table_scores(trained, table), n_thresholds=args.n_thresholds
+        *selection_metrics.table_scores(trained, table)
     )
     selection_metrics.write_pr_points(curve, args.out)
     _write_meta(args.out, doc)
@@ -364,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use a bundled environment preset")
     p.add_argument("--ap-count", type=_int_at_least(1))
     p.add_argument("--clusters", type=_int_at_least(1), default=70)
-    p.add_argument("--positions-per-cluster", type=_int_at_least(1), default=5)
-    p.add_argument("--devices-per-position", type=_int_at_least(1), default=2)
     p.add_argument("--bursts", action="store_true", help="emit 9-scan bursts")
     p.set_defaults(func=cmd_synth)
 
@@ -419,14 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--report-out", type=Path, required=True)
-    p.add_argument("--with-pr-curve", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pr-curve", help="write precision-recall points")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n-thresholds", type=_int_at_least(2))
     p.set_defaults(func=cmd_pr_curve)
 
     return parser

@@ -407,6 +407,18 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         )
     try:
         recorded = doc["config"]
+        names, seed, balance = doc["feature_names"], doc["train_seed"], doc["class_balance"]
+        # as saved: 1.7 or "7" does not pass for a seed, nor true for 1
+        if type(seed) is not int:
+            raise ValueError(f"train_seed {seed!r} is not an integer")
+        if not (isinstance(balance, list) and len(balance) == 2
+                and all(type(n) is int and n >= 0 for n in balance)):
+            raise ValueError(f"class_balance {balance!r} is not two non-negative integers")
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError("feature_names is not a list of strings")
+        if len(set(names)) != len(names):
+            repeated = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"feature_names repeats {repeated!r}")
         trees = tuple(
             Tree(**{name: np.asarray(t[name], dtype=d) for name, d in _NODE_ARRAYS.items()},
                  feature_subset=tuple(t["feature_subset"]))
@@ -414,9 +426,9 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         )
         model = BaggedEnsemble(
             trees=trees,
-            feature_names=tuple(doc["feature_names"]),
-            train_seed=int(doc["train_seed"]),
-            class_balance=tuple(doc["class_balance"]),  # type: ignore[arg-type]
+            feature_names=tuple(names),
+            train_seed=seed,
+            class_balance=tuple(balance),  # type: ignore[arg-type]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{p}: malformed model file ({e})") from e

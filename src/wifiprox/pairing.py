@@ -123,10 +123,14 @@ def save_pairs(pairs: Iterable[FingerprintPair], path: str | Path) -> None:
 
 
 def load_pairs(path: str | Path, fps: Sequence[Fingerprint]) -> list[FingerprintPair]:
-    """Resolve a persisted pair file against a fingerprint collection."""
+    """Resolve a persisted pair file against a fingerprint collection.
+
+    Each record's label must be the one the fixed gates give its distance.
+    """
     by_id = {fp.id: fp for fp in fps}
     if len(by_id) != len(fps):
         raise ValueError("fingerprint ids are not unique; cannot resolve pairs")
+    gates = PairingConfig()
     out: list[FingerprintPair] = []
     p = Path(path)
     with open_utf8(p) as fh:
@@ -138,7 +142,14 @@ def load_pairs(path: str | Path, fps: Sequence[Fingerprint]) -> list[Fingerprint
                 a = by_id[rec["a"]]
                 b = by_id[rec["b"]]
                 label = ProximityClass(rec["label"])
-                out.append(FingerprintPair(a, b, float(rec["distance_m"]), label))
+                pair = FingerprintPair(a, b, float(rec["distance_m"]), label)
+                gated = gates.classify(pair.distance_m)
+                if gated is not label:
+                    raise ValueError(
+                        f"{label.value} at {pair.distance_m} m, where the gates give "
+                        f"{gated.value if gated else 'no label'}"
+                    )
+                out.append(pair)
             except KeyError as e:
                 raise ValueError(f"{p}:{lineno}: unresolved reference or field {e}") from e
             except (TypeError, ValueError) as e:

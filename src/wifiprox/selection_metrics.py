@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -42,14 +42,13 @@ class EvalReport:
     tpr: float
     tnr: float
     balanced_accuracy: float
-    pr_curve: tuple[tuple[float, float, float], ...] = ()
 
     @property
     def n_pairs(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "tp": self.tp,
             "tn": self.tn,
             "fp": self.fp,
@@ -59,9 +58,6 @@ class EvalReport:
             "balanced_accuracy": self.balanced_accuracy,
             "threshold": DECISION_THRESHOLD,
         }
-        if self.pr_curve:
-            d["pr_curve"] = [list(p) for p in self.pr_curve]
-        return d
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -117,16 +113,13 @@ def evaluate(model: "BaggedEnsemble", table: "FeatureTable") -> EvalReport:
 
 
 def pr_points_from_scores(
-    scores: np.ndarray,
-    is_close: np.ndarray,
-    n_thresholds: Optional[int] = None,
+    scores: np.ndarray, is_close: np.ndarray
 ) -> tuple[tuple[float, float, float], ...]:
     """(threshold, precision, recall) points, thresholds ascending.
 
     Thresholds sweep every distinct score plus 0 and 1, with one extra
     sentinel just above the maximum so the curve reaches the zero-prediction
-    end; precision there is defined as 1.0.  ``n_thresholds`` optionally
-    subsamples the sweep (endpoints always kept).
+    end; precision there is defined as 1.0.
     """
     scores = np.asarray(scores, dtype=np.float64)
     is_close = np.asarray(is_close, dtype=bool)
@@ -136,14 +129,6 @@ def pr_points_from_scores(
         raise ValueError("PR curve needs both classes present")
     grid = sorted(set(scores.tolist()) | {0.0, 1.0})
     grid.append(math.nextafter(grid[-1], math.inf))
-    if n_thresholds is not None:
-        if n_thresholds < 2:
-            raise ValueError("n_thresholds must be >= 2")
-        if len(grid) > n_thresholds:
-            pick = np.unique(
-                np.linspace(0, len(grid) - 1, n_thresholds).round().astype(int)
-            )
-            grid = [grid[i] for i in pick]
     # rows scoring >= thr, per class: those at or after thr's left insertion point
     pos, neg = np.sort(scores[is_close]), np.sort(scores[~is_close])
     tps = (len(pos) - np.searchsorted(pos, grid)).tolist()

@@ -25,6 +25,10 @@ from .core import Fingerprint, bssid_from_int
 
 #: survey positions are uniform over a disk of this radius around each cluster center
 CLUSTER_RADIUS_M = 1.0
+#: survey positions in each cluster
+POSITIONS_PER_CLUSTER = 5
+#: devices scanning at each survey position
+DEVICES_PER_POSITION = 2
 #: scans in one burst (with ``bursts``)
 SCANS_PER_BURST = 9
 #: standard deviation of each AP's transmit power around ``tx_power_dbm``
@@ -109,8 +113,6 @@ class SiteConfig:
     area_w_m: float = 40.0
     area_h_m: float = 25.0
     n_clusters: int = 70
-    positions_per_cluster: int = 5
-    devices_per_position: int = 2
     bursts: bool = False
     tx_power_dbm: float = -40.0
     path_loss_exponent: float = 3.0
@@ -121,8 +123,7 @@ class SiteConfig:
     def __post_init__(self) -> None:
         if not self.site_id:
             raise ValueError("site_id must be nonempty")
-        if min(self.ap_count, self.n_clusters, self.positions_per_cluster,
-               self.devices_per_position) < 1:
+        if min(self.ap_count, self.n_clusters) < 1:
             raise ValueError("counts must all be >= 1")
         if min(self.area_w_m, self.area_h_m) <= 2 * CLUSTER_RADIUS_M:
             raise ValueError("area too small for the cluster radius")
@@ -163,7 +164,7 @@ def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
     pool = cfg.device_pool
     out: list[Fingerprint] = []
     for ci in range(cfg.n_clusters):
-        for pi in range(cfg.positions_per_cluster):
+        for pi in range(POSITIONS_PER_CLUSTER):
             # uniform over the cluster disk
             rad = r * math.sqrt(rng.uniform())
             ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -173,7 +174,7 @@ def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
             )
             dist = np.hypot(ap_xy[:, 0] - pos[0], ap_xy[:, 1] - pos[1])
             true_rssi = path_loss_rssi(dist, ap_tx, cfg.path_loss_exponent)
-            for di in range(cfg.devices_per_position):
+            for di in range(DEVICES_PER_POSITION):
                 model, gain, offset = pool[int(rng.integers(len(pool)))]
                 stem = f"{cfg.site_id}:c{ci:03d}p{pi}d{di}"
                 n_scans = SCANS_PER_BURST if cfg.bursts else 1

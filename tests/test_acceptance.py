@@ -423,10 +423,8 @@ def _run_reduced_pipeline(d: Path) -> list[Path]:
     _run("select", "--features", feats, "--top-k", 10, "--out", ranking)
     _run("train", "--features", feats, "--feature-list", ranking,
          "--model-out", model, "--seed", 42, "--trees", 60)
-    _run("evaluate", "--model", model, "--features", feats,
-         "--report-out", report, "--with-pr-curve")
-    _run("pr-curve", "--model", model, "--features", feats, "--out", pr,
-         "--n-thresholds", 40)
+    _run("evaluate", "--model", model, "--features", feats, "--report-out", report)
+    _run("pr-curve", "--model", model, "--features", feats, "--out", pr)
     artifacts = [fps, prs, feats, ranking, model, report, pr]
     return artifacts + [Path(str(p) + ".meta.json") for p in artifacts]
 

@@ -15,6 +15,8 @@ from wifiprox.core import ProximityClass
 
 from conftest import bss, make_fp
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -40,8 +42,7 @@ def pipeline(tmp_path_factory):
     mdl = d / "model.json"
     assert run(
         "synth", "--out", site, "--seed", 2024, "--site-id", "tiny",
-        "--ap-count", 10, "--clusters", 5, "--positions-per-cluster", 3,
-        "--devices-per-position", 2,
+        "--ap-count", 10, "--clusters", 3,
     ) == EXIT_OK
     assert run(
         "pairs", "--in", site, "--out", pairs,
@@ -168,8 +169,7 @@ class TestExitCodes:
         if not site.exists():
             assert run(
                 "synth", "--out", site, "--seed", 3, "--site-id", "b", "--ap-count", 10,
-                "--clusters", 2, "--positions-per-cluster", 2, "--devices-per-position", 1,
-                "--bursts",
+                "--clusters", 1, "--bursts",
             ) == EXIT_OK
         out = tmp_path_factory.mktemp("out")
         flags = [out / f if isinstance(f, str) and f.endswith(".jsonl") else f for f in flags]
@@ -207,11 +207,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag, value", [
         ("synth", "--ap-count", 0),
         ("synth", "--clusters", 0),
-        ("synth", "--positions-per-cluster", 0),
-        ("synth", "--devices-per-position", 0),
         ("select", "--top-k", 0),
         ("train", "--trees", 0),
-        ("pr-curve", "--n-thresholds", 1),
         ("featurize", "--workers", 0),
         ("featurize", "--workers", -1),
         ("pairs", "--n-close", -1),
@@ -230,8 +227,6 @@ class TestExitCodes:
                        "--out", tmp_path / "r.txt"],
             "train": ["--features", pipeline["features"], "--model-out", tmp_path / "m.json",
                       "--seed", 1],
-            "pr-curve": ["--model", pipeline["model"], "--features", pipeline["features"],
-                         "--out", tmp_path / "pr.txt"],
             "featurize": ["--pairs", pipeline["pairs"], "--fingerprints", pipeline["site"],
                           "--out", tmp_path / "f.csv"],
         }[command]
@@ -240,8 +235,7 @@ class TestExitCodes:
             valid += [partner, 2 if value < 0 else value]
         assert run(command, flag, value, *valid) == EXIT_CONFIG
         captured = capsys.readouterr()
-        minimum = 2 if flag == "--n-thresholds" else 1
-        assert f"argument {flag}: must be >= {minimum}, got {value}" in captured.err
+        assert f"argument {flag}: must be >= 1, got {value}" in captured.err
         assert captured.out == ""  # rejected before the header
 
     @pytest.mark.parametrize(
@@ -338,8 +332,7 @@ class TestExitCodes:
         site = tmp_path / "bursts.jsonl"
         assert run(
             "synth", "--out", site, "--seed", 3, "--site-id", "b", "--ap-count", 10,
-            "--clusters", 2, "--positions-per-cluster", 2, "--devices-per-position", 1,
-            "--bursts",
+            "--clusters", 1, "--bursts",
         ) == EXIT_OK
         out = tmp_path / "out"
         out.mkdir()
@@ -490,7 +483,7 @@ class TestFlags:
     #: every flag of every subcommand; adding one is a deliberate edit here
     FLAGS = {
         "synth": ["--out", "--seed", "--site-id", "--density", "--ap-count", "--clusters",
-                  "--positions-per-cluster", "--devices-per-position", "--bursts"],
+                  "--bursts"],
         "ingest": ["--manifest", "--out"],
         "pairs": ["--in", "--out", "--sub-bursts", "--pseudo-out", "--n-close", "--n-far",
                   "--seed", "--remainder-out"],
@@ -498,24 +491,68 @@ class TestFlags:
         "select": ["--features", "--top-k", "--out"],
         "train": ["--features", "--model-out", "--seed", "--trees", "--n-close", "--n-far",
                   "--feature-list"],
-        "evaluate": ["--model", "--features", "--report-out", "--with-pr-curve"],
-        "pr-curve": ["--model", "--features", "--out", "--n-thresholds"],
+        "evaluate": ["--model", "--features", "--report-out"],
+        "pr-curve": ["--model", "--features", "--out"],
     }
 
-    def test_flag_inventory(self):
+    @staticmethod
+    def parser_flags() -> dict[str, list[str]]:
         sub = next(
             a for a in cli.build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        found = {
+        return {
             name: [
                 a.option_strings[0] for a in parser._actions
                 if a.option_strings and not isinstance(a, argparse._HelpAction)
             ]
             for name, parser in sub.choices.items()
         }
+
+    def test_flag_inventory(self):
+        found = self.parser_flags()
         assert found == self.FLAGS
-        assert sum(len(flags) for flags in found.values()) == 41
+        assert sum(len(flags) for flags in found.values()) == 37
+
+    @pytest.mark.parametrize("doc, prompt, commands", [
+        ("experiments/run_density_experiments.sh", '"$WIFIPROX" ',
+         {"synth", "pairs", "featurize", "train", "evaluate", "pr-curve"}),
+        ("README.md", "wifiprox ", set(FLAGS)),
+    ], ids=["experiments-script", "readme"])
+    def test_documented_commands_pass_existing_flags(self, doc, prompt, commands):
+        # removing a flag must not leave the paper's reproduction script behind
+        text = (REPO / doc).read_text(encoding="utf-8").replace("\\\n", " ")
+        used: dict[str, set[str]] = {}
+        for line in text.splitlines():
+            if line.strip().startswith(prompt):
+                command, *words = line.strip()[len(prompt):].split()
+                used.setdefault(command, set()).update(w for w in words if w.startswith("--"))
+        assert set(used) == commands
+        flags = self.parser_flags()
+        for command, passed in used.items():
+            assert passed <= set(flags[command]), (doc, command, passed - set(flags[command]))
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--positions-per-cluster", "5"),
+        ("synth", "--devices-per-position", "2"),
+        ("evaluate", "--with-pr-curve", None),
+        ("pr-curve", "--n-thresholds", "40"),
+    ])
+    def test_removed_flag_is_config_error(
+        self, pipeline, tmp_path, capsys, command, flag, value
+    ):
+        valid = {
+            "synth": ["--out", tmp_path / "s.jsonl", "--seed", 1, "--site-id", "s",
+                      "--ap-count", 10],
+            "evaluate": ["--model", pipeline["model"], "--features", pipeline["features"],
+                         "--report-out", tmp_path / "r.json"],
+            "pr-curve": ["--model", pipeline["model"], "--features", pipeline["features"],
+                         "--out", tmp_path / "pr.txt"],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *valid, flag, *([] if value is None else [value])) == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestArtifacts:
@@ -617,18 +654,10 @@ class TestArtifacts:
         ) == EXIT_OK
         assert "balanced accuracy" in capsys.readouterr().out
         doc = json.loads(report.read_text())
-        assert set(doc) >= {"tp", "tn", "fp", "fn", "tpr", "tnr", "balanced_accuracy"}
+        # the report holds no precision-recall curve; `pr-curve` writes that
+        assert set(doc) == {"tp", "tn", "fp", "fn", "tpr", "tnr", "balanced_accuracy",
+                            "threshold"}
         assert doc["tp"] + doc["tn"] + doc["fp"] + doc["fn"] == 30
-
-    def test_evaluate_with_pr_curve_embeds_points(self, pipeline, tmp_path):
-        report = tmp_path / "report.json"
-        assert run(
-            "evaluate", "--model", pipeline["model"],
-            "--features", pipeline["features"], "--report-out", report,
-            "--with-pr-curve",
-        ) == EXIT_OK
-        doc = json.loads(report.read_text())
-        assert len(doc["pr_curve"]) >= 3
 
     def test_pr_curve_file(self, pipeline, tmp_path, capsys):
         out = tmp_path / "pr.txt"
@@ -640,6 +669,10 @@ class TestArtifacts:
         assert lines[0] == "# recall precision"
         printed = capsys.readouterr().out
         assert f"points={len(lines) - 1}" in printed
+        # every threshold: each distinct score, 0, 1 and one just above the top
+        scores = model.load_model(pipeline["model"]).predict_scores(
+            features.read_feature_table(pipeline["features"]).matrix)
+        assert len(lines) - 1 == len(set(scores.tolist()) | {0.0, 1.0}) + 1
 
     def test_select_then_train_on_feature_list(self, pipeline, tmp_path, capsys):
         ranking = tmp_path / "top.txt"
@@ -736,8 +769,7 @@ class TestSubBursts:
         site = tmp_path / "bursts.jsonl"
         assert run(
             "synth", "--out", site, "--seed", 11, "--site-id", "b",
-            "--ap-count", 10, "--clusters", 3, "--positions-per-cluster", 2,
-            "--devices-per-position", 1, "--bursts",
+            "--ap-count", 10, "--clusters", 1, "--bursts",
         ) == EXIT_OK
         pseudo = tmp_path / "pseudo.jsonl"
         out = tmp_path / "pairs.jsonl"
@@ -746,9 +778,9 @@ class TestSubBursts:
             "--pseudo-out", pseudo,
         ) == EXIT_OK
         printed = capsys.readouterr().out
-        assert "bursts=6 " in printed
+        assert "bursts=10 " in printed  # 5 positions x 2 devices
         pseudos = ingest.load_canonical(pseudo)
-        assert len(pseudos) == 12  # two 4-scan halves per 9-scan burst
+        assert len(pseudos) == 20  # two 4-scan halves per 9-scan burst
         assert all(":sub" in fp.id for fp in pseudos)
         pairs = pairing.load_pairs(out, pseudos)
         assert pairs  # the two halves of each burst pair up as Close at least
@@ -761,8 +793,7 @@ class TestRerunStability:
             out = tmp_path / name
             assert run(
                 "synth", "--out", out, "--seed", 99, "--site-id", "re",
-                "--ap-count", 8, "--clusters", 3, "--positions-per-cluster", 2,
-                "--devices-per-position", 1,
+                "--ap-count", 8, "--clusters", 2,
             ) == EXIT_OK
             outs.append(out)
         a, b = outs

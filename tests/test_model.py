@@ -500,6 +500,31 @@ class TestPersistence:
             )):
                 load_model(path)
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("train_seed", 1.7, "train_seed 1.7 is not an integer"),
+        ("train_seed", "7", "train_seed '7' is not an integer"),
+        ("train_seed", True, "train_seed True is not an integer"),
+        ("class_balance", [1], "class_balance [1] is not two non-negative integers"),
+        ("class_balance", "ab", "class_balance 'ab' is not two non-negative integers"),
+        ("class_balance", [3, -1], "class_balance [3, -1] is not two non-negative integers"),
+        ("feature_names", ["f0", "f1", "f2", "f3", "f4", 5],
+         "feature_names is not a list of strings"),
+        ("feature_names", ["f0", "f1", "f2", "f3", "f4", "f0"], "feature_names repeats 'f0'"),
+    ], ids=["float-seed", "string-seed", "bool-seed", "one-count-balance", "string-balance",
+            "negative-balance", "non-string-name", "repeated-name"])
+    def test_rejects_mistyped_header_fields(self, rng, tmp_path, key, value, problem):
+        # int() would read a 1.7 or "7" seed as 1 or 7, and a repeated name
+        # would score one table column twice
+        m, _ = self._model(rng, n=1)
+        assert m.feature_names == ("f0", "f1", "f2", "f3", "f4", "f5")
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file ({problem})")):
+            load_model(path)
+
     def test_rejects_missing_fields(self, rng, tmp_path):
         m, _ = self._model(rng, n=1)
         path = tmp_path / "m.json"

@@ -223,7 +223,15 @@ class TestPersistence:
          "non-finite pair distance inf"),
         ('{"a":"f0","b":"f0","distance_m":0.0,"label":"Close"}',
          "cannot pair a fingerprint with itself"),
-    ], ids=["negative-distance", "nan-distance", "inf-distance", "self-pair"])
+        # the band between the gates is never trained on
+        ('{"a":"f0","b":"f1","distance_m":2.8,"label":"Close"}',
+         "Close at 2.8 m, where the gates give no label"),
+        ('{"a":"f0","b":"f1","distance_m":1.0,"label":"Far"}',
+         "Far at 1.0 m, where the gates give Close"),
+        ('{"a":"f0","b":"f1","distance_m":25.0,"label":"Far"}',
+         "Far at 25.0 m, where the gates give no label"),
+    ], ids=["negative-distance", "nan-distance", "inf-distance", "self-pair",
+            "close-between-gates", "far-inside-close-gate", "far-beyond-far-gate"])
     def test_rejected_pair_reports_line(self, tmp_path, record, reason):
         path = tmp_path / "pairs.jsonl"
         path.write_text('{"a":"f0","b":"f1","distance_m":1.0,"label":"Close"}\n' + record + "\n")

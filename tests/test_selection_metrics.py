@@ -124,35 +124,19 @@ class TestPrCurve:
         assert recalls[0] == 1.0
         assert recalls[-1] == 0.0
 
-    def test_subsample_keeps_endpoints(self, rng):
-        scores = rng.random(300)
-        is_close = rng.random(300) < 0.5
-        full = pr_points_from_scores(scores, is_close)
-        sub = pr_points_from_scores(scores, is_close, n_thresholds=10)
-        assert len(sub) <= 10 < len(full)
-        assert sub[0] == full[0]
-        assert sub[-1] == full[-1]
-
     def test_validation(self, rng):
         with pytest.raises(ValueError, match="empty"):
             pr_points_from_scores(np.empty(0), np.empty(0, dtype=bool))
         with pytest.raises(ValueError, match="both classes"):
             pr_points_from_scores(np.array([0.5, 0.6]), np.array([True, True]))
-        with pytest.raises(ValueError, match="n_thresholds"):
-            pr_points_from_scores(
-                np.array([0.5, 0.6]), np.array([True, False]), n_thresholds=1
-            )
 
-    @pytest.mark.parametrize("n_thresholds", [None, 2, 7, 40])
-    def test_matches_per_threshold_oracle(self, rng, n_thresholds):
+    def test_matches_per_threshold_oracle(self, rng):
         # vote fractions of 20 trees: heavy ties, and both 0 and 1 appear
         for n in (2, 9, 300):
             scores = rng.integers(0, 21, size=n) / 20
             is_close = rng.random(n) < 0.5
             is_close[:2] = (True, False)
-            assert pr_points_from_scores(scores, is_close, n_thresholds) == (
-                oracle_pr_points(scores, is_close, n_thresholds)
-            )
+            assert pr_points_from_scores(scores, is_close) == oracle_pr_points(scores, is_close)
 
     def test_write_pr_points_format(self, tmp_path):
         path = tmp_path / "pr.txt"
@@ -168,13 +152,10 @@ class TestPrCurve:
 # that the whole-array passes replaced.
 # ---------------------------------------------------------------------------
 
-def oracle_pr_points(scores, is_close, n_thresholds=None):
+def oracle_pr_points(scores, is_close):
     """The sweep that masked the whole table once per threshold."""
     grid = sorted(set(scores.tolist()) | {0.0, 1.0})
     grid.append(math.nextafter(grid[-1], math.inf))
-    if n_thresholds is not None and len(grid) > n_thresholds:
-        pick = np.unique(np.linspace(0, len(grid) - 1, n_thresholds).round().astype(int))
-        grid = [grid[i] for i in pick]
     n_pos = int(is_close.sum())
     points = []
     for thr in grid:

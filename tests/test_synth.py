@@ -8,6 +8,8 @@ from wifiprox.ingest import group_bursts
 from wifiprox.synth import (
     DENSITY_PRESETS,
     DETECT_THRESHOLD_DBM,
+    DEVICES_PER_POSITION,
+    POSITIONS_PER_CLUSTER,
     SCANS_PER_BURST,
     SiteConfig,
     generate_site,
@@ -73,9 +75,7 @@ def _small_cfg(**kw):
         site_id="t",
         seed=7,
         ap_count=12,
-        n_clusters=6,
-        positions_per_cluster=3,
-        devices_per_position=2,
+        n_clusters=4,
     )
     base.update(kw)
     return SiteConfig(**base)
@@ -93,7 +93,7 @@ class TestGenerateSite:
     def test_population_and_metadata(self):
         cfg = _small_cfg()
         fps = generate_site(cfg)
-        assert len(fps) <= cfg.n_clusters * cfg.positions_per_cluster * 2
+        assert len(fps) <= cfg.n_clusters * POSITIONS_PER_CLUSTER * DEVICES_PER_POSITION
         assert len(fps) > 0
         for fp in fps:
             assert fp.floor_key == ("t", "0", "0")
@@ -122,12 +122,12 @@ class TestGenerateSite:
         assert mean_low < mean_high / 3
 
     def test_burst_mode_produces_contiguous_bursts(self):
-        cfg = _small_cfg(bursts=True, n_clusters=2, positions_per_cluster=2)
+        cfg = _small_cfg(bursts=True, n_clusters=2)
         fps = generate_site(cfg)
         bursts = group_bursts(fps)
         assert all(isinstance(b, Burst) for b in bursts)
         assert all(len(b.scans) == SCANS_PER_BURST for b in bursts)
-        assert len(bursts) == 2 * 2 * cfg.devices_per_position
+        assert len(bursts) == 2 * POSITIONS_PER_CLUSTER * DEVICES_PER_POSITION
         # scan ids are derived from the burst stem
         for b in bursts:
             assert all(fp.id.startswith(b.burst_id) for fp in b.scans)
