@@ -111,22 +111,15 @@ def _require_exists(path: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    overrides = dict(n_clusters=args.clusters, bursts=args.bursts)
-    if args.ap_count is not None:
-        overrides["ap_count"] = args.ap_count
-    if args.density is not None:
-        cfg = synth.site_config_for_density(
-            args.density, site_id=args.site_id, seed=args.seed, **overrides
-        )
-    elif args.ap_count is not None:
-        cfg = synth.SiteConfig(site_id=args.site_id, seed=args.seed, **overrides)
-    else:
-        raise ConfigError("one of --density or --ap-count is required")
+    cfg = synth.SiteConfig(
+        args.density, args.site_id, args.seed, n_clusters=args.clusters, bursts=args.bursts
+    )
     doc = _print_header("synth", args.seed, dataclasses.asdict(cfg), [])
     fps = synth.generate_site(cfg)
     ingest.save_canonical(fps, args.out)
     _write_meta(args.out, doc)
-    print(f"site={cfg.site_id} fingerprints={len(fps)} ap_count={cfg.ap_count}")
+    ap_count = synth.DENSITY_PRESETS[cfg.density]["ap_count"]
+    print(f"site={cfg.site_id} fingerprints={len(fps)} ap_count={ap_count}")
     return EXIT_OK
 
 
@@ -151,17 +144,17 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         raise ConfigError("sampling pairs requires --seed")
     if args.remainder_out is not None and not sampling:
         raise ConfigError("--remainder-out only makes sense with --n-close/--n-far")
-    if args.sub_bursts and args.pseudo_out is None:
-        raise ConfigError("--sub-bursts requires --pseudo-out for the pseudo-fingerprints")
+    sub_bursts = args.pseudo_out is not None
     config = {
-        "sub_bursts": args.sub_bursts,
+        "sub_bursts": sub_bursts,
         "n_close": args.n_close,
         "n_far": args.n_far,
     }
     doc = _print_header("pairs", args.seed, config, [_require_exists(args.input)])
     fps = ingest.load_canonical(args.input)
-    if args.sub_bursts:
+    if sub_bursts:
         fps, burst_report = ingest.split_all_sub_bursts(ingest.group_bursts(fps))
+        doc["skip_report"] = dataclasses.asdict(burst_report)
         print(
             f"bursts={burst_report.bursts_seen} "
             f"too_short={burst_report.bursts_too_short} "
@@ -173,7 +166,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         pairing.sample_training_set(pairs, args.n_close, args.n_far, args.seed)
         if sampling else pairs
     )
-    if args.sub_bursts:
+    if sub_bursts:
         ingest.save_canonical(fps, args.pseudo_out)
         _write_meta(args.pseudo_out, doc)
     if args.remainder_out is not None:  # only with sampling, checked above
@@ -348,9 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--site-id", required=True)
-    p.add_argument("--density", choices=sorted(synth.DENSITY_PRESETS),
-                   help="use a bundled environment preset")
-    p.add_argument("--ap-count", type=_int_at_least(1))
+    p.add_argument("--density", choices=sorted(synth.DENSITY_PRESETS), required=True,
+                   help="the site physics preset")
     p.add_argument("--clusters", type=_int_at_least(1), default=70)
     p.add_argument("--bursts", action="store_true", help="emit 9-scan bursts")
     p.set_defaults(func=cmd_synth)
@@ -363,10 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairs", help="enumerate and label fingerprint pairs")
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--sub-bursts", action="store_true",
-                   help="aggregate 9-scan bursts into 4-scan pseudo-fingerprints first")
     p.add_argument("--pseudo-out", type=Path,
-                   help="where to write the pseudo-fingerprints (with --sub-bursts)")
+                   help="aggregate 9-scan bursts into 4-scan pseudo-fingerprints first, "
+                        "and write them here")
     p.add_argument("--n-close", type=_int_at_least(1))
     p.add_argument("--n-far", type=_int_at_least(1))
     p.add_argument("--seed", type=int)

@@ -34,11 +34,17 @@ class ManifestError(ValueError):
 
 @dataclass
 class SkipReport:
-    """Counts of rows/bursts dropped during ingestion. Never silent."""
+    """Counts of rows read, loaded and dropped during ingestion. Never silent."""
 
     rows_read: int = 0
     loaded: int = 0
     skipped_empty: int = 0
+
+
+@dataclass
+class BurstReport:
+    """Counts of bursts seen and dropped as too short for sub-bursts. Never silent."""
+
     bursts_seen: int = 0
     bursts_too_short: int = 0
 
@@ -125,6 +131,9 @@ def _fingerprint_from_record(rec: dict, where: str) -> Fingerprint:
                 raise ParseError(f"{where}: duplicate BSSID {bssid} in one scan")
             readings[bssid] = float(ap["rssi"])
         scan = rec.get("scan")
+        # as saved: neither 1.7, "1" nor true passes for scan 1
+        if scan is not None and type(scan) is not int:
+            raise ValueError(f"scan {scan!r} is not an integer")
         return Fingerprint(
             id=str(rec["id"]),
             readings=readings,
@@ -132,7 +141,7 @@ def _fingerprint_from_record(rec: dict, where: str) -> Fingerprint:
             floor_key=(str(rec["dataset"]), str(rec["building"]), str(rec["floor"])),
             device_model=str(rec["device"]),
             burst_id=None if rec.get("burst") is None else str(rec["burst"]),
-            scan_index=None if scan is None else int(scan),
+            scan_index=scan,
         )
     except ParseError:
         raise
@@ -381,9 +390,9 @@ def split_sub_bursts(burst: Burst) -> tuple[Fingerprint, Fingerprint]:
     return first, second
 
 
-def split_all_sub_bursts(bursts: Sequence[Burst]) -> tuple[list[Fingerprint], SkipReport]:
+def split_all_sub_bursts(bursts: Sequence[Burst]) -> tuple[list[Fingerprint], BurstReport]:
     """Split every burst long enough; short bursts are counted, not fatal."""
-    report = SkipReport()
+    report = BurstReport()
     pseudos: list[Fingerprint] = []
     for burst in bursts:
         report.bursts_seen += 1

@@ -419,11 +419,7 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         if len(set(names)) != len(names):
             repeated = next(n for i, n in enumerate(names) if n in names[:i])
             raise ValueError(f"feature_names repeats {repeated!r}")
-        trees = tuple(
-            Tree(**{name: np.asarray(t[name], dtype=d) for name, d in _NODE_ARRAYS.items()},
-                 feature_subset=tuple(t["feature_subset"]))
-            for t in doc["trees"]
-        )
+        trees = tuple(_tree_from_record(i, t) for i, t in enumerate(doc["trees"]))
         model = BaggedEnsemble(
             trees=trees,
             feature_names=tuple(names),
@@ -446,6 +442,17 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         if problem is not None:
             raise ValueError(f"{p}: malformed model file (tree {i}: {problem})")
     return model
+
+
+def _tree_from_record(index: int, rec: dict) -> Tree:
+    """A saved tree's arrays; an integer array holds JSON integers only, as saved."""
+    for name in ("feature_subset", *_NODE_ARRAYS):
+        values = rec[name]
+        if name != "threshold" and not set(map(type, values)) <= {int}:
+            bad = next(v for v in values if type(v) is not int)
+            raise ValueError(f"tree {index} {name} holds {bad!r}, which is not an integer")
+    return Tree(**{name: np.asarray(rec[name], dtype=d) for name, d in _NODE_ARRAYS.items()},
+                feature_subset=tuple(rec["feature_subset"]))
 
 
 def _tree_problem(tree: Tree, n_features: int) -> Optional[str]:

@@ -125,7 +125,9 @@ def save_pairs(pairs: Iterable[FingerprintPair], path: str | Path) -> None:
 def load_pairs(path: str | Path, fps: Sequence[Fingerprint]) -> list[FingerprintPair]:
     """Resolve a persisted pair file against a fingerprint collection.
 
-    Each record's label must be the one the fixed gates give its distance.
+    Each record's distance must be the one between its fingerprints' positions,
+    exactly as :func:`enumerate_pairs` measures it, and its label the one the
+    fixed gates give that distance.
     """
     by_id = {fp.id: fp for fp in fps}
     if len(by_id) != len(fps):
@@ -143,6 +145,11 @@ def load_pairs(path: str | Path, fps: Sequence[Fingerprint]) -> list[Fingerprint
                 b = by_id[rec["b"]]
                 label = ProximityClass(rec["label"])
                 pair = FingerprintPair(a, b, float(rec["distance_m"]), label)
+                apart = math.dist(a.position, b.position)
+                if pair.distance_m != apart:
+                    raise ValueError(
+                        f"distance_m {pair.distance_m}, but the fingerprints are {apart} m apart"
+                    )
                 gated = gates.classify(pair.distance_m)
                 if gated is not label:
                     raise ValueError(

@@ -38,24 +38,18 @@ REFERENCE_DISTANCE_M = 1.0
 #: weakest reading a scan reports
 DETECT_THRESHOLD_DBM = -88.0
 
-#: (model name, rssi gain, rssi offset in dB) -- mild receiver heterogeneity
-DEVICE_POOL: tuple[tuple[str, float, float], ...] = (
-    ("pixel-4", 1.0, 0.0),
-    ("sm-g960", 0.93, -3.0),
-    ("moto-g7", 1.05, 2.0),
-    ("redmi-7", 0.97, -5.0),
-)
-
-#: Bundled environment presets by AP density.  These deliberately differ in
+#: The site physics, one preset per AP density.  These deliberately differ in
 #: more than AP count -- propagation exponent, shadowing noise, dropout,
 #: geometry, and device mix all shift between regimes, the way a rural home,
-#: an office block, and a dense campus would differ in reality.
+#: an office block, and a dense campus would differ in reality.  Each
+#: ``device_pool`` entry is (model name, rssi gain, rssi offset in dB).
 DENSITY_PRESETS: dict[str, dict] = {
     "low": dict(
         ap_count=14,
         path_loss_exponent=2.6,
         noise_sigma_db=4.5,
         dropout_prob=0.06,
+        tx_power_dbm=-40.0,
         area_w_m=46.0,
         area_h_m=30.0,
         device_pool=(
@@ -69,6 +63,7 @@ DENSITY_PRESETS: dict[str, dict] = {
         path_loss_exponent=3.2,
         noise_sigma_db=5.5,
         dropout_prob=0.04,
+        tx_power_dbm=-40.0,
         area_w_m=40.0,
         area_h_m=25.0,
         device_pool=(
@@ -96,45 +91,29 @@ DENSITY_PRESETS: dict[str, dict] = {
 }
 
 
-def site_config_for_density(density: str, site_id: str, seed: int, **overrides) -> "SiteConfig":
-    """SiteConfig from a density preset, with explicit overrides on top."""
-    if density not in DENSITY_PRESETS:
-        raise ValueError(f"unknown density {density!r}; choose from {sorted(DENSITY_PRESETS)}")
-    kwargs = dict(DENSITY_PRESETS[density])
-    kwargs.update(overrides)
-    return SiteConfig(site_id=site_id, seed=seed, **kwargs)
-
-
 @dataclass(frozen=True)
 class SiteConfig:
+    """One synthetic site: a density preset's physics, a seed and a survey size."""
+
+    density: str
     site_id: str
     seed: int
-    ap_count: int = 48
-    area_w_m: float = 40.0
-    area_h_m: float = 25.0
     n_clusters: int = 70
     bursts: bool = False
-    tx_power_dbm: float = -40.0
-    path_loss_exponent: float = 3.0
-    noise_sigma_db: float = 3.5
-    dropout_prob: float = 0.02
-    device_pool: tuple[tuple[str, float, float], ...] = DEVICE_POOL
 
     def __post_init__(self) -> None:
+        if self.density not in DENSITY_PRESETS:
+            raise ValueError(
+                f"unknown density {self.density!r}; choose from {sorted(DENSITY_PRESETS)}"
+            )
         if not self.site_id:
             raise ValueError("site_id must be nonempty")
-        if min(self.ap_count, self.n_clusters) < 1:
-            raise ValueError("counts must all be >= 1")
-        if min(self.area_w_m, self.area_h_m) <= 2 * CLUSTER_RADIUS_M:
-            raise ValueError("area too small for the cluster radius")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be positive")
-        if not 0 <= self.dropout_prob < 1:
-            raise ValueError("dropout_prob must be in [0, 1)")
-        if self.noise_sigma_db < 0:
-            raise ValueError("noise_sigma_db must be >= 0")
-        if not self.device_pool:
-            raise ValueError("device_pool must be nonempty")
+        if self.n_clusters < 1:
+            raise ValueError("n_clusters must be >= 1")
+
+
+#: the earlier name, kept for its callers
+site_config_for_density = SiteConfig
 
 
 def path_loss_rssi(
@@ -149,19 +128,17 @@ def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
     """Deterministically generate all fingerprints for one site."""
     rng = np.random.default_rng(cfg.seed)
     floor_key = (cfg.site_id, "0", "0")
+    physics = DENSITY_PRESETS[cfg.density]
+    ap_count, area = physics["ap_count"], (physics["area_w_m"], physics["area_h_m"])
 
-    ap_xy = rng.uniform(
-        [0.0, 0.0], [cfg.area_w_m, cfg.area_h_m], size=(cfg.ap_count, 2)
-    )
-    ap_tx = cfg.tx_power_dbm + rng.normal(0.0, TX_JITTER_DB, cfg.ap_count)
-    bssids = [bssid_from_int(i + 1) for i in range(cfg.ap_count)]
+    ap_xy = rng.uniform([0.0, 0.0], area, size=(ap_count, 2))
+    ap_tx = physics["tx_power_dbm"] + rng.normal(0.0, TX_JITTER_DB, ap_count)
+    bssids = [bssid_from_int(i + 1) for i in range(ap_count)]
 
     r = CLUSTER_RADIUS_M
-    centers = rng.uniform(
-        [r, r], [cfg.area_w_m - r, cfg.area_h_m - r], size=(cfg.n_clusters, 2)
-    )
+    centers = rng.uniform([r, r], [area[0] - r, area[1] - r], size=(cfg.n_clusters, 2))
 
-    pool = cfg.device_pool
+    pool = physics["device_pool"]
     out: list[Fingerprint] = []
     for ci in range(cfg.n_clusters):
         for pi in range(POSITIONS_PER_CLUSTER):
@@ -173,7 +150,7 @@ def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
                 float(centers[ci, 1] + rad * math.sin(ang)),
             )
             dist = np.hypot(ap_xy[:, 0] - pos[0], ap_xy[:, 1] - pos[1])
-            true_rssi = path_loss_rssi(dist, ap_tx, cfg.path_loss_exponent)
+            true_rssi = path_loss_rssi(dist, ap_tx, physics["path_loss_exponent"])
             for di in range(DEVICES_PER_POSITION):
                 model, gain, offset = pool[int(rng.integers(len(pool)))]
                 stem = f"{cfg.site_id}:c{ci:03d}p{pi}d{di}"
@@ -182,11 +159,11 @@ def generate_site(cfg: SiteConfig) -> list[Fingerprint]:
                     measured = (
                         gain * true_rssi
                         + offset
-                        + rng.normal(0.0, cfg.noise_sigma_db, cfg.ap_count)
+                        + rng.normal(0.0, physics["noise_sigma_db"], ap_count)
                     )
                     measured = np.rint(measured)
                     detected = (measured >= DETECT_THRESHOLD_DBM) & (
-                        rng.uniform(size=cfg.ap_count) >= cfg.dropout_prob
+                        rng.uniform(size=ap_count) >= physics["dropout_prob"]
                     )
                     readings = {
                         bssids[ai]: float(measured[ai])

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,7 +43,7 @@ def pipeline(tmp_path_factory):
     mdl = d / "model.json"
     assert run(
         "synth", "--out", site, "--seed", 2024, "--site-id", "tiny",
-        "--ap-count", 10, "--clusters", 3,
+        "--density", "low", "--clusters", 3,
     ) == EXIT_OK
     assert run(
         "pairs", "--in", site, "--out", pairs,
@@ -58,7 +59,7 @@ class TestExitCodes:
         assert run("synth", "--frobnicate") == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
-    def test_synth_needs_density_or_ap_count(self, tmp_path):
+    def test_synth_needs_density(self, tmp_path):
         assert run(
             "synth", "--out", tmp_path / "s.jsonl", "--seed", 1, "--site-id", "s"
         ) == EXIT_CONFIG
@@ -155,7 +156,7 @@ class TestExitCodes:
         ) == EXIT_CONFIG  # remainder without sampling
 
     @pytest.mark.parametrize("command, flags", [
-        ("pairs", ["--sub-bursts", "--pseudo-out", "pseudo.jsonl", "--remainder-out", "rest.jsonl"]),
+        ("pairs", ["--pseudo-out", "pseudo.jsonl", "--remainder-out", "rest.jsonl"]),
         ("pairs", ["--remainder-out", "rest.jsonl"]),
         ("pairs", ["--n-far", 5, "--seed", 1]),
         ("train", ["--n-close", 5]),
@@ -168,7 +169,7 @@ class TestExitCodes:
         site = tmp_path_factory.getbasetemp() / "burst-site.jsonl"
         if not site.exists():
             assert run(
-                "synth", "--out", site, "--seed", 3, "--site-id", "b", "--ap-count", 10,
+                "synth", "--out", site, "--seed", 3, "--site-id", "b", "--density", "low",
                 "--clusters", 1, "--bursts",
             ) == EXIT_OK
         out = tmp_path_factory.mktemp("out")
@@ -185,12 +186,6 @@ class TestExitCodes:
         assert "error:" in captured.err
         assert list(out.iterdir()) == []
 
-    def test_sub_bursts_requires_pseudo_out(self, pipeline, tmp_path):
-        assert run(
-            "pairs", "--in", pipeline["site"], "--out", tmp_path / "p.jsonl",
-            "--sub-bursts",
-        ) == EXIT_CONFIG
-
     def test_overflowing_rssi_is_validation_error(self, tmp_path, capsys):
         # finite readings whose gap overflows: some features become inf/NaN
         a = make_fp(id="a", readings={bss(1): 1e200, bss(2): -50.0})
@@ -205,7 +200,6 @@ class TestExitCodes:
         assert "non-finite" in err and "dist.euclidean.none" in err
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("synth", "--ap-count", 0),
         ("synth", "--clusters", 0),
         ("select", "--top-k", 0),
         ("train", "--trees", 0),
@@ -221,7 +215,7 @@ class TestExitCodes:
     ):
         valid = {
             "synth": ["--out", tmp_path / "s.jsonl", "--seed", 1, "--site-id", "s",
-                      "--ap-count", 10],
+                      "--density", "low"],
             "pairs": ["--in", pipeline["site"], "--out", tmp_path / "p.jsonl", "--seed", 1],
             "select": ["--features", pipeline["features"], "--top-k", 3,
                        "--out", tmp_path / "r.txt"],
@@ -331,13 +325,13 @@ class TestExitCodes:
     def test_pairs_sampling_failure_writes_no_pseudo_fingerprints(self, tmp_path, capsys):
         site = tmp_path / "bursts.jsonl"
         assert run(
-            "synth", "--out", site, "--seed", 3, "--site-id", "b", "--ap-count", 10,
+            "synth", "--out", site, "--seed", 3, "--site-id", "b", "--density", "low",
             "--clusters", 1, "--bursts",
         ) == EXIT_OK
         out = tmp_path / "out"
         out.mkdir()
         assert run(
-            "pairs", "--in", site, "--out", out / "pairs.jsonl", "--sub-bursts",
+            "pairs", "--in", site, "--out", out / "pairs.jsonl",
             "--pseudo-out", out / "pseudo.jsonl", "--n-close", 1000, "--n-far", 1000,
             "--seed", 1,
         ) == EXIT_VALIDATION
@@ -482,11 +476,10 @@ class TestExitCodes:
 class TestFlags:
     #: every flag of every subcommand; adding one is a deliberate edit here
     FLAGS = {
-        "synth": ["--out", "--seed", "--site-id", "--density", "--ap-count", "--clusters",
-                  "--bursts"],
+        "synth": ["--out", "--seed", "--site-id", "--density", "--clusters", "--bursts"],
         "ingest": ["--manifest", "--out"],
-        "pairs": ["--in", "--out", "--sub-bursts", "--pseudo-out", "--n-close", "--n-far",
-                  "--seed", "--remainder-out"],
+        "pairs": ["--in", "--out", "--pseudo-out", "--n-close", "--n-far", "--seed",
+                  "--remainder-out"],
         "featurize": ["--pairs", "--fingerprints", "--out", "--workers"],
         "select": ["--features", "--top-k", "--out"],
         "train": ["--features", "--model-out", "--seed", "--trees", "--n-close", "--n-far",
@@ -512,7 +505,7 @@ class TestFlags:
     def test_flag_inventory(self):
         found = self.parser_flags()
         assert found == self.FLAGS
-        assert sum(len(flags) for flags in found.values()) == 37
+        assert sum(len(flags) for flags in found.values()) == 35
 
     @pytest.mark.parametrize("doc, prompt, commands", [
         ("experiments/run_density_experiments.sh", '"$WIFIPROX" ',
@@ -535,6 +528,8 @@ class TestFlags:
     @pytest.mark.parametrize("command, flag, value", [
         ("synth", "--positions-per-cluster", "5"),
         ("synth", "--devices-per-position", "2"),
+        ("synth", "--ap-count", "10"),
+        ("pairs", "--sub-bursts", None),
         ("evaluate", "--with-pr-curve", None),
         ("pr-curve", "--n-thresholds", "40"),
     ])
@@ -543,7 +538,8 @@ class TestFlags:
     ):
         valid = {
             "synth": ["--out", tmp_path / "s.jsonl", "--seed", 1, "--site-id", "s",
-                      "--ap-count", 10],
+                      "--density", "low"],
+            "pairs": ["--in", pipeline["site"], "--out", tmp_path / "p.jsonl"],
             "evaluate": ["--model", pipeline["model"], "--features", pipeline["features"],
                          "--report-out", tmp_path / "r.json"],
             "pr-curve": ["--model", pipeline["model"], "--features", pipeline["features"],
@@ -572,6 +568,13 @@ class TestArtifacts:
             assert "command" in doc
             if key != "site":
                 assert doc["inputs"]  # every later stage records input digests
+        site_doc = json.loads(Path(str(pipeline["site"]) + ".meta.json").read_text())
+        assert site_doc["config"] == {
+            "bursts": False, "density": "low", "n_clusters": 3, "seed": 2024, "site_id": "tiny",
+        }
+        pairs_doc = json.loads(Path(str(pipeline["pairs"]) + ".meta.json").read_text())
+        assert pairs_doc["config"]["sub_bursts"] is False
+        assert "skip_report" not in pairs_doc  # only sub-bursts skip anything
 
     def test_featurize_sidecar_counts_the_written_table(self, tmp_path):
         a = make_fp(id="a", readings={bss(1): -50.0, bss(2): -61.0, bss(3): -70.0})
@@ -580,7 +583,8 @@ class TestArtifacts:
         site, pairs, out = tmp_path / "site.jsonl", tmp_path / "pairs.jsonl", tmp_path / "f.csv"
         ingest.save_canonical([a, b, c], site)
         pairing.save_pairs(
-            [pairing.make_pair(p, q, 1.0, ProximityClass.CLOSE) for p, q in ((a, b), (a, c), (b, c))],
+            [pairing.make_pair(p, q, math.dist(p.position, q.position), ProximityClass.CLOSE)
+             for p, q in ((a, b), (a, c), (b, c))],  # 1, 2 and 1 m apart
             pairs,
         )
         assert run("featurize", "--pairs", pairs, "--fingerprints", site, "--out", out) == EXIT_OK
@@ -734,6 +738,9 @@ class TestIngest:
         assert run("ingest", "--manifest", mf, "--out", out) == EXIT_OK
         assert out.read_bytes() == pipeline["site"].read_bytes()
         assert "loaded=" in capsys.readouterr().out
+        n = len(ingest.load_canonical(out))
+        doc = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert doc["skip_report"] == {"rows_read": n, "loaded": n, "skipped_empty": 0}
 
     def test_wide_csv_manifest_route(self, tmp_path, capsys):
         csv_path = tmp_path / "survey.csv"
@@ -756,6 +763,8 @@ class TestIngest:
         assert run("ingest", "--manifest", mf, "--out", out) == EXIT_OK
         printed = capsys.readouterr().out
         assert "loaded=2 skipped_empty=1 rows_read=3" in printed
+        doc = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert doc["skip_report"] == {"rows_read": 3, "loaded": 2, "skipped_empty": 1}
         fps = ingest.load_canonical(out)
         assert len(fps) == 2
         assert fps[0].floor_key == ("survey", "0", "1")
@@ -769,16 +778,17 @@ class TestSubBursts:
         site = tmp_path / "bursts.jsonl"
         assert run(
             "synth", "--out", site, "--seed", 11, "--site-id", "b",
-            "--ap-count", 10, "--clusters", 1, "--bursts",
+            "--density", "low", "--clusters", 1, "--bursts",
         ) == EXIT_OK
         pseudo = tmp_path / "pseudo.jsonl"
         out = tmp_path / "pairs.jsonl"
-        assert run(
-            "pairs", "--in", site, "--out", out, "--sub-bursts",
-            "--pseudo-out", pseudo,
-        ) == EXIT_OK
+        assert run("pairs", "--in", site, "--out", out, "--pseudo-out", pseudo) == EXIT_OK
         printed = capsys.readouterr().out
         assert "bursts=10 " in printed  # 5 positions x 2 devices
+        for written in (out, pseudo):
+            doc = json.loads(Path(str(written) + ".meta.json").read_text())
+            assert doc["config"]["sub_bursts"] is True
+            assert doc["skip_report"] == {"bursts_seen": 10, "bursts_too_short": 0}
         pseudos = ingest.load_canonical(pseudo)
         assert len(pseudos) == 20  # two 4-scan halves per 9-scan burst
         assert all(":sub" in fp.id for fp in pseudos)
@@ -793,7 +803,7 @@ class TestRerunStability:
             out = tmp_path / name
             assert run(
                 "synth", "--out", out, "--seed", 99, "--site-id", "re",
-                "--ap-count", 8, "--clusters", 2,
+                "--density", "low", "--clusters", 2,
             ) == EXIT_OK
             outs.append(out)
         a, b = outs

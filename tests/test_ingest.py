@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -82,6 +83,21 @@ class TestCanonical:
         path = tmp_path / "dup.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ParseError, match="duplicate"):
+            load_canonical(path)
+
+
+    @pytest.mark.parametrize("scan", [1.7, "1", True])
+    def test_non_integer_scan_rejected(self, tmp_path, scan):
+        # int() would read 1.7 as scan 1
+        fp = make_fp(id="x", burst_id="b", scan_index=1)
+        path = tmp_path / "scans.jsonl"
+        save_canonical([fp], path)
+        assert load_canonical(path) == [fp]
+        rec = json.loads(path.read_text())
+        path.write_text(json.dumps({**rec, "scan": scan}) + "\n")
+        with pytest.raises(ParseError, match=re.escape(
+            f"{path}:1: bad record (scan {scan!r} is not an integer)"
+        )):
             load_canonical(path)
 
 

@@ -525,6 +525,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file ({problem})")):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_close", 19.7), ("left", 1.9), ("feature", 0.5), ("n_far", True),
+        ("right", "2"), ("feature_subset", 1.0),
+    ])
+    def test_rejects_non_integer_node_values(self, rng, tmp_path, field, value):
+        # an integer cast would read 19.7 as 19 and true as 1, and save back
+        # the bytes it was given
+        m, _ = self._model(rng, n=1)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        doc["trees"][0][field][0] = value
+        path.write_text(json.dumps(doc))
+        problem = f"tree 0 {field} holds {value!r}, which is not an integer"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file ({problem})")):
+            load_model(path)
+
     def test_rejects_missing_fields(self, rng, tmp_path):
         m, _ = self._model(rng, n=1)
         path = tmp_path / "m.json"

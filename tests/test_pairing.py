@@ -224,18 +224,23 @@ class TestPersistence:
         ('{"a":"f0","b":"f0","distance_m":0.0,"label":"Close"}',
          "cannot pair a fingerprint with itself"),
         # the band between the gates is never trained on
-        ('{"a":"f0","b":"f1","distance_m":2.8,"label":"Close"}',
+        ('{"a":"f0","b":"f2","distance_m":2.8,"label":"Close"}',
          "Close at 2.8 m, where the gates give no label"),
         ('{"a":"f0","b":"f1","distance_m":1.0,"label":"Far"}',
          "Far at 1.0 m, where the gates give Close"),
-        ('{"a":"f0","b":"f1","distance_m":25.0,"label":"Far"}',
+        ('{"a":"f0","b":"f3","distance_m":25.0,"label":"Far"}',
          "Far at 25.0 m, where the gates give no label"),
+        # the record must say how far apart its fingerprints are
+        ('{"a":"f0","b":"f2","distance_m":1.0,"label":"Close"}',
+         "distance_m 1.0, but the fingerprints are 2.8 m apart"),
     ], ids=["negative-distance", "nan-distance", "inf-distance", "self-pair",
-            "close-between-gates", "far-inside-close-gate", "far-beyond-far-gate"])
+            "close-between-gates", "far-inside-close-gate", "far-beyond-far-gate",
+            "distance-contradicts-positions"])
     def test_rejected_pair_reports_line(self, tmp_path, record, reason):
         path = tmp_path / "pairs.jsonl"
         path.write_text('{"a":"f0","b":"f1","distance_m":1.0,"label":"Close"}\n' + record + "\n")
-        fps = [make_fp(id="f0"), make_fp(id="f1", position=(1.0, 0.0))]
+        fps = [make_fp(id="f0"), make_fp(id="f1", position=(1.0, 0.0)),
+               make_fp(id="f2", position=(2.8, 0.0)), make_fp(id="f3", position=(25.0, 0.0))]
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad pair record (") + reason):
             load_pairs(path, fps)
 

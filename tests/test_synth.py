@@ -6,6 +6,7 @@ import pytest
 from wifiprox.core import Burst
 from wifiprox.ingest import group_bursts
 from wifiprox.synth import (
+    CLUSTER_RADIUS_M,
     DENSITY_PRESETS,
     DETECT_THRESHOLD_DBM,
     DEVICES_PER_POSITION,
@@ -42,15 +43,9 @@ class TestPathLoss:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="site_id"):
-            SiteConfig(site_id="", seed=0)
-        with pytest.raises(ValueError, match="counts"):
-            SiteConfig(site_id="s", seed=0, ap_count=0)
-        with pytest.raises(ValueError, match="area too small"):
-            SiteConfig(site_id="s", seed=0, area_w_m=2.0)  # the cluster disk is 2 m across
-        with pytest.raises(ValueError, match="dropout"):
-            SiteConfig(site_id="s", seed=0, dropout_prob=1.0)
-        with pytest.raises(ValueError, match="device_pool"):
-            SiteConfig(site_id="s", seed=0, device_pool=())
+            SiteConfig("low", site_id="", seed=0)
+        with pytest.raises(ValueError, match="n_clusters"):
+            SiteConfig("low", site_id="s", seed=0, n_clusters=0)
 
     def test_density_presets_cover_regimes(self):
         assert set(DENSITY_PRESETS) == {"low", "medium", "high"}
@@ -60,10 +55,26 @@ class TestConfig:
         exps = {DENSITY_PRESETS[d]["path_loss_exponent"] for d in DENSITY_PRESETS}
         assert len(exps) == 3
 
+    @pytest.mark.parametrize("density", sorted(DENSITY_PRESETS))
+    def test_preset_physics_is_usable(self, density):
+        physics = DENSITY_PRESETS[density]
+        assert set(physics) == {"ap_count", "path_loss_exponent", "noise_sigma_db",
+                                "dropout_prob", "tx_power_dbm", "area_w_m", "area_h_m",
+                                "device_pool"}
+        assert physics["ap_count"] >= 1
+        # the cluster disks must fit inside the area
+        assert min(physics["area_w_m"], physics["area_h_m"]) > 2 * CLUSTER_RADIUS_M
+        assert physics["path_loss_exponent"] > 0
+        assert 0 <= physics["dropout_prob"] < 1
+        assert physics["noise_sigma_db"] >= 0
+        assert physics["device_pool"]
+
     def test_site_config_for_density_applies_overrides(self):
-        cfg = site_config_for_density("low", site_id="s", seed=1, noise_sigma_db=9.0)
-        assert cfg.ap_count == DENSITY_PRESETS["low"]["ap_count"]
-        assert cfg.noise_sigma_db == 9.0
+        cfg = site_config_for_density("low", site_id="s", seed=1, n_clusters=5, bursts=True)
+        assert cfg == SiteConfig("low", "s", 1, n_clusters=5, bursts=True)
+        # the preset is the site's only physics
+        with pytest.raises(TypeError):
+            site_config_for_density("low", site_id="s", seed=1, noise_sigma_db=9.0)
 
     def test_unknown_density_rejected(self):
         with pytest.raises(ValueError, match="unknown density"):
@@ -72,9 +83,9 @@ class TestConfig:
 
 def _small_cfg(**kw):
     base = dict(
+        density="low",
         site_id="t",
         seed=7,
-        ap_count=12,
         n_clusters=4,
     )
     base.update(kw)
@@ -92,14 +103,15 @@ class TestGenerateSite:
 
     def test_population_and_metadata(self):
         cfg = _small_cfg()
+        physics = DENSITY_PRESETS[cfg.density]
         fps = generate_site(cfg)
         assert len(fps) <= cfg.n_clusters * POSITIONS_PER_CLUSTER * DEVICES_PER_POSITION
         assert len(fps) > 0
         for fp in fps:
             assert fp.floor_key == ("t", "0", "0")
-            assert 0 <= fp.position[0] <= cfg.area_w_m
-            assert 0 <= fp.position[1] <= cfg.area_h_m
-            assert fp.device_model in {m for m, _, _ in cfg.device_pool}
+            assert 0 <= fp.position[0] <= physics["area_w_m"]
+            assert 0 <= fp.position[1] <= physics["area_h_m"]
+            assert fp.device_model in {m for m, _, _ in physics["device_pool"]}
             assert fp.burst_id is None
             for rssi in fp.readings.values():
                 assert rssi == int(rssi)  # integer-quantized like real scans
@@ -108,7 +120,7 @@ class TestGenerateSite:
     def test_nearby_positions_see_stronger_signals(self):
         # RSSI should decay with distance on average: correlate the mean
         # reading with distance to the area center as a crude physics check
-        fps = generate_site(_small_cfg(ap_count=40))
+        fps = generate_site(_small_cfg(density="medium"))
         strengths = [np.mean(list(fp.readings.values())) for fp in fps if fp.readings]
         assert np.std(strengths) > 0.5  # spatial structure, not constant output
 
@@ -132,8 +144,8 @@ class TestGenerateSite:
         for b in bursts:
             assert all(fp.id.startswith(b.burst_id) for fp in b.scans)
 
-    def test_non_burst_mode_drops_empty_scans(self):
+    def test_non_burst_mode_drops_empty_scans(self, monkeypatch):
         # brutal dropout: most scans empty, none of the emitted ones empty
-        cfg = _small_cfg(dropout_prob=0.99)
-        fps = generate_site(cfg)
+        monkeypatch.setitem(DENSITY_PRESETS["low"], "dropout_prob", 0.99)
+        fps = generate_site(_small_cfg())
         assert all(fp.readings for fp in fps)
