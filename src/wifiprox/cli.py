@@ -81,16 +81,12 @@ def _write_meta(out_path: Path, doc: dict) -> None:
         fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _int_at_least(minimum: int):
-    """argparse ``type=`` for a count flag: an integer no smaller than ``minimum``."""
-
-    def count(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid count value"
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-
-    return count
+def count(text: str) -> int:
+    """argparse ``type=`` for a count flag: an integer of at least 1."""
+    value = int(text)  # argparse reports a ValueError as "invalid count value"
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _sampling(args: argparse.Namespace) -> bool:
@@ -153,7 +149,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     doc = _print_header("pairs", args.seed, config, [_require_exists(args.input)])
     fps = ingest.load_canonical(args.input)
     if sub_bursts:
-        fps, burst_report = ingest.split_all_sub_bursts(ingest.group_bursts(fps))
+        fps, burst_report = ingest.split_all_sub_bursts(fps)
         doc["skip_report"] = dataclasses.asdict(burst_report)
         print(
             f"bursts={burst_report.bursts_seen} "
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--site-id", required=True)
     p.add_argument("--density", choices=sorted(synth.DENSITY_PRESETS), required=True,
                    help="the site physics preset")
-    p.add_argument("--clusters", type=_int_at_least(1), default=70)
+    p.add_argument("--clusters", type=count, default=70)
     p.add_argument("--bursts", action="store_true", help="emit 9-scan bursts")
     p.set_defaults(func=cmd_synth)
 
@@ -358,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pseudo-out", type=Path,
                    help="aggregate 9-scan bursts into 4-scan pseudo-fingerprints first, "
                         "and write them here")
-    p.add_argument("--n-close", type=_int_at_least(1))
-    p.add_argument("--n-far", type=_int_at_least(1))
+    p.add_argument("--n-close", type=count)
+    p.add_argument("--n-far", type=count)
     p.add_argument("--seed", type=int)
     p.add_argument("--remainder-out", type=Path,
                    help="where to write the non-sampled pairs (the evaluation pool)")
@@ -369,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=Path, required=True)
     p.add_argument("--fingerprints", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=count, default=1)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("select", help="rank features with mRMR")
     p.add_argument("--features", type=Path, required=True)
-    p.add_argument("--top-k", type=_int_at_least(1), required=True)
+    p.add_argument("--top-k", type=count, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_select)
 
@@ -383,10 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training feature table; repeat to concatenate")
     p.add_argument("--model-out", type=Path, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trees", type=_int_at_least(1), default=300)
-    p.add_argument("--n-close", type=_int_at_least(1),
+    p.add_argument("--trees", type=count, default=300)
+    p.add_argument("--n-close", type=count,
                    help="per input table: sample this many Close rows")
-    p.add_argument("--n-far", type=_int_at_least(1),
+    p.add_argument("--n-far", type=count,
                    help="per input table: sample this many Far rows")
     p.add_argument("--feature-list", type=Path,
                    help="train only on the features listed in this file")

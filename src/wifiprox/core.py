@@ -127,35 +127,6 @@ class Fingerprint:
 
 
 @dataclass(frozen=True)
-class Burst:
-    """A rapid sequence of scans recorded at one position by one device."""
-
-    burst_id: str
-    scans: tuple[Fingerprint, ...]
-    position: tuple[float, float]
-    device_model: str
-
-    def __post_init__(self) -> None:
-        if not self.scans:
-            raise ValueError(f"burst {self.burst_id!r} has no scans")
-        first = self.scans[0]
-        for fp in self.scans:
-            if fp.position != self.position or fp.floor_key != first.floor_key:
-                raise ValueError(f"burst {self.burst_id!r}: scans disagree on position/floor")
-            if fp.device_model != self.device_model:
-                raise ValueError(f"burst {self.burst_id!r}: scans disagree on device")
-        indices = [fp.scan_index for fp in self.scans]
-        if indices != list(range(len(self.scans))):
-            raise ValueError(
-                f"burst {self.burst_id!r}: scan indices {indices} not contiguous from 0"
-            )
-
-    @property
-    def floor_key(self) -> FloorKey:
-        return self.scans[0].floor_key
-
-
-@dataclass(frozen=True)
 class FingerprintPair:
     """Two same-floor fingerprints with ground-truth distance and label.
 

@@ -19,9 +19,9 @@ import json
 import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .core import Burst, Fingerprint, FloorKey, bssid_from_int, normalize_bssid, open_utf8
+from .core import Fingerprint, FloorKey, bssid_from_int, normalize_bssid, open_utf8
 
 
 class ParseError(ValueError):
@@ -57,7 +57,7 @@ _MANIFEST_KINDS = {"str": str, "Optional[str]": (str, type(None)), "float": (int
 class DatasetManifest:
     """Where a dataset lives and how to decode it.
 
-    ``path`` is resolved relative to the manifest file when loaded with
+    ``path`` is taken relative to the manifest file when loaded with
     :func:`load_manifest`.  Column names only apply to ``wide_csv``; the
     coordinate unit scale converts dataset units into meters.
     """
@@ -91,7 +91,11 @@ class DatasetManifest:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Read a JSON manifest; the data path is resolved against its directory."""
+    """Read a JSON manifest; its data path is joined to the manifest's directory.
+
+    The join (``<manifest dir as given>/<path as written>``) is not resolved,
+    so the same invocation from two directories records the same path.
+    """
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
@@ -108,7 +112,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise ManifestError(f"{p}: missing required key {key!r}")
     doc = dict(doc)
     try:
-        doc["path"] = (p.parent / doc["path"]).resolve()
+        doc["path"] = p.parent / doc["path"]
         manifest = DatasetManifest(**doc)
     except (ManifestError, TypeError) as e:
         raise ManifestError(f"{p}: {e}") from None
@@ -124,23 +128,35 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 def _fingerprint_from_record(rec: dict, where: str) -> Fingerprint:
     try:
         aps = rec["aps"]
-        readings: dict[str, float] = {}
-        for ap in aps:
-            bssid = normalize_bssid(str(ap["bssid"]))
-            if bssid in readings:
-                raise ParseError(f"{where}: duplicate BSSID {bssid} in one scan")
-            readings[bssid] = float(ap["rssi"])
-        scan = rec.get("scan")
+        bssids = [ap["bssid"] for ap in aps]
+        rssis = [ap["rssi"] for ap in aps]
+        scan, burst = rec.get("scan"), rec.get("burst")
         # as saved: neither 1.7, "1" nor true passes for scan 1
         if scan is not None and type(scan) is not int:
             raise ValueError(f"scan {scan!r} is not an integer")
+        # as saved: numbers are int or float (true is not 1), names are strings
+        names = [rec["id"], rec["dataset"], rec["building"], rec["floor"], rec["device"], *bssids]
+        if burst is not None:
+            names.append(burst)
+        odd = (set(map(type, (rec["x_m"], rec["y_m"], *rssis))) - {int, float}
+               | set(map(type, names)) - {str})
+        if odd:
+            raise ValueError(
+                "x_m, y_m and rssi must be numbers, ids and names strings; found "
+                + ", ".join(sorted(t.__name__ for t in odd))
+            )
+        readings: dict[str, float] = {}
+        for bssid, rssi in zip(map(normalize_bssid, bssids), rssis):
+            if bssid in readings:
+                raise ParseError(f"{where}: duplicate BSSID {bssid} in one scan")
+            readings[bssid] = float(rssi)
         return Fingerprint(
-            id=str(rec["id"]),
+            id=rec["id"],
             readings=readings,
             position=(float(rec["x_m"]), float(rec["y_m"])),
-            floor_key=(str(rec["dataset"]), str(rec["building"]), str(rec["floor"])),
-            device_model=str(rec["device"]),
-            burst_id=None if rec.get("burst") is None else str(rec["burst"]),
+            floor_key=(rec["dataset"], rec["building"], rec["floor"]),
+            device_model=rec["device"],
+            burst_id=burst,
             scan_index=scan,
         )
     except ParseError:
@@ -318,86 +334,54 @@ def load_dataset(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRepo
 # Bursts and pseudo-fingerprints
 # ---------------------------------------------------------------------------
 
-def group_bursts(fps: Sequence[Fingerprint]) -> list[Burst]:
-    """Group fingerprints into bursts, one per distinct (floor_key, burst_id).
+SUB_BURST_SIZE = 4
 
-    Every fingerprint must carry burst metadata; scans are ordered by
-    scan_index and burst invariants (shared position/device, contiguous
-    indices) are enforced.
+
+def split_all_sub_bursts(fps: Iterable[Fingerprint]) -> tuple[list[Fingerprint], BurstReport]:
+    """Aggregate every burst into two 4-scan pseudo-fingerprints.
+
+    Scans are grouped into bursts by (floor_key, burst_id) and ordered by
+    scan_index.  Every scan must carry burst metadata, and a burst's scans
+    must share position and device and be numbered 0..n-1.  Bursts shorter
+    than 8 scans are counted and skipped; scans past the eighth are unused.
+    A pseudo-fingerprint holds every AP its four scans detected at the median
+    of their readings (even counts average the middle two, hence float RSSI);
+    its id names the burst and the half (``...:<burst>:sub0``/``sub1``).
     """
     groups: dict[tuple[FloorKey, str], list[Fingerprint]] = {}
     for fp in fps:
         if fp.burst_id is None or fp.scan_index is None:
             raise ValueError(f"fingerprint {fp.id!r} lacks burst_id/scan_index")
         groups.setdefault((fp.floor_key, fp.burst_id), []).append(fp)
-    bursts = []
-    for (floor_key, burst_id), scans in sorted(groups.items()):
-        scans.sort(key=lambda fp: fp.scan_index)
-        bursts.append(
-            Burst(
-                burst_id=burst_id,
-                scans=tuple(scans),
-                position=scans[0].position,
-                device_model=scans[0].device_model,
-            )
-        )
-    return bursts
-
-
-SUB_BURST_SIZE = 4
-
-
-def _aggregate_scans(
-    burst: Burst, scans: Sequence[Fingerprint], sub_index: int
-) -> Fingerprint:
-    """Pseudo-fingerprint: per-AP median aggregation of a sub-burst of scans.
-
-    Contains every AP detected in at least one source scan; the RSSI for an
-    AP is the median of its observations across the scans that detected it
-    (even counts average the two middle values, hence float RSSI).  The id
-    names the burst and the half (``...:<burst>:sub<sub_index>``).
-    """
-    by_ap: dict[str, list[float]] = {}
-    for fp in scans:
-        for bssid, rssi in fp.readings.items():
-            by_ap.setdefault(bssid, []).append(rssi)
-    readings = {bssid: float(statistics.median(vals)) for bssid, vals in by_ap.items()}
-    fk = burst.floor_key
-    return Fingerprint(
-        id=f"{fk[0]}:{fk[1]}:{fk[2]}:{burst.burst_id}:sub{sub_index}",
-        readings=readings,
-        position=burst.position,
-        floor_key=fk,
-        device_model=burst.device_model,
-        burst_id=burst.burst_id,
-        scan_index=sub_index,
-    )
-
-
-def split_sub_bursts(burst: Burst) -> tuple[Fingerprint, Fingerprint]:
-    """Split one burst into two 4-scan pseudo-fingerprints.
-
-    The first aggregates scans 0-3, the second scans 4-7; the ninth scan
-    (and anything beyond) is discarded.  Bursts shorter than 8 scans are an
-    error here; batch callers skip and count them instead.
-    """
-    if len(burst.scans) < 2 * SUB_BURST_SIZE:
-        raise ValueError(
-            f"burst {burst.burst_id!r} has {len(burst.scans)} scans; need at least 8"
-        )
-    first = _aggregate_scans(burst, burst.scans[:SUB_BURST_SIZE], 0)
-    second = _aggregate_scans(burst, burst.scans[SUB_BURST_SIZE : 2 * SUB_BURST_SIZE], 1)
-    return first, second
-
-
-def split_all_sub_bursts(bursts: Sequence[Burst]) -> tuple[list[Fingerprint], BurstReport]:
-    """Split every burst long enough; short bursts are counted, not fatal."""
     report = BurstReport()
     pseudos: list[Fingerprint] = []
-    for burst in bursts:
+    for (fk, burst_id), scans in sorted(groups.items()):
+        scans.sort(key=lambda fp: fp.scan_index)
+        first = scans[0]
+        for fp in scans:
+            if fp.position != first.position:
+                raise ValueError(f"burst {burst_id!r}: scans disagree on position/floor")
+            if fp.device_model != first.device_model:
+                raise ValueError(f"burst {burst_id!r}: scans disagree on device")
+        indices = [fp.scan_index for fp in scans]
+        if indices != list(range(len(scans))):
+            raise ValueError(f"burst {burst_id!r}: scan indices {indices} not contiguous from 0")
         report.bursts_seen += 1
-        if len(burst.scans) < 2 * SUB_BURST_SIZE:
+        if len(scans) < 2 * SUB_BURST_SIZE:
             report.bursts_too_short += 1
             continue
-        pseudos.extend(split_sub_bursts(burst))
+        for half in (0, 1):
+            by_ap: dict[str, list[float]] = {}
+            for fp in scans[half * SUB_BURST_SIZE : (half + 1) * SUB_BURST_SIZE]:
+                for bssid, rssi in fp.readings.items():
+                    by_ap.setdefault(bssid, []).append(rssi)
+            pseudos.append(Fingerprint(
+                id=f"{fk[0]}:{fk[1]}:{fk[2]}:{burst_id}:sub{half}",
+                readings={b: float(statistics.median(v)) for b, v in by_ap.items()},
+                position=first.position,
+                floor_key=fk,
+                device_model=first.device_model,
+                burst_id=burst_id,
+                scan_index=half,
+            ))
     return pseudos, report

@@ -144,7 +144,10 @@ def load_pairs(path: str | Path, fps: Sequence[Fingerprint]) -> list[Fingerprint
                 a = by_id[rec["a"]]
                 b = by_id[rec["b"]]
                 label = ProximityClass(rec["label"])
-                pair = FingerprintPair(a, b, float(rec["distance_m"]), label)
+                distance = rec["distance_m"]
+                if type(distance) not in (int, float):  # as saved: not "1.0", not true
+                    raise ValueError(f"distance_m {distance!r} is not a number")
+                pair = FingerprintPair(a, b, float(distance), label)
                 apart = math.dist(a.position, b.position)
                 if pair.distance_m != apart:
                     raise ValueError(

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from wifiprox import cli, features, ingest, pairing
-from wifiprox.core import Burst, Fingerprint, ProximityClass
+from wifiprox.core import Fingerprint, ProximityClass
 from wifiprox.features import FEATURE_NAMES, extract, fit_least_squares
-from wifiprox.ingest import split_sub_bursts
+from wifiprox.ingest import split_all_sub_bursts
 from wifiprox.pairing import enumerate_pairs, make_pair
 from wifiprox.selection_metrics import (
     balanced_accuracy,
@@ -466,8 +466,7 @@ def test_criterion_10_sub_burst_oracle():
         )
         for i, r in enumerate(per_scan)
     )
-    burst = Burst(burst_id="b0", scans=scans, position=(3.0, 4.0), device_model="pixel-4")
-    first, second = split_sub_bursts(burst)
+    (first, second), _ = split_all_sub_bursts(scans)
 
     # first half: scans 0-3; medians by hand
     assert first.readings[ap_every] == -53.0          # median(-50,-52,-54,-56)

@@ -773,6 +773,29 @@ class TestIngest:
         }
 
 
+    def test_same_invocation_in_two_directories_writes_identical_sidecars(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the data file is keyed as <manifest dir as given>/<path as written>
+        printed, sidecars = [], []
+        for name in ("one", "two"):
+            d = tmp_path / name / "survey"
+            d.mkdir(parents=True)
+            (d / "data.csv").write_text("WAP001,LONGITUDE,LATITUDE\n-50,1.0,2.0\n")
+            (d / "manifest.json").write_text(
+                json.dumps({"dataset_id": "s", "format": "wide_csv", "path": "data.csv"})
+            )
+            monkeypatch.chdir(tmp_path / name)
+            assert run("ingest", "--manifest", "survey/manifest.json", "--out", "out.jsonl") == EXIT_OK
+            printed.append(capsys.readouterr().out)
+            sidecars.append(Path("out.jsonl.meta.json").read_bytes())
+        assert printed[0] == printed[1]
+        assert sidecars[0] == sidecars[1]
+        assert sorted(json.loads(sidecars[0])["inputs"]) == [
+            "survey/data.csv", "survey/manifest.json"
+        ]
+
+
 class TestSubBursts:
     def test_burst_site_to_pseudo_pairs(self, tmp_path, capsys):
         site = tmp_path / "bursts.jsonl"

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wifiprox.core import (
-    Burst,
     FingerprintPair,
     ProximityClass,
     bssid_from_int,
@@ -166,33 +165,6 @@ class TestFingerprint:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[1]
-
-
-class TestBurst:
-    @staticmethod
-    def _burst(indices):
-        scans = tuple(
-            make_fp(id=f"s{i}", burst_id="b", scan_index=i) for i in indices
-        )
-        return Burst(
-            burst_id="b",
-            scans=scans,
-            position=scans[0].position,
-            device_model=scans[0].device_model,
-        )
-
-    def test_scan_indices_must_be_contiguous(self):
-        with pytest.raises(ValueError):
-            self._burst((0, 2))
-
-    def test_valid_burst(self):
-        assert len(self._burst(range(3)).scans) == 3
-
-    def test_position_must_agree(self):
-        a = make_fp(id="s0", burst_id="b", scan_index=0)
-        b = make_fp(id="s1", burst_id="b", scan_index=1, position=(9.0, 9.0))
-        with pytest.raises(ValueError):
-            Burst(burst_id="b", scans=(a, b), position=a.position, device_model=a.device_model)
 
 
 # two same-floor fingerprints: distinct ids of 1-3 characters (so "b" < "ba"

@@ -1,4 +1,5 @@
-"""Golden hashes: feature values, model JSON and the mRMR ranking pinned bit for bit.
+"""Golden hashes: feature values, model JSON, the mRMR ranking and pseudo-fingerprints
+pinned bit for bit.
 
 The hashes were recorded from the implementation these tests guard and
 must not be edited to make a refactor pass.  A change that is meant to move
@@ -13,10 +14,11 @@ import numpy as np
 
 from wifiprox.core import ProximityClass
 from wifiprox.features import FEATURE_NAMES, extract
+from wifiprox.ingest import save_canonical, split_all_sub_bursts
 from wifiprox.model import EnsembleConfig, save_model, train_ensemble
 from wifiprox.pairing import enumerate_pairs, make_pair, sample_training_set
 from wifiprox.selection_metrics import mrmr_select
-from wifiprox.synth import generate_site, site_config_for_density
+from wifiprox.synth import SiteConfig, generate_site, site_config_for_density
 
 from conftest import bss, make_fp, random_readings
 
@@ -25,6 +27,7 @@ DENSE_SHA256 = "0c9397c9804d115bc0701d462b75b980bbef30cb83868bf52050d13128228e3c
 MODEL_SHA256 = "0bd1147a37464ab39774d92d5a05d479e2040ec56f3eb3c8ea3aeb0943245bca"
 DEEP_MODEL_SHA256 = "43452af8ffda657f9a66df799bb0344961194b2009003d21a8d60e651bfc29ca"
 MRMR_RANKING_SHA256 = "46b08b3283c691429c00abb2160e60688afec31ab8ef9f53e1680e8f40647b35"
+PSEUDO_SHA256 = "4f8333e5b3093d330f3d6fc3f0433a7566208639ce560cffd1bf84015da1263d"
 
 
 def _fuzz_pairs():
@@ -125,3 +128,31 @@ def test_mrmr_ranking_hash():
     ranked = mrmr_select(matrix, FEATURE_NAMES, is_close, len(FEATURE_NAMES))
     assert sorted(ranked) == sorted(FEATURE_NAMES)
     assert hashlib.sha256("\n".join(ranked).encode()).hexdigest() == MRMR_RANKING_SHA256
+
+
+def _burst_sites():
+    """A 3-cluster burst site per density, plus a medium one whose bursts are
+    cut to 5-9 scans and whose scans come in shuffled order."""
+    sites = [
+        generate_site(SiteConfig(density, f"golden-burst-{density}", seed, n_clusters=3, bursts=True))
+        for density, seed in (("low", 1101), ("medium", 2201), ("high", 3101))
+    ]
+    rng = np.random.default_rng(20261022)
+    full = generate_site(SiteConfig("medium", "golden-burst-cut", 7, n_clusters=4, bursts=True))
+    bursts = sorted({fp.burst_id for fp in full})
+    keep = dict(zip(bursts, rng.integers(5, 10, size=len(bursts)).tolist()))
+    cut = [fp for fp in full if fp.scan_index < keep[fp.burst_id]]
+    sites.append([cut[i] for i in rng.permutation(len(cut))])
+    return sites
+
+
+def test_pseudo_fingerprint_hash(tmp_path):
+    """``pairs --pseudo-out``'s aggregation: pseudo-fingerprint bytes and burst counts."""
+    h = hashlib.sha256()
+    for i, fps in enumerate(_burst_sites()):
+        pseudos, report = split_all_sub_bursts(fps)
+        path = tmp_path / f"pseudo{i}.jsonl"
+        save_canonical(pseudos, path)
+        h.update(path.read_bytes())
+        h.update(f"{report.bursts_seen},{report.bursts_too_short}\n".encode())
+    assert h.hexdigest() == PSEUDO_SHA256

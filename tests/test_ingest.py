@@ -9,13 +9,11 @@ from wifiprox.ingest import (
     DatasetManifest,
     ManifestError,
     ParseError,
-    group_bursts,
     load_canonical,
     load_manifest,
     load_wide_csv,
     save_canonical,
     split_all_sub_bursts,
-    split_sub_bursts,
 )
 
 from conftest import bss, make_fp
@@ -99,6 +97,41 @@ class TestCanonical:
             f"{path}:1: bad record (scan {scan!r} is not an integer)"
         )):
             load_canonical(path)
+
+    @pytest.mark.parametrize("field, value, found", [
+        ("x_m", True, "bool"),
+        ("y_m", "3", "str"),
+        ("rssi", "-50", "str"),
+        ("rssi", True, "bool"),
+        ("id", 7, "int"),
+        ("device", None, "NoneType"),
+        ("burst", 5, "int"),
+        ("bssid", 1, "int"),
+    ])
+    def test_field_of_another_type_rejected(self, tmp_path, field, value, found):
+        # float() would read true as 1.0 and "3" as 3.0; str() would read 7 as "7"
+        fp = make_fp(id="x", burst_id="b", scan_index=0)
+        path = tmp_path / "types.jsonl"
+        save_canonical([fp], path)
+        rec = json.loads(path.read_text())
+        if field in ("rssi", "bssid"):
+            rec["aps"][0][field] = value
+        else:
+            rec[field] = value
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ParseError, match=re.escape(
+            f"{path}:1: bad record (x_m, y_m and rssi must be numbers, "
+            f"ids and names strings; found {found})"
+        )):
+            load_canonical(path)
+
+    def test_integer_numbers_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        fp = make_fp(id="x", readings={bss(1): -50.0}, position=(1.0, 2.0))
+        save_canonical([fp], path)
+        path.write_text(path.read_text().replace(".0", ""))
+        assert '"rssi":-50' in path.read_text()
+        assert load_canonical(path) == [fp]
 
 
 class TestWideCsv:
@@ -211,48 +244,80 @@ def make_burst(n, *, burst="b0", base_rssi=-50.0, extra=None):
                 scan_index=i,
             )
         )
-    (grouped,) = group_bursts(scans)
-    return grouped
+    return scans
 
 
 class TestSubBursts:
     def test_split_uses_first_eight_scans(self):
         # AP2 appears only in the ninth scan: it must not appear anywhere
-        subs = split_sub_bursts(make_burst(9, extra={8: {bss(2): -30.0}}))
+        subs, _ = split_all_sub_bursts(make_burst(9, extra={8: {bss(2): -30.0}}))
         assert len(subs) == 2
         for sub in subs:
             assert bss(2) not in sub.readings
 
     def test_median_aggregation(self):
         # AP1 over scans 0..3: -50, -51, -52, -53 -> median -51.5
-        first, second = split_sub_bursts(make_burst(9))
+        (first, second), _ = split_all_sub_bursts(make_burst(9))
         assert first.readings[bss(1)] == -51.5
         assert second.readings[bss(1)] == -55.5
 
     def test_ap_missing_from_some_scans(self):
         # AP2 detected in scans 1 and 2 only: median over detections
-        first, _ = split_sub_bursts(
+        (first, _), _ = split_all_sub_bursts(
             make_burst(9, extra={1: {bss(2): -80.0}, 2: {bss(2): -84.0}})
         )
         assert first.readings[bss(2)] == -82.0
 
     def test_pseudo_ids_distinct_and_traceable(self):
-        first, second = split_sub_bursts(make_burst(9))
+        (first, second), _ = split_all_sub_bursts(make_burst(9))
         assert first.id != second.id
         # the id names the floor subset, the burst and the half
         assert (first.id, second.id) == ("ds:0:0:b0:sub0", "ds:0:0:b0:sub1")
 
     def test_too_short_burst_rejected(self):
-        with pytest.raises(ValueError):
-            split_sub_bursts(make_burst(7))
+        # a 7-scan burst yields no pseudo-fingerprint; it is counted, not fatal
+        pseudos, report = split_all_sub_bursts(make_burst(7))
+        assert pseudos == []
+        assert (report.bursts_seen, report.bursts_too_short) == (1, 1)
 
     def test_split_all_counts_short_bursts(self):
-        bursts = [make_burst(9, burst="b0"), make_burst(5, burst="b1")]
-        pseudos, report = split_all_sub_bursts(bursts)
+        scans = make_burst(9, burst="b0") + make_burst(5, burst="b1")
+        pseudos, report = split_all_sub_bursts(scans)
         assert len(pseudos) == 2
         assert report.bursts_seen == 2
         assert report.bursts_too_short == 1
 
-    def test_group_bursts_requires_metadata(self):
-        with pytest.raises(ValueError):
-            group_bursts([make_fp(id="x")])
+    def test_burst_metadata_required(self):
+        with pytest.raises(ValueError, match=re.escape("fingerprint 'x' lacks burst_id/scan_index")):
+            split_all_sub_bursts([make_fp(id="x")])
+
+    @staticmethod
+    def _scans(indices):
+        return [make_fp(id=f"s{i}", burst_id="b", scan_index=i) for i in indices]
+
+    def test_scan_indices_must_be_contiguous(self):
+        with pytest.raises(ValueError, match=re.escape(
+            "burst 'b': scan indices [0, 2] not contiguous from 0"
+        )):
+            split_all_sub_bursts(self._scans((0, 2)))
+        with pytest.raises(ValueError, match="not contiguous"):
+            split_all_sub_bursts(self._scans((0, 1, 1)))
+
+    def test_valid_burst(self):
+        # three contiguous scans pass the checks; the burst is then too short
+        pseudos, report = split_all_sub_bursts(self._scans(range(3)))
+        assert (pseudos, report.bursts_seen, report.bursts_too_short) == ([], 1, 1)
+        pseudos, _ = split_all_sub_bursts(self._scans(range(8)))
+        assert len(pseudos) == 2
+
+    def test_position_must_agree(self):
+        a = make_fp(id="s0", burst_id="b", scan_index=0)
+        b = make_fp(id="s1", burst_id="b", scan_index=1, position=(9.0, 9.0))
+        with pytest.raises(ValueError, match=re.escape("burst 'b': scans disagree on position/floor")):
+            split_all_sub_bursts([a, b])
+
+    def test_device_must_agree(self):
+        a = make_fp(id="s0", burst_id="b", scan_index=0)
+        b = make_fp(id="s1", burst_id="b", scan_index=1, device="nokia-7")
+        with pytest.raises(ValueError, match=re.escape("burst 'b': scans disagree on device")):
+            split_all_sub_bursts([a, b])

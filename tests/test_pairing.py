@@ -233,9 +233,14 @@ class TestPersistence:
         # the record must say how far apart its fingerprints are
         ('{"a":"f0","b":"f2","distance_m":1.0,"label":"Close"}',
          "distance_m 1.0, but the fingerprints are 2.8 m apart"),
+        # as saved: a number, which neither a string nor true is
+        ('{"a":"f0","b":"f1","distance_m":"1.0","label":"Close"}',
+         "distance_m '1.0' is not a number"),
+        ('{"a":"f0","b":"f1","distance_m":true,"label":"Close"}',
+         "distance_m True is not a number"),
     ], ids=["negative-distance", "nan-distance", "inf-distance", "self-pair",
             "close-between-gates", "far-inside-close-gate", "far-beyond-far-gate",
-            "distance-contradicts-positions"])
+            "distance-contradicts-positions", "string-distance", "bool-distance"])
     def test_rejected_pair_reports_line(self, tmp_path, record, reason):
         path = tmp_path / "pairs.jsonl"
         path.write_text('{"a":"f0","b":"f1","distance_m":1.0,"label":"Close"}\n' + record + "\n")

@@ -1,10 +1,11 @@
 """Synthetic site generator: physics, determinism, presets, burst mode."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from wifiprox.core import Burst
-from wifiprox.ingest import group_bursts
+from wifiprox.ingest import split_all_sub_bursts
 from wifiprox.synth import (
     CLUSTER_RADIUS_M,
     DENSITY_PRESETS,
@@ -136,13 +137,15 @@ class TestGenerateSite:
     def test_burst_mode_produces_contiguous_bursts(self):
         cfg = _small_cfg(bursts=True, n_clusters=2)
         fps = generate_site(cfg)
-        bursts = group_bursts(fps)
-        assert all(isinstance(b, Burst) for b in bursts)
-        assert all(len(b.scans) == SCANS_PER_BURST for b in bursts)
-        assert len(bursts) == 2 * POSITIONS_PER_CLUSTER * DEVICES_PER_POSITION
+        # every burst passes the sub-burst checks: one position and device,
+        # scans numbered 0..n-1
+        _, report = split_all_sub_bursts(fps)
+        sizes = Counter(fp.burst_id for fp in fps)
+        assert set(sizes.values()) == {SCANS_PER_BURST}
+        assert len(sizes) == report.bursts_seen
+        assert report.bursts_seen == 2 * POSITIONS_PER_CLUSTER * DEVICES_PER_POSITION
         # scan ids are derived from the burst stem
-        for b in bursts:
-            assert all(fp.id.startswith(b.burst_id) for fp in b.scans)
+        assert all(fp.id.startswith(fp.burst_id) for fp in fps)
 
     def test_non_burst_mode_drops_empty_scans(self, monkeypatch):
         # brutal dropout: most scans empty, none of the emitted ones empty
