@@ -123,7 +123,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     manifest = ingest.load_manifest(_require_exists(args.manifest))
     config = {"manifest": str(args.manifest), "format": manifest.format}
     doc = _print_header("ingest", None, config, [args.manifest, Path(manifest.path)])
-    fps, report = ingest.load_dataset(manifest)
+    fps, report = ingest.load_wide_csv(manifest)
     ingest.save_canonical(fps, args.out)
     doc["skip_report"] = dataclasses.asdict(report)
     _write_meta(args.out, doc)

@@ -10,6 +10,7 @@ which a fingerprint lists its APs (``Fingerprint.encoding``: by BSSID).
 
 from __future__ import annotations
 
+import csv
 import enum
 import math
 import re
@@ -32,12 +33,16 @@ FloorKey = tuple[str, str, str]
 
 @contextmanager
 def open_utf8(path, newline: Optional[str] = None) -> Iterator[TextIO]:
-    """Open a UTF-8 text input; a byte that does not decode is a ValueError naming the file."""
+    """Open a UTF-8 text input; a byte that does not decode, a CSV field past
+    ``csv``'s size limit or JSON nested past the recursion limit is a
+    ValueError naming the file."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}: not valid UTF-8 ({e.reason})") from e
+        except (csv.Error, RecursionError) as e:
+            raise ValueError(f"{path}: cannot be parsed ({e})") from e
 
 
 def is_canonical_bssid(bssid: str) -> bool:

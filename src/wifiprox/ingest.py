@@ -6,10 +6,12 @@ The canonical on-disk format is line-delimited JSON, one scan per line:
      "x_m": num, "y_m": num, "device": str, "burst": str|null,
      "scan": int|null, "aps": [{"bssid": str, "rssi": num}, ...]}
 
-The wide-CSV adapter turns one-row-per-scan matrix datasets (AP columns
-sharing a prefix, a "not detected" sentinel value) into the same in-memory
-model.  Rows whose AP cells are all sentinel carry no information and are
-skipped; skips are always counted, never silent.
+Every command that reads fingerprints loads this format itself.  The
+wide-CSV adapter, described by a :class:`DatasetManifest`, turns
+one-row-per-scan matrix datasets (AP columns sharing a prefix, a "not
+detected" sentinel value) into the same in-memory model.  Rows whose AP
+cells are all sentinel carry no information and are skipped; skips are
+always counted, never silent.
 """
 
 from __future__ import annotations
@@ -55,15 +57,16 @@ _MANIFEST_KINDS = {"str": str, "Optional[str]": (str, type(None)), "float": (int
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Where a dataset lives and how to decode it.
+    """Where a wide-CSV survey lives and which of its columns hold what.
 
-    ``path`` is taken relative to the manifest file when loaded with
-    :func:`load_manifest`.  Column names only apply to ``wide_csv``; the
-    coordinate unit scale converts dataset units into meters.
+    ``format`` must read ``"wide_csv"``.  ``path`` is taken relative to the
+    manifest file when loaded with :func:`load_manifest`; the coordinate unit
+    scale converts dataset units into meters.  A survey without a device,
+    building or floor column gets ``"unknown"``, ``"0"`` and ``"0"``.
     """
 
     dataset_id: str
-    format: str  # "canonical_jsonl" | "wide_csv"
+    format: str
     path: Path
     not_detected_sentinel: float = 100.0
     ap_column_prefix: str = "WAP"
@@ -73,19 +76,15 @@ class DatasetManifest:
     device_column: Optional[str] = None
     building_column: Optional[str] = None
     floor_column: Optional[str] = None
-    burst_column: Optional[str] = None
-    scan_column: Optional[str] = None
-    device_default: str = "unknown"
-    building_default: str = "0"
-    floor_default: str = "0"
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value, kinds = getattr(self, f.name), _MANIFEST_KINDS.get(f.type)
             if kinds and (not isinstance(value, kinds) or isinstance(value, bool)):
                 raise ManifestError(f"{f.name} must be {f.type}, got {value!r}")
-        if self.format not in ("canonical_jsonl", "wide_csv"):
-            raise ManifestError(f"unknown dataset format {self.format!r}")
+        if self.format != "wide_csv":
+            raise ManifestError(f"format must be 'wide_csv', got {self.format!r} "
+                                "(canonical JSONL needs no ingest: give it to pairs --in)")
         if self.unit_scale_to_m <= 0:
             raise ManifestError("unit_scale_to_m must be > 0")
 
@@ -99,7 +98,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ManifestError(f"{p}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise ManifestError(f"{p}: manifest must be a JSON object")
@@ -230,8 +229,6 @@ def load_wide_csv(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRep
     Each row becomes one fingerprint; AP cells equal to the sentinel mean
     "not detected".  Rows with no detected AP are skipped and counted.
     """
-    if manifest.format != "wide_csv":
-        raise ManifestError(f"manifest {manifest.dataset_id!r} is not wide_csv")
     report = SkipReport()
     fps: list[Fingerprint] = []
     with open_utf8(manifest.path, newline="") as fh:
@@ -266,8 +263,6 @@ def load_wide_csv(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRep
         idev = require(manifest.device_column, "device")
         ibld = require(manifest.building_column, "building")
         iflr = require(manifest.floor_column, "floor")
-        ibst = require(manifest.burst_column, "burst")
-        iscn = require(manifest.scan_column, "scan")
 
         sentinel = float(manifest.not_detected_sentinel)
         for rowno, row in enumerate(reader, start=2):
@@ -296,8 +291,8 @@ def load_wide_csv(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRep
                 continue
             floor_key: FloorKey = (
                 manifest.dataset_id,
-                row[ibld].strip() if ibld is not None else manifest.building_default,
-                row[iflr].strip() if iflr is not None else manifest.floor_default,
+                row[ibld].strip() if ibld is not None else "0",
+                row[iflr].strip() if iflr is not None else "0",
             )
             try:
                 fp = Fingerprint(
@@ -308,26 +303,13 @@ def load_wide_csv(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipRep
                         float(row[iy]) * manifest.unit_scale_to_m,
                     ),
                     floor_key=floor_key,
-                    device_model=(
-                        row[idev].strip() if idev is not None else manifest.device_default
-                    ),
-                    burst_id=row[ibst].strip() if ibst is not None else None,
-                    scan_index=int(row[iscn]) if iscn is not None else None,
+                    device_model=row[idev].strip() if idev is not None else "unknown",
                 )
-            except ValueError as e:  # a coordinate or scan cell that does not parse
+            except ValueError as e:  # a coordinate cell that does not parse
                 raise ParseError(f"{manifest.path}:{rowno}: {e}") from None
             fps.append(fp)
             report.loaded += 1
     return fps, report
-
-
-def load_dataset(manifest: DatasetManifest) -> tuple[list[Fingerprint], SkipReport]:
-    """Dispatch on manifest format; canonical loads never skip rows."""
-    if manifest.format == "canonical_jsonl":
-        fps = load_canonical(manifest.path)
-        report = SkipReport(rows_read=len(fps), loaded=len(fps))
-        return fps, report
-    return load_wide_csv(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +342,7 @@ def split_all_sub_bursts(fps: Iterable[Fingerprint]) -> tuple[list[Fingerprint],
         first = scans[0]
         for fp in scans:
             if fp.position != first.position:
-                raise ValueError(f"burst {burst_id!r}: scans disagree on position/floor")
+                raise ValueError(f"burst {burst_id!r}: scans disagree on position")
             if fp.device_model != first.device_model:
                 raise ValueError(f"burst {burst_id!r}: scans disagree on device")
         indices = [fp.scan_index for fp in scans]

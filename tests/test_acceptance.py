@@ -597,7 +597,7 @@ def test_real_dataset_pair_count_magnitudes(tmp_path):
         "device_column": "PHONEID",
     }))
     manifest = ingest.load_manifest(manifest_path)
-    fps, _report = ingest.load_dataset(manifest)
+    fps, _report = ingest.load_wide_csv(manifest)
     pairs = enumerate_pairs(fps)
     n_close = sum(p.label is ProximityClass.CLOSE for p in pairs)
     n_far = len(pairs) - n_close

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, sidecars, reruns."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -87,18 +88,14 @@ class TestExitCodes:
         ) == EXIT_CONFIG
         assert "format" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("columns, text, where", [
-        ({}, "WAP001,WAP002,LONGITUDE,LATITUDE\n-60,-70,3.0\n", "2: expected 4 cells, got 3"),
-        ({"scan_column": "SCAN"}, "WAP001,LONGITUDE,LATITUDE,SCAN\n-60,3.0,4.0,1.5\n",
-         "2: invalid literal for int() with base 10: '1.5'"),
-    ], ids=["ragged-row", "non-integer-scan"])
-    def test_bad_wide_csv_row_names_file_and_line(self, tmp_path, columns, text, where):
+    @pytest.mark.parametrize("text, where", [
+        ("WAP001,WAP002,LONGITUDE,LATITUDE\n-60,-70,3.0\n", "2: expected 4 cells, got 3"),
+    ], ids=["ragged-row"])
+    def test_bad_wide_csv_row_names_file_and_line(self, tmp_path, text, where):
         data = tmp_path / "survey.csv"
         data.write_text(text)
         mf = tmp_path / "manifest.json"
-        mf.write_text(json.dumps(
-            {"dataset_id": "s", "format": "wide_csv", "path": "survey.csv", **columns}
-        ))
+        mf.write_text(json.dumps({"dataset_id": "s", "format": "wide_csv", "path": "survey.csv"}))
         done = run_subprocess("ingest", "--manifest", mf, "--out", tmp_path / "out.jsonl")
         assert done.returncode == EXIT_VALIDATION, done.stderr
         assert f"error: {data}:{where}\n" in done.stderr
@@ -411,6 +408,45 @@ class TestExitCodes:
         assert f"error: {bad}: {problem} (" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("kind", [
+        "site", "pairs", "model", "manifest",
+        "select-table", "train-table", "evaluate-table", "wide-csv",
+    ])
+    def test_input_past_a_parser_limit_names_its_file(self, pipeline, tmp_path, kind):
+        # 200,000 nested '[' pass the recursion limit of json; an unterminated
+        # quote before 128 KiB more pass csv's field size limit
+        bad = tmp_path / "bad"
+        out = tmp_path / "out"
+        if kind in ("site", "pairs", "model", "manifest"):
+            bad.write_text("[" * 200_000 + "\n")
+        elif kind == "wide-csv":
+            bad.write_text('WAP001,LONGITUDE,LATITUDE\n"' + "-60,3.0,4.0\n" * 20_000)
+        else:
+            header = pipeline["features"].read_text().splitlines()[0]
+            bad.write_text(header + '\n"' + "0.5," * 40_000 + "\n")
+        mf = tmp_path / "manifest.json"
+        mf.write_text(json.dumps({"dataset_id": "s", "format": "wide_csv", "path": "bad"}))
+        ingest_mf = ("ingest", "--manifest", bad if kind == "manifest" else mf, "--out", out)
+        argv = {
+            "site": ("pairs", "--in", bad, "--out", out),
+            "pairs": ("featurize", "--pairs", bad, "--fingerprints", pipeline["site"],
+                      "--out", out),
+            "model": ("evaluate", "--model", bad, "--features", pipeline["features"],
+                      "--report-out", out),
+            "manifest": ingest_mf,
+            "select-table": ("select", "--features", bad, "--top-k", 3, "--out", out),
+            "train-table": ("train", "--features", bad, "--model-out", out, "--seed", 1),
+            "evaluate-table": ("evaluate", "--model", pipeline["model"], "--features", bad,
+                               "--report-out", out),
+            "wide-csv": ingest_mf,
+        }[kind]
+        done = run_subprocess(*argv)
+        assert done.returncode == (EXIT_CONFIG if kind == "manifest" else EXIT_VALIDATION)
+        assert done.stderr.startswith(f"error: {bad}: "), done.stderr
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "select", "evaluate"])
     def test_feature_table_repeating_a_column_name_is_rejected(
         self, pipeline, tmp_path, capsys, command
@@ -434,20 +470,13 @@ class TestExitCodes:
         assert f"error: {bad}:1: repeats 'ap.shared_count.none' from column 4\n" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["ingest", "pairs"])
+    @pytest.mark.parametrize("command", ["pairs"])
     def test_site_repeating_a_fingerprint_id_is_rejected(self, pipeline, tmp_path, command):
         lines = pipeline["site"].read_text().splitlines()
         bad = tmp_path / "repeated.jsonl"
         bad.write_text("\n".join([*lines, lines[0]]) + "\n")
-        mf = tmp_path / "manifest.json"
-        mf.write_text(json.dumps({"dataset_id": "tiny", "format": "canonical_jsonl",
-                                  "path": str(bad)}))
         out = tmp_path / "out.jsonl"
-        argv = {
-            "ingest": ("ingest", "--manifest", mf, "--out", out),
-            "pairs": ("pairs", "--in", bad, "--out", out),
-        }[command]
-        done = run_subprocess(*argv)
+        done = run_subprocess(command, "--in", bad, "--out", out)
         assert done.returncode == EXIT_VALIDATION, done.stderr
         fp_id = json.loads(lines[0])["id"]
         assert (f"error: {bad}:{len(lines) + 1}: repeats id {fp_id!r} from line 1\n"
@@ -506,6 +535,31 @@ class TestFlags:
         found = self.parser_flags()
         assert found == self.FLAGS
         assert sum(len(flags) for flags in found.values()) == 35
+
+    #: every key a dataset manifest may set; adding one is a deliberate edit here
+    MANIFEST_KEYS = [
+        "dataset_id", "format", "path", "not_detected_sentinel", "ap_column_prefix",
+        "x_column", "y_column", "unit_scale_to_m", "device_column", "building_column",
+        "floor_column",
+    ]
+
+    def test_manifest_key_inventory(self):
+        assert [f.name for f in dataclasses.fields(ingest.DatasetManifest)] == self.MANIFEST_KEYS
+
+    @pytest.mark.parametrize("key", [
+        "burst_column", "scan_column", "device_default", "building_default", "floor_default",
+    ])
+    def test_removed_manifest_key_is_config_error(self, tmp_path, capsys, key):
+        (tmp_path / "survey.csv").write_text("WAP001,LONGITUDE,LATITUDE\n-60,3.0,4.0\n")
+        mf = tmp_path / "manifest.json"
+        mf.write_text(json.dumps(
+            {"dataset_id": "s", "format": "wide_csv", "path": "survey.csv", key: "X"}
+        ))
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert run("ingest", "--manifest", mf, "--out", out) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {mf}: unknown manifest keys [{key!r}]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc, prompt, commands", [
         ("experiments/run_density_experiments.sh", '"$WIFIPROX" ',
@@ -729,18 +783,19 @@ class TestArtifacts:
 
 
 class TestIngest:
-    def test_canonical_route(self, pipeline, tmp_path, capsys):
+    def test_canonical_route_is_config_error(self, pipeline, tmp_path, capsys):
         mf = tmp_path / "manifest.json"
         mf.write_text(json.dumps(
             {"dataset_id": "tiny", "format": "canonical_jsonl", "path": str(pipeline["site"])}
         ))
         out = tmp_path / "copy.jsonl"
-        assert run("ingest", "--manifest", mf, "--out", out) == EXIT_OK
-        assert out.read_bytes() == pipeline["site"].read_bytes()
-        assert "loaded=" in capsys.readouterr().out
-        n = len(ingest.load_canonical(out))
-        doc = json.loads(Path(str(out) + ".meta.json").read_text())
-        assert doc["skip_report"] == {"rows_read": n, "loaded": n, "skipped_empty": 0}
+        capsys.readouterr()
+        assert run("ingest", "--manifest", mf, "--out", out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {mf}: format must be 'wide_csv', got 'canonical_jsonl' "
+            "(canonical JSONL needs no ingest: give it to pairs --in)\n"
+        )
+        assert not out.exists()
 
     def test_wide_csv_manifest_route(self, tmp_path, capsys):
         csv_path = tmp_path / "survey.csv"

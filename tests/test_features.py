@@ -925,6 +925,36 @@ class TestExtract:
         both_empty = make_pair(a, make_fp(id="b", readings={}), 1.0, ProximityClass.CLOSE)
         assert np.all(np.isfinite(extract(both_empty).values))
 
+    @given(
+        st.integers(0, 90).flatmap(lambda n: st.tuples(
+            st.lists(st.integers(-95, -30), min_size=n, max_size=n),
+            st.lists(st.integers(-95, -30), min_size=n, max_size=n),
+        )),
+        st.sampled_from(["free", "constant", "reversed"]),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_vector_rank_statistics_equal_the_rssi_ones_bit_for_bit(
+        self, readings, shape, n_own
+    ):
+        # a max-rank vector keeps its readings' order and ties, so both rank
+        # statistics see the same average ranks and the same Kendall counts
+        xs, ys = readings
+        if shape == "constant":
+            ys = ys[:1] * len(ys)
+        elif shape == "reversed":  # a negative least-squares slope
+            ys = [-125 - x for x in xs]
+        a = {bss(i + 1): float(x) for i, x in enumerate(xs)}
+        b = {bss(i + 1): float(y) for i, y in enumerate(ys)}
+        a.update({bss(200 + i): -80.0 for i in range(n_own)})
+        b.update({bss(300 + i): -81.0 for i in range(n_own)})
+        vec = extract(pair_of(a, b))
+        for stat in ("spearman", "kendall"):
+            for variant in VARIANTS:
+                got = np.float64(vec[f"corr_rank.{stat}.{variant}"])
+                want = np.float64(vec[f"corr_rssi.{stat}.{variant}"])
+                assert got.tobytes() == want.tobytes(), (stat, variant, got, want)
+
 
 # ---------------------------------------------------------------------------
 # Feature tables

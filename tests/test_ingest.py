@@ -313,7 +313,7 @@ class TestSubBursts:
     def test_position_must_agree(self):
         a = make_fp(id="s0", burst_id="b", scan_index=0)
         b = make_fp(id="s1", burst_id="b", scan_index=1, position=(9.0, 9.0))
-        with pytest.raises(ValueError, match=re.escape("burst 'b': scans disagree on position/floor")):
+        with pytest.raises(ValueError, match=re.escape("burst 'b': scans disagree on position")):
             split_all_sub_bursts([a, b])
 
     def test_device_must_agree(self):
