@@ -52,20 +52,15 @@ Kendall's tau-b is scipy's statistic, bit for bit except on short inputs:
   differences and evaluates ``(sx . sy) / sqrt(nx * ny)``, which can differ
   from scipy's expression in the last bits (up to 3 ULP on 3,000 random
   integer-dBm inputs of 3-64 entries; the golden hashes pin these bits).
-  The next rule's integer counts would serve these inputs, and
-  ``device.re3``, with every golden hash unchanged; the sign count stays
-  because it is faster on short inputs (with the counts, extracting 100
-  low-density pairs took a median 2.3-2.4 ms per pair against 1.9-2.0 in
-  three of four interleaved rounds, on a 2-core Intel Xeon);
+  The next rule's counts would keep every golden hash, but the sign count
+  is faster (1.9-2.0 against 2.3-2.4 ms per low-density pair, 2-core Xeon);
 * longer vectors whose tie groups' contingency table (Christensen 2005,
   *Comput. Stat.* 20:51) has at most ``KENDALL_TABLE_MAX_CELLS`` (2**15)
-  cells take scipy's integer counts (pairs, pairs tied in u, in v and in
-  both, discordant pairs from 2-D cumulative sums) from that table, and
-  evaluate scipy's expression ``(con - dis) / sqrt(tot - xtie) /
-  sqrt(tot - ytie)`` clipped to [-1, 1];
+  cells take scipy's integer counts from that table (discordant pairs from
+  2-D cumulative sums) and evaluate scipy's expression (``_tau_b``);
 * larger tables, mostly the pair-ratio vectors of pairs sharing dozens of
-  APs, go to ``scipy.stats.kendalltau`` itself; scipy is imported on the
-  first of them, not with this module.
+  APs, count the discordant pairs as v's inversions after one sort by
+  (u, v) (Knight 1966), in blocks of sqrt(m); the cost grows as m**1.5.
 
 Fixed constants of the catalog:
 
@@ -209,8 +204,10 @@ def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, flo
 #: Kendall's tau-b counts pair signs directly up to this many entries
 KENDALL_SIGNS_MAX = 64
 #: beyond it, the contingency table of the two vectors' tie groups is used
-#: while it has at most this many cells; larger tables go to scipy
+#: while it has at most this many cells
 KENDALL_TABLE_MAX_CELLS = 1 << 15
+#: larger tables take the block count, which compares at most this many pairs at a time
+KENDALL_COMPARE_CELLS = 1 << 20
 
 
 class _Ranked:
@@ -319,16 +316,22 @@ def _kendall(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.n
         elif ku * kv <= KENDALL_TABLE_MAX_CELLS:
             out[k] = _tau_b_from_table(ru, rv, i, j)
         else:
-            from scipy import stats  # not at module import: it adds about 1 s and 70 MB
-
-            tau = stats.kendalltau(ru.values[i], rv.values[j]).statistic
-            out[k] = 0.0 if math.isnan(tau) else tau
+            out[k] = _tau_b_from_blocks(ru, rv, i, j)
     return out
 
 
+def _tau_b(ru: _Ranked, rv: _Ranked, i: int, j: int, dis: int, joint_ties: int) -> float:
+    """scipy's ``(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie)``, clipped to
+    [-1, 1], from u[i] and v[j]'s discordant and jointly tied pairs."""
+    m, xtie, ytie = ru.values.shape[1], int(ru.tied[i]), int(rv.tied[j])
+    tot = m * (m - 1) // 2
+    con_minus_dis = tot - xtie - ytie + joint_ties - 2 * dis
+    tau = con_minus_dis / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
+    return min(1.0, max(-1.0, tau))
+
+
 def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int, j: int) -> float:
-    """scipy's tau-b of u[i] and v[j] from exact counts over their tie groups'
-    contingency table."""
+    """scipy's tau-b of u[i] and v[j] from their tie groups' contingency table."""
     m = ru.values.shape[1]
     ku, kv = int(ru.groups[i]), int(rv.groups[j])
     table = np.bincount(ru.dense(i) * kv + rv.dense(j), minlength=ku * kv).reshape(ku, kv)
@@ -339,12 +342,38 @@ def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int, j: int) -> float:
     earlier_v = np.cumsum(later_u, axis=1)
     earlier_v -= later_u
     dis = int(np.vdot(table, earlier_v))
-    joint_ties = (int(np.vdot(table, table)) - m) // 2
-    xtie, ytie = int(ru.tied[i]), int(rv.tied[j])
-    tot = m * (m - 1) // 2
-    con_minus_dis = tot - xtie - ytie + joint_ties - 2 * dis
-    tau = con_minus_dis / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
-    return min(1.0, max(-1.0, tau))
+    return _tau_b(ru, rv, i, j, dis, (int(np.vdot(table, table)) - m) // 2)
+
+
+def _tau_b_from_blocks(ru: _Ranked, rv: _Ranked, i: int, j: int) -> float:
+    """scipy's tau-b of u[i] and v[j]: sorted by (u, v), the discordant pairs
+    are the inversions of v's groups (Knight 1966).  Over blocks of s positions
+    and of s ranks, s = ceil(sqrt(m)), pairs within a block are compared
+    directly and the rest read off the (position block, rank block) histogram."""
+    m, kv = ru.values.shape[1], int(rv.groups[j])
+    keys = ru.dense(i) * kv
+    keys += rv.dense(j)
+    keys.sort()
+    runs = np.diff(np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]), append=m)
+    s = math.isqrt(m - 1) + 1
+    # the positions in (v, u) order (the stable sort keeps u's order within ties
+    # in v), padded to s * s with positions in order, which add no inversion
+    order = np.argsort((keys % kv).astype(np.min_scalar_type(kv - 1)), kind="stable")
+    order = np.r_[order, m:s * s].astype(np.min_scalar_type(s * s - 1))
+    rank = np.argsort(order, kind="stable").astype(order.dtype)
+    later = np.triu(np.ones((s, s), dtype=bool), 1)
+    step = max(1, KENDALL_COMPARE_CELLS // (s * s))
+    dis = 0
+    # pairs in one position block by rank, in one rank block by position block
+    for rows in (rank.reshape(s, s), (order // s).reshape(s, s)):
+        for start in range(0, s, step):
+            chunk = rows[start:start + step]
+            dis += int(np.count_nonzero((chunk[:, :, None] > chunk[:, None, :]) & later))
+    grid = np.bincount(np.arange(s * s) // s * s + rank // s, minlength=s * s).reshape(s, s)
+    # per position block past the first: the entries before it, by rank block up to each
+    below = np.cumsum(np.cumsum(grid[:-1], axis=0), axis=1)
+    dis += s * s * s * (s - 1) // 2 - int(np.vdot(grid[1:], below))
+    return _tau_b(ru, rv, i, j, dis, (int(np.vdot(runs, runs)) - m) // 2)
 
 
 def _corr4(

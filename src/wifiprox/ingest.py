@@ -98,7 +98,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError and UnicodeDecodeError too
         raise ManifestError(f"{p}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise ManifestError(f"{p}: manifest must be a JSON object")
@@ -160,7 +160,7 @@ def _fingerprint_from_record(rec: dict, where: str) -> Fingerprint:
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{where}: bad record ({e})") from e
 
 
@@ -180,7 +180,7 @@ def load_canonical(path: str | Path) -> list[Fingerprint]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # also an integer past Python's digit limit
                 raise ParseError(f"{p}:{lineno}: malformed JSON ({e})") from e
             fp = _fingerprint_from_record(rec, f"{p}:{lineno}")
             if line_of.setdefault(fp.id, lineno) != lineno:

@@ -395,9 +395,10 @@ def save_model(model: BaggedEnsemble, path: str | Path) -> None:
 def load_model(path: str | Path) -> BaggedEnsemble:
     p = Path(path)
     with open_utf8(p) as fh:
+        text = fh.read()  # outside the try: a byte that does not decode is open_utf8's error
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
+            doc = json.loads(text)
+        except ValueError as e:  # also an integer past Python's digit limit
             raise ValueError(f"{p}: not a valid model file ({e})") from e
     if not isinstance(doc, dict) or doc.get("kind") != "rssi-pair-bagging":
         raise ValueError(f"{p}: not a recognized model file")

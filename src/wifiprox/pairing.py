@@ -162,6 +162,6 @@ def load_pairs(path: str | Path, fps: Sequence[Fingerprint]) -> list[Fingerprint
                 out.append(pair)
             except KeyError as e:
                 raise ValueError(f"{p}:{lineno}: unresolved reference or field {e}") from e
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, OverflowError) as e:
                 raise ValueError(f"{p}:{lineno}: bad pair record ({e})") from e
     return out

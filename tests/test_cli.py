@@ -447,6 +447,40 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", [
+        "site-x_m", "site-rssi", "pair-distance", "site-digits", "model-digits",
+        "manifest-digits",
+    ])
+    def test_number_out_of_range_names_its_file(self, pipeline, tmp_path, kind):
+        # 400 digits overflow float(); 5,000 pass the digit limit of Python's int
+        # parser, which json raises as a plain ValueError
+        number = "9" * (5000 if kind.endswith("digits") else 400)
+        source = {"site": pipeline["site"], "pair": pipeline["pairs"],
+                  "model": pipeline["model"]}.get(kind.split("-")[0])
+        doc = (json.loads(source.read_text().splitlines()[0]) if source else
+               {"dataset_id": "s", "format": "wide_csv", "path": "bad", "unit_scale_to_m": 1})
+        key = {"site-rssi": "rssi", "pair-distance": "distance_m", "model-digits": "train_seed",
+               "manifest-digits": "unit_scale_to_m"}.get(kind, "x_m")
+        (doc["aps"][0] if key == "rssi" else doc)[key] = "@"
+        bad = tmp_path / "bad"
+        # json.dumps cannot write a 5,000-digit integer: it goes in as text
+        bad.write_text(json.dumps(doc).replace('"@"', number) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "site": ("pairs", "--in", bad, "--out", out),
+            "pair": ("featurize", "--pairs", bad, "--fingerprints", pipeline["site"],
+                     "--out", out),
+            "model": ("evaluate", "--model", bad, "--features", pipeline["features"],
+                      "--report-out", out),
+            "manifest": ("ingest", "--manifest", bad, "--out", out),
+        }[kind.split("-")[0]]
+        done = run_subprocess(*argv)
+        assert done.returncode == (EXIT_CONFIG if kind == "manifest-digits" else EXIT_VALIDATION)
+        assert done.stderr.startswith(f"error: {bad}"), done.stderr
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "select", "evaluate"])
     def test_feature_table_repeating_a_column_name_is_rejected(
         self, pipeline, tmp_path, capsys, command

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -265,7 +266,7 @@ def _long_pair_ratios(rng):
     # ratios of 80 readings: thousands of distinct values in both vectors
     x = rng.integers(-95, -30, size=80).astype(float)
     y = np.clip(x + rng.normal(0, 6, size=80), -99, -20)
-    return features._pair_ratios(x), features._pair_ratios(y), "scipy"
+    return features._pair_ratios(x), features._pair_ratios(y), "blocks"
 
 
 def _with_groups(rng, m, ku, kv):
@@ -275,7 +276,8 @@ def _with_groups(rng, m, ku, kv):
     return rng.permutation(u), rng.permutation(v)
 
 
-#: name -> rng -> (u, v, path that Kendall's tau-b must take)
+#: name -> rng -> (u, v, path that Kendall's tau-b must take); the ``scipy-``
+#: cases name the inputs that were once handed to scipy
 _KENDALL_LONG_CASES = {
     "table-heavy-ties": _heavy_ties,
     "scipy-long-pair-ratios": _long_pair_ratios,
@@ -283,7 +285,7 @@ _KENDALL_LONG_CASES = {
     "table-past-64-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 81), "table"),
     # 128 x 256 = 2**15 cells at m = 1000 (the cap is inclusive)
     "table-at-cell-cap": lambda rng: (*_with_groups(rng, 1000, 128, 256), "table"),
-    "scipy-past-cell-cap": lambda rng: (*_with_groups(rng, 1000, 129, 256), "scipy"),
+    "scipy-past-cell-cap": lambda rng: (*_with_groups(rng, 1000, 129, 256), "blocks"),
     # one entry differs from 199 tied ones
     "table-all-tied-but-one": lambda rng: (
         np.r_[np.full(199, -60.0), -59.0],
@@ -294,7 +296,7 @@ _KENDALL_LONG_CASES = {
 
 
 def _count_kendall_paths(monkeypatch):
-    """Count the long Kendall inputs that take the table and the scipy path."""
+    """Count the long Kendall inputs that take the table and the block count."""
     taken = {}
 
     def counting(path, f):
@@ -305,7 +307,8 @@ def _count_kendall_paths(monkeypatch):
 
     monkeypatch.setattr(features, "_tau_b_from_table",
                         counting("table", features._tau_b_from_table))
-    monkeypatch.setattr(stats, "kendalltau", counting("scipy", stats.kendalltau))
+    monkeypatch.setattr(features, "_tau_b_from_blocks",
+                        counting("blocks", features._tau_b_from_blocks))
     return taken
 
 
@@ -365,6 +368,53 @@ class TestKernels:
             taken = _count_kendall_paths(mp)
             got = one_row(features._kendall, u, v)
         assert taken == {"table": 1}
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @given(
+        st.one_of(
+            st.integers(features.KENDALL_SIGNS_MAX + 1, 8010),
+            # a square and either side of it, where the block size ceil(sqrt(m)) steps
+            st.integers(9, 89).flatmap(lambda s: st.sampled_from([s * s - 1, s * s, s * s + 1])),
+        ),
+        st.one_of(st.integers(2, 8), st.integers(9, 8010)),
+        st.one_of(st.integers(2, 8), st.integers(9, 8010)),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(m=8010, ku=300, kv=8010, dominant=True, seed=0)
+    @example(m=8010, ku=8010, kv=8010, dominant=False, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_kendall_past_signs_equals_scipy_at_every_length(self, m, ku, kv, dominant, seed):
+        # dominant: one group of u holds all but ku - 1 entries
+        rng = np.random.default_rng(seed)
+        ku, kv = min(ku, m), min(kv, m)
+        u, v = _with_groups(rng, m, ku, kv)
+        if dominant:
+            u = rng.permutation(np.r_[np.zeros(m - ku + 1), np.arange(1, ku)])
+        expected = stats.kendalltau(u, v).statistic
+        with pytest.MonkeyPatch.context() as mp:
+            taken = _count_kendall_paths(mp)
+            got = one_row(features._kendall, u, v)
+        assert taken == {"blocks" if ku * kv > features.KENDALL_TABLE_MAX_CELLS else "table": 1}
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("shared", [200, 300])
+    def test_kendall_block_count_stays_within_8_mib(self, shared):
+        # all-distinct pair ratios of 39,800 and 89,700 entries, past any preset:
+        # the block count compares in chunks, so only arrays of m entries remain
+        rng = np.random.default_rng(shared)
+        x = rng.uniform(-95, -30, shared)
+        y = x + rng.normal(0, 6, shared)
+        u, v = (features._Ranked(features._pair_ratios(r)[None]) for r in (x, y))
+        assert u.groups[0] == v.groups[0] == shared * (shared - 1)
+        tracemalloc.start()
+        try:
+            got = features._kendall(u, v, ((0, 0),))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        expected = stats.kendalltau(u.values[0], v.values[0]).statistic
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_kendall_path_consistency_at_boundary(self, rng):
@@ -653,7 +703,7 @@ class TestAgainstOracle:
             assert 0.0 in [*pair.a.readings.values(), *pair.b.readings.values()]
         assert extract(pair).values.tobytes() == extract_oracle(pair).tobytes()
 
-    @pytest.mark.parametrize("shared", [2, 12, 70])
+    @pytest.mark.parametrize("shared", [2, 12, 60, 70, 90])
     def test_overflow_names_the_oracle_columns(self, shared):
         rng = np.random.default_rng(shared)
         a_read = {bss(i): float(rng.integers(-95, -30)) for i in range(1, shared + 1)}

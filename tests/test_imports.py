@@ -1,9 +1,10 @@
-"""Lint guards: no module under src/wifiprox imports a name it never uses, and
-only ``features.py`` imports scipy, on the first Kendall table too large for
-its own count."""
+"""Lint guards: no module under src/wifiprox imports a name it never uses, or
+anything but the standard library, numpy and the package itself; scipy, the
+tests' Kendall oracle, is not a runtime dependency."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,9 +86,19 @@ def imported_modules(source: str) -> set[str]:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_features_imports_scipy(path):
-    # features.py's Kendall tau is the single runtime use of scipy
-    if path.name != "features.py":
-        assert "scipy" not in imported_modules(path.read_text(encoding="utf-8"))
+    # no module imports scipy, features.py included: each imports only the
+    # standard library, numpy and the package itself
+    imported = imported_modules(path.read_text(encoding="utf-8"))
+    assert imported - set(sys.stdlib_module_names) - {"numpy", "wifiprox"} == set()
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.split(r"[<>=!~ ;\[]", d, maxsplit=1)[0] for d in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
 
 def test_import_scan_sees_nested_and_dotted_imports():
@@ -101,7 +112,7 @@ def test_import_scan_sees_nested_and_dotted_imports():
     assert imported_modules(source) == {"numpy", "scipy", "os"}
 
 
-_SCIPY_ON_DEMAND = """
+_NO_SCIPY = """
 import sys
 import numpy as np
 import wifiprox.cli
@@ -117,20 +128,20 @@ def pair(n_aps):
             for i in "ab")
     return make_pair(a, b, 1.0, ProximityClass.CLOSE)
 
-print("scipy.stats" in sys.modules)
-extract(pair(12))
-print("scipy.stats" in sys.modules)
-extract(pair(60))
-print("scipy.stats" in sys.modules)
+print("scipy" in sys.modules)
+for n_aps in (12, 60, 90):
+    extract(pair(n_aps))
+    print("scipy" in sys.modules)
 """
 
 
-def test_scipy_loads_on_the_first_large_kendall_table():
-    # 12 shared APs keep every tie-group table small (a low-density pair);
-    # 60 give pair-ratio vectors of 3,540 entries, whose table is far past 2**15 cells
+def test_scipy_never_loads():
+    # 12 shared APs keep every tie-group table small (a low-density pair); 60
+    # and 90 give pair-ratio vectors of 3,540 and 8,010 entries, whose tables
+    # are far past 2**15 cells
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", _SCIPY_ON_DEMAND], env=env,
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "True"]
+    assert done.stdout.split() == ["False"] * 4
