@@ -4,8 +4,9 @@ A fingerprint is one Wi-Fi scan: a mapping from access-point BSSIDs to RSSI
 values (dBm) plus position and device metadata.  All types are immutable
 after construction and safe to share across parallel workers.
 
-It also owns what a BSSID looks like (``normalize_bssid``) and the order in
-which a fingerprint lists its APs (``Fingerprint.encoding``: by BSSID).
+It also owns what a BSSID looks like (``is_canonical_bssid``, written by
+``bssid_from_int``) and the order in which a fingerprint lists its APs
+(``Fingerprint.encoding``: by BSSID).
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from typing import Iterator, Mapping, Optional, TextIO
 
 import numpy as np
 
-# A stripped, lowercased BSSID: six 1-2 digit hex octets separated by ':' or
-# '-' (in any mix), or 12 hex digits.  Canonical: ':' and 2-digit octets.
-_SEPARATED_RE = re.compile("[:-]".join(["([0-9a-f]{1,2})"] * 6))
-_BARE_RE = re.compile("([0-9a-f]{2})" * 6)
+# Canonical BSSID: six lowercase 2-digit hex octets joined by ':'
+_CANONICAL_RE = re.compile("[0-9a-f]{2}(:[0-9a-f]{2}){5}")
 
 # (dataset_id, building_id, floor_id) — fingerprints are only ever compared
 # within one floor subset.
@@ -46,22 +45,7 @@ def open_utf8(path, newline: Optional[str] = None) -> Iterator[TextIO]:
 
 
 def is_canonical_bssid(bssid: str) -> bool:
-    # 17 characters leave room only for six 2-digit octets and five separators
-    return len(bssid) == 17 and "-" not in bssid and _SEPARATED_RE.fullmatch(bssid) is not None
-
-
-def normalize_bssid(raw: str) -> str:
-    """Normalize a BSSID string to the canonical form.
-
-    Accepts colon or dash separators and separator-free 12-digit hex; octets
-    are zero-padded and lowercased.  Raises ValueError for anything that is
-    not a 6-octet MAC address.
-    """
-    s = raw.strip().lower()
-    m = _SEPARATED_RE.fullmatch(s) or _BARE_RE.fullmatch(s)
-    if m is None:
-        raise ValueError(f"not a 6-octet BSSID: {raw!r}")
-    return ":".join(octet.zfill(2) for octet in m.groups())
+    return _CANONICAL_RE.fullmatch(bssid) is not None
 
 
 def bssid_from_int(ap_id: int) -> str:

@@ -6,6 +6,10 @@ The canonical on-disk format is line-delimited JSON, one scan per line:
      "x_m": num, "y_m": num, "device": str, "burst": str|null,
      "scan": int|null, "aps": [{"bssid": str, "rssi": num}, ...]}
 
+Values are read as saved, never coerced or rewritten: each ``bssid`` must be
+in canonical form (``"0a:1b:2c:3d:4e:5f"``), as :func:`save_canonical`
+writes it.
+
 Every command that reads fingerprints loads this format itself.  The
 wide-CSV adapter, described by a :class:`DatasetManifest`, turns
 one-row-per-scan matrix datasets (AP columns sharing a prefix, a "not
@@ -23,7 +27,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .core import Fingerprint, FloorKey, bssid_from_int, normalize_bssid, open_utf8
+from .core import Fingerprint, FloorKey, bssid_from_int, open_utf8
 
 
 class ParseError(ValueError):
@@ -144,11 +148,10 @@ def _fingerprint_from_record(rec: dict, where: str) -> Fingerprint:
                 "x_m, y_m and rssi must be numbers, ids and names strings; found "
                 + ", ".join(sorted(t.__name__ for t in odd))
             )
-        readings: dict[str, float] = {}
-        for bssid, rssi in zip(map(normalize_bssid, bssids), rssis):
-            if bssid in readings:
-                raise ParseError(f"{where}: duplicate BSSID {bssid} in one scan")
-            readings[bssid] = float(rssi)
+        readings = dict(zip(bssids, map(float, rssis)))
+        if len(readings) < len(bssids):
+            dup = next(b for i, b in enumerate(bssids) if b in bssids[:i])
+            raise ParseError(f"{where}: duplicate BSSID {dup} in one scan")
         return Fingerprint(
             id=rec["id"],
             readings=readings,

@@ -518,6 +518,29 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pairs", "featurize"])
+    @pytest.mark.parametrize("spelling", [
+        "AA:BB:CC:DD:EE:FF", "aa-bb-cc-dd-ee-ff", "aabbccddeeff", "a:b:c:d:e:f",
+        " aa:bb:cc:dd:ee:ff",
+    ])
+    def test_site_bssid_not_as_saved_is_rejected(self, pipeline, tmp_path, command, spelling):
+        lines = pipeline["site"].read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["aps"][0]["bssid"] = spelling
+        bad = tmp_path / "spelled.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "pairs": ("pairs", "--in", bad, "--out", out),
+            "featurize": ("featurize", "--pairs", pipeline["pairs"], "--fingerprints", bad,
+                          "--out", out),
+        }[command]
+        done = run_subprocess(*argv)
+        assert done.returncode == EXIT_VALIDATION, done.stderr
+        assert done.stderr == (f"error: {bad}:2: bad record (fingerprint {rec['id']!r}: "
+                               f"non-canonical BSSID {spelling!r})\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "pr-curve"])
     def test_table_lacking_a_model_column_is_named(self, pipeline, tmp_path, capsys, command):
         table = features.read_feature_table(pipeline["features"])

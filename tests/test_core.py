@@ -12,15 +12,14 @@ from wifiprox.core import (
     ProximityClass,
     bssid_from_int,
     is_canonical_bssid,
-    normalize_bssid,
 )
 
 from conftest import bss, make_fp
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the hand-written BSSID parser and canonical-form check that the
-# regular expressions in core.py replaced
+# Oracle: the hand-written canonical-form check that the regular expression
+# in core.py replaced
 # ---------------------------------------------------------------------------
 
 _ORACLE_CANONICAL_RE = re.compile(r"^[0-9a-f]{2}(?::[0-9a-f]{2}){5}$")
@@ -30,35 +29,11 @@ def oracle_is_canonical_bssid(bssid):
     return len(bssid) == 17 and _ORACLE_CANONICAL_RE.match(bssid) is not None
 
 
-def oracle_normalize_bssid(raw):
-    s = raw.strip().lower().replace("-", ":")
-    if ":" in s:
-        parts = s.split(":")
-    elif len(s) == 12:
-        parts = [s[i : i + 2] for i in range(0, 12, 2)]
-    else:
-        parts = []
-    if len(parts) != 6:
-        raise ValueError(f"not a 6-octet BSSID: {raw!r}")
-    out = []
-    for p in parts:
-        if not p or len(p) > 2 or any(c not in "0123456789abcdef" for c in p):
-            raise ValueError(f"bad octet {p!r} in BSSID {raw!r}")
-        out.append(p.zfill(2))
-    return ":".join(out)
-
-
-def _parse_or_none(normalize, raw):
-    try:
-        return normalize(raw)
-    except ValueError:
-        return None
-
-
-# valid octets and bare strings are drawn on purpose, so that about a fifth
-# of the strings parse; the other characters are separators, non-hex ASCII
-# and non-ASCII (dotted I, Kelvin sign, Arabic-Indic three, fullwidth a,
-# e acute) that lower() or a Unicode-aware pattern could take for hex
+# canonical bodies, valid octets and bare strings are drawn on purpose, so
+# that about a third of the strings are canonical once stripped and
+# lowercased; the other characters are separators, non-hex ASCII and
+# non-ASCII (dotted I, Kelvin sign, Arabic-Indic three, fullwidth a, e acute)
+# that lower() or a Unicode-aware pattern could take for hex
 _HEX = "0123456789abcdefABCDEF"
 _BSSID_CHARS = _HEX + "gxZ.:- \u0130\u212a\u0663\uff41\u00e9"
 _WHITESPACE = st.sampled_from(["", " ", "\t", "\n", " \r\n", "\u00a0", "\u2003"])
@@ -67,6 +42,9 @@ _octet = st.one_of(_hex_octet, _hex_octet, _hex_octet, st.text(alphabet=_BSSID_C
 _separated = st.lists(
     st.tuples(_octet, st.sampled_from(":-")), min_size=5, max_size=7
 ).map(lambda parts: "".join(o + sep for o, sep in parts[:-1]) + parts[-1][0])
+_canonical = st.lists(
+    st.text(alphabet=_HEX, min_size=2, max_size=2), min_size=6, max_size=6
+).map(":".join)
 _bare = st.one_of(
     st.text(alphabet=_HEX, min_size=12, max_size=12),
     st.text(alphabet=_BSSID_CHARS, min_size=11, max_size=13),
@@ -74,33 +52,17 @@ _bare = st.one_of(
 _bssid_like = st.builds(
     lambda before, body, after: before + body + after,
     _WHITESPACE,
-    st.one_of(_separated, _bare, st.text(max_size=20)),
+    st.one_of(_canonical, _separated, _bare, st.text(max_size=20)),
     _WHITESPACE,
 )
 
 
 class TestBssid:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("AA:BB:CC:DD:EE:FF", "aa:bb:cc:dd:ee:ff"),
-            ("aa-bb-cc-dd-ee-ff", "aa:bb:cc:dd:ee:ff"),
-            ("aabbccddeeff", "aa:bb:cc:dd:ee:ff"),
-            ("a:b:c:d:e:f", "0a:0b:0c:0d:0e:0f"),
-        ],
-    )
-    def test_normalize_accepts_common_forms(self, raw, expected):
-        assert normalize_bssid(raw) == expected
-        assert is_canonical_bssid(expected)
-
-    @pytest.mark.parametrize("raw", ["", "xx:bb:cc:dd:ee:ff", "aabb", "aa:bb:cc:dd:ee", "aa:bb:cc:dd:ee:ff:00"])
-    def test_normalize_rejects_junk(self, raw):
-        with pytest.raises(ValueError):
-            normalize_bssid(raw)
-
     @settings(max_examples=1500, deadline=None)
     @given(raw=_bssid_like)
     @example(raw=" AA-bb:CC-dd:ee-FF\n")  # mixed separators, case and whitespace
+    @example(raw="0a:1b:2c:3d:4e:5f")  # canonical
+    @example(raw="aa:bb:cc:dd:ee:ff\n")  # canonical once stripped
     @example(raw=":b:c:d:e:f")  # empty octet
     @example(raw="aaa:b:c:d:e:f")  # three-digit octet
     @example(raw="a:b:c:d:e")  # five octets
@@ -112,11 +74,15 @@ class TestBssid:
     @example(raw="aa:bb:cc:dd:ee:\uff41a")  # fullwidth a
     @example(raw="aa:bb:cc:dd:ee:\u0663a")  # Arabic-Indic three
     @example(raw="\u212aa:bb:cc:dd:ee:ff")  # Kelvin sign, lowers to k
-    def test_normalize_matches_oracle(self, raw):
-        expected = _parse_or_none(oracle_normalize_bssid, raw)
-        assert _parse_or_none(normalize_bssid, raw) == expected
-        for s in (raw, raw.strip().lower(), expected or ""):
+    def test_is_canonical_matches_oracle(self, raw):
+        for s in (raw, raw.strip().lower()):
             assert is_canonical_bssid(s) == oracle_is_canonical_bssid(s)
+
+    @given(ap_id=st.integers(min_value=0, max_value=2**48 - 1))
+    def test_bssid_from_int_is_canonical_and_invertible(self, ap_id):
+        s = bssid_from_int(ap_id)
+        assert is_canonical_bssid(s)
+        assert int(s.replace(":", ""), 16) == ap_id
 
     def test_bssid_from_int(self):
         assert bssid_from_int(0) == "00:00:00:00:00:00"

@@ -1105,7 +1105,7 @@ class TestFeatureTable:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty feature table")):
             read_feature_table(path)
 
     def test_length_mismatch_rejected(self, rng):

@@ -74,13 +74,15 @@ class TestCanonical:
             "burst": None,
             "scan": None,
             "aps": [
-                {"bssid": "AA:BB:CC:DD:EE:FF", "rssi": -50.0},
+                {"bssid": "aa:bb:cc:dd:ee:ff", "rssi": -50.0},
                 {"bssid": "aa:bb:cc:dd:ee:ff", "rssi": -55.0},
             ],
         }
         path = tmp_path / "dup.jsonl"
         path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError, match=re.escape(
+            f"{path}:1: duplicate BSSID aa:bb:cc:dd:ee:ff in one scan"
+        )):
             load_canonical(path)
 
 
