@@ -40,24 +40,33 @@ zero variance in the source readings gives slope 1 and the mean offset.
 Vectors over APs follow each fingerprint's ``encoding`` (ascending BSSID),
 so a stable sort breaks ties between equal readings by BSSID.
 
-The four variants of a pair are computed as one batch.  They share their
+Pairs are extracted in batches, and ``extract`` is a batch of one.  A
+batch holds pairs that share the same number n of APs, up to
+``BATCH_CELLS`` cells, so their shared-AP vectors stack into (rows, n)
+arrays and every kernel makes the same few numpy calls however many pairs
+the batch holds.  The full fingerprints, which differ in length, are padded
+to the batch's longest; the padding never raises a maximum, sorts after
+every reading and matches no AP.  The four variants of a pair share their
 inputs: a's readings take three calibrated forms (as read, A*r+B and
 (A/2)*r+B/2) and b's two (as read, C*r+D), and each variant pairs one form
 of a with one of b.  Each form is one row of a stacked array; its vectors
 are built once and sorted once for all their rank statistics (Spearman's
 average ranks, Kendall's tie groups, the rank vectors' max ranks).
+
 Kendall's tau-b is scipy's statistic, bit for bit except on short inputs:
 
 * up to ``KENDALL_SIGNS_MAX`` (64) entries it counts the signs of all pair
   differences and evaluates ``(sx . sy) / sqrt(nx * ny)``, which can differ
   from scipy's expression in the last bits (up to 3 ULP on 3,000 random
   integer-dBm inputs of 3-64 entries; the golden hashes pin these bits).
-  The next rule's counts would keep every golden hash, but the sign count
-  is faster (1.9-2.0 against 2.3-2.4 ms per low-density pair, 2-core Xeon);
+  The sign vectors of a batch are built a few rows at a time, so that they
+  hold at most ``CHUNK_CELLS`` entries;
 * longer vectors whose tie groups' contingency table (Christensen 2005,
   *Comput. Stat.* 20:51) has at most ``KENDALL_TABLE_MAX_CELLS`` (2**15)
   cells take scipy's integer counts from that table (discordant pairs from
-  2-D cumulative sums) and evaluate scipy's expression (``_tau_b``);
+  2-D cumulative sums; a batch's tables are zero-padded to the largest and
+  stacked) and evaluate scipy's expression (``_tau_b``).  Its bits depend
+  only on those counts, so any exact count gives them;
 * larger tables, mostly the pair-ratio vectors of pairs sharing dozens of
   APs, count the discordant pairs as v's inversions after one sort by
   (u, v) (Knight 1966), in blocks of sqrt(m); the cost grows as m**1.5.
@@ -82,7 +91,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -165,28 +174,37 @@ class FeatureVector:
 # Least-squares calibration
 # ---------------------------------------------------------------------------
 
-def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """OLS slope/intercept mapping x -> y, with degenerate fallbacks."""
-    n = x.size
-    if n == 0:
-        return 1.0, 0.0
-    mx = float(x.mean())
-    my = float(y.mean())
-    dx = x - mx
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        return 1.0, my - mx
-    a = float(dx @ (y - my)) / sxx
-    return a, my - a * mx
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """OLS slope and intercept mapping each row of x onto the same row of y.
+
+    Degenerate fits fall back to slope 1: with no entries the intercept is 0,
+    with zero variance in x it is the mean offset.  1-D vectors give scalars.
+    """
+    rows_x, rows_y = np.atleast_2d(x), np.atleast_2d(y)
+    if rows_x.shape[1] == 0:
+        slope, intercept = np.ones(len(rows_x)), np.zeros(len(rows_x))
+    else:
+        mx, my = rows_x.mean(axis=1), rows_y.mean(axis=1)
+        dx = rows_x - mx[:, None]
+        sxx = np.vecdot(dx, dx)
+        slope = np.divide(np.vecdot(dx, rows_y - my[:, None]), sxx,
+                          out=np.ones_like(sxx), where=sxx != 0.0)
+        intercept = my - slope * mx
+    return (slope, intercept) if x.ndim == 2 else (slope[0], intercept[0])
 
 
-def _fit_both_ways(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    return (*_fit_line(x, y), *_fit_line(y, x))
+def _fit_both_ways(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(A, B, C, D) for each row of x and the same row of y: A, B map x onto
+    y; C, D the reverse."""
+    slope, intercept = _fit_line(np.concatenate([x, y]), np.concatenate([y, x]))
+    (slope_ab, slope_ba), (inter_ab, inter_ba) = np.split(slope, 2), np.split(intercept, 2)
+    return slope_ab, inter_ab, slope_ba, inter_ba
 
 
 def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, float, float]:
     """(A, B, C, D): A,B map a's readings onto b's; C,D the reverse."""
-    return _fit_both_ways(*_shared_values(a, b))
+    x, y = _shared_values(a, b)
+    return tuple(float(v[0]) for v in _fit_both_ways(x[None], y[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +212,16 @@ def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, flo
 # ---------------------------------------------------------------------------
 #
 # The correlation kernels take two stacks of vectors, u (one per row) and v,
-# and ``pairs`` of row indices; each pair (i, j) gives one result, for u[i]
-# against v[j].  Each row is centred, normed and ranked once however many
-# pairs read it.  Means, medians and standard deviations reduce along axis 1,
-# which gives the same bits as the 1-D calls on C-contiguous rows.  Dot
-# products and norms stay 1-D ``@``: a stacked ``np.matmul`` keeps their bits
-# too, but is slower over the few rows of one pair.
+# and ``pairs``, a sequence of (i, j) row indices; each pair gives one result,
+# for u[i] against v[j].  The rows are every calibrated form of every pair in
+# a batch, so each kernel makes the same few numpy calls however many pairs
+# the batch holds, and each row is centred, normed and ranked once however
+# many pairs read it.  Means, medians and standard deviations reduce along
+# axis 1, and dot products and norms are ``np.vecdot`` over C-contiguous
+# rows: both give the same bits as the 1-D calls on each row (a stacked
+# ``np.matmul`` keeps the bits of ``@`` too, but is three times slower on
+# short rows; ``tests/test_features.py`` pins both on the row lengths that
+# extraction produces).
 
 #: Kendall's tau-b counts pair signs directly up to this many entries
 KENDALL_SIGNS_MAX = 64
@@ -208,6 +230,10 @@ KENDALL_SIGNS_MAX = 64
 KENDALL_TABLE_MAX_CELLS = 1 << 15
 #: larger tables take the block count, which compares at most this many pairs at a time
 KENDALL_COMPARE_CELLS = 1 << 20
+#: the kernels that gather rows for pairs of vectors (dot products, sign
+#: counts, stacked contingency tables) hold at most this many entries of a
+#: gathered array at a time, or one row if it is longer
+CHUNK_CELLS = 1 << 13
 
 
 class _Ranked:
@@ -228,19 +254,20 @@ class _Ranked:
         np.not_equal(sv[1:], sv[:-1], out=self._starts[1:])
         del sv
         self._starts.reshape(r, m)[:, :1] = True
-        _, size, row = self._runs()
+        first, size = self._runs()
+        row = first // max(m, 1)
         #: (r,) tie groups per row
         self.groups = np.bincount(row, minlength=r)
         #: (r,) pairs of entries that share a group
         self.tied = np.bincount(row, weights=size * (size - 1) // 2, minlength=r).astype(np.int64)
 
-    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each group's first sorted position within its row, size and row."""
-        m = self.values.shape[1]
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each group's first sorted position, counted across rows, and size."""
         first = np.flatnonzero(self._starts)
-        size = np.diff(first, append=self._starts.size)
-        row = first // max(m, 1)
-        return first - row * m, size, row
+        size = np.empty_like(first)
+        np.subtract(first[1:], first[:-1], out=size[:-1])
+        size[-1:] = self._starts.size - first[-1:]
+        return first, size
 
     def _per_entry(self, per_group: np.ndarray, size: np.ndarray) -> np.ndarray:
         out = np.empty(self.values.size, dtype=per_group.dtype)
@@ -249,46 +276,68 @@ class _Ranked:
 
     def average(self) -> np.ndarray:
         """1-based mean rank of each entry's tie group."""
-        first, size, _ = self._runs()
-        return self._per_entry(first + (size + 1) / 2.0, size)
+        first, size = self._runs()
+        return self._per_entry(first % max(self.values.shape[1], 1) + (size + 1) / 2.0, size)
 
     def top(self) -> np.ndarray:
         """1-based last rank of each entry's group: how many entries are <= it."""
-        first, size, _ = self._runs()
-        return self._per_entry((first + size).astype(np.float64), size)
+        first, size = self._runs()
+        return self._per_entry((first % max(self.values.shape[1], 1) + size).astype(np.float64), size)
 
-    def dense(self, i: int) -> np.ndarray:
-        """0-based index of each entry's group in row ``i``, in ascending order."""
+    def dense(self, rows) -> np.ndarray:
+        """0-based index of each entry's group within its row, in ascending
+        order: (m,) for one row index, (k, m) for an array of k of them."""
         m = self.values.shape[1]
-        row = slice(i * m, (i + 1) * m)
-        out = np.empty(m, dtype=np.intp)
-        out[self._flat[row] - i * m] = np.cumsum(self._starts[row]) - 1
+        start = np.asarray(rows)[..., None] * m
+        sorted_pos = start + np.arange(m)
+        # each sorted position's entry, moved from its row of values to its row of out
+        target = self._flat[sorted_pos] - start + np.arange(start.size).reshape(start.shape) * m
+        out = np.empty(sorted_pos.shape, dtype=np.intp)
+        out.reshape(-1)[target] = np.cumsum(self._starts[sorted_pos], axis=-1) - 1
         return out
+
+
+def _columns(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The u rows and the v rows that ``pairs`` reads, as two index arrays."""
+    iu, iv = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    return iu, iv
+
+
+def _chunks(k: int, cells_per_row: int) -> Iterator[slice]:
+    """Slices of k gathered rows holding at most ``CHUNK_CELLS`` cells, or one row."""
+    step = max(1, CHUNK_CELLS // max(cells_per_row, 1))
+    return (slice(start, start + step) for start in range(0, k, step))
+
+
+def _paired_dots(u: np.ndarray, v: np.ndarray, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    """u[iu[k]] . v[iv[k]] for each k, gathering a chunk of rows at a time."""
+    out = np.empty(len(iu))
+    for rows in _chunks(len(iu), u.shape[1]):
+        out[rows] = np.vecdot(u[iu[rows]], v[iv[rows]])
+    return out
 
 
 def _cosine(u: np.ndarray, v: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    out = np.zeros(len(pairs))
+    iu, iv = _columns(pairs)
+    out = np.zeros(len(iu))
     if u.shape[1] < 2:
         return out
-    norm_u = [math.sqrt(row @ row) for row in u]
-    norm_v = [math.sqrt(row @ row) for row in v]
-    for k, (i, j) in enumerate(pairs):
-        if norm_u[i] != 0.0 and norm_v[j] != 0.0:
-            out[k] = float(u[i] @ v[j]) / (norm_u[i] * norm_v[j])
+    norm_u, norm_v = np.sqrt(np.vecdot(u, u))[iu], np.sqrt(np.vecdot(v, v))[iv]
+    ok = (norm_u != 0.0) & (norm_v != 0.0)
+    out[ok] = _paired_dots(u, v, iu[ok], iv[ok]) / (norm_u[ok] * norm_v[ok])
     return out
 
 
 def _pearson(u: np.ndarray, v: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    out = np.zeros(len(pairs))
+    iu, iv = _columns(pairs)
+    out = np.zeros(len(iu))
     if u.shape[1] < 2:
         return out
     du = u - u.mean(axis=1, keepdims=True)
     dv = v - v.mean(axis=1, keepdims=True)
-    ss_u = [float(row @ row) for row in du]
-    ss_v = [float(row @ row) for row in dv]
-    for k, (i, j) in enumerate(pairs):
-        if ss_u[i] != 0.0 and ss_v[j] != 0.0:
-            out[k] = float(du[i] @ dv[j]) / math.sqrt(ss_u[i] * ss_v[j])
+    ss_u, ss_v = np.vecdot(du, du)[iu], np.vecdot(dv, dv)[iv]
+    ok = (ss_u != 0.0) & (ss_v != 0.0)
+    out[ok] = _paired_dots(du, dv, iu[ok], iv[ok]) / np.sqrt(ss_u[ok] * ss_v[ok])
     return out
 
 
@@ -298,82 +347,104 @@ def _spearman(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.
 
 def _kendall(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """Kendall's tau-b per pair; 0.0 where undefined (short or constant input)."""
-    m = ru.values.shape[1]
-    out = np.zeros(len(pairs))
-    if m < 2:
+    iu, iv = _columns(pairs)
+    out = np.zeros(len(iu))
+    ku, kv = ru.groups[iu], rv.groups[iv]
+    defined = (ku >= 2) & (kv >= 2)
+    if ru.values.shape[1] <= KENDALL_SIGNS_MAX:
+        out[defined] = _tau_b_from_signs(ru.values, rv.values, iu[defined], iv[defined])
         return out
-    if m <= KENDALL_SIGNS_MAX:
-        sx, sy = _pair_signs(ru.values, rv.values)
-        nonzero_x, nonzero_y = np.count_nonzero(sx, axis=1), np.count_nonzero(sy, axis=1)
-    for k, (i, j) in enumerate(pairs):
-        ku, kv = int(ru.groups[i]), int(rv.groups[j])
-        if ku < 2 or kv < 2:
-            continue
-        if m <= KENDALL_SIGNS_MAX:
-            # sums of -1, 0 and 1 are exact in any order
-            denom = math.sqrt(float(nonzero_x[i]) * float(nonzero_y[j]))
-            out[k] = float(sx[i] @ sy[j]) / denom
-        elif ku * kv <= KENDALL_TABLE_MAX_CELLS:
-            out[k] = _tau_b_from_table(ru, rv, i, j)
-        else:
-            out[k] = _tau_b_from_blocks(ru, rv, i, j)
+    table = defined & (ku * kv <= KENDALL_TABLE_MAX_CELLS)
+    for count, rows in ((_tau_b_from_table, table), (_tau_b_from_blocks, defined & ~table)):
+        if rows.any():
+            out[rows] = count(ru, rv, iu[rows], iv[rows])
     return out
 
 
-def _tau_b(ru: _Ranked, rv: _Ranked, i: int, j: int, dis: int, joint_ties: int) -> float:
+def _tau_b_from_signs(u: np.ndarray, v: np.ndarray, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    """``(sx . sy) / sqrt(nx * ny)`` over the signs of all pair differences of
+    each u[iu[k]] and v[iv[k]], for a few rows at a time."""
+    out = np.empty(len(iu))
+    m = u.shape[1]
+    for rows in _chunks(len(iu), m * (m - 1) // 2):
+        sx, sy = _pair_signs(u[iu[rows]], v[iv[rows]])
+        # sums of -1, 0 and 1 are exact in any order
+        nonzero = np.count_nonzero(sx, axis=1) * np.count_nonzero(sy, axis=1)
+        out[rows] = np.vecdot(sx, sy) / np.sqrt(nonzero)
+    return out
+
+
+def _tau_b(
+    ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray, dis: np.ndarray, joint_ties: np.ndarray
+) -> np.ndarray:
     """scipy's ``(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie)``, clipped to
-    [-1, 1], from u[i] and v[j]'s discordant and jointly tied pairs."""
-    m, xtie, ytie = ru.values.shape[1], int(ru.tied[i]), int(rv.tied[j])
+    [-1, 1], from u[iu] and v[iv]'s discordant and jointly tied pairs."""
+    m, xtie, ytie = ru.values.shape[1], ru.tied[iu], rv.tied[iv]
     tot = m * (m - 1) // 2
     con_minus_dis = tot - xtie - ytie + joint_ties - 2 * dis
-    tau = con_minus_dis / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
-    return min(1.0, max(-1.0, tau))
+    return np.clip(con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie), -1.0, 1.0)
 
 
-def _tau_b_from_table(ru: _Ranked, rv: _Ranked, i: int, j: int) -> float:
-    """scipy's tau-b of u[i] and v[j] from their tie groups' contingency table."""
-    m = ru.values.shape[1]
-    ku, kv = int(ru.groups[i]), int(rv.groups[j])
-    table = np.bincount(ru.dense(i) * kv + rv.dense(j), minlength=ku * kv).reshape(ku, kv)
-    # entries in a later u group (column totals minus running sums) and an
-    # earlier v group are discordant
-    later_u = np.cumsum(table, axis=0)
-    np.subtract(later_u[-1], later_u, out=later_u)
-    earlier_v = np.cumsum(later_u, axis=1)
-    earlier_v -= later_u
-    dis = int(np.vdot(table, earlier_v))
-    return _tau_b(ru, rv, i, j, dis, (int(np.vdot(table, table)) - m) // 2)
+def _tau_b_from_table(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    """scipy's tau-b of each u[iu[k]] and v[iv[k]] from their tie groups'
+    contingency table.  Tables are stacked up to ``CHUNK_CELLS`` cells at a
+    time, zero-padded to the stack's largest group counts, which adds no pair."""
+    m, k = ru.values.shape[1], len(iu)
+    groups_u, groups_v = ru.groups[iu], rv.groups[iv]
+    du, dv = ru.dense(iu), rv.dense(iv)
+    dis, joint = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    for rows in _chunks(k, int(groups_u.max() * groups_v.max())):
+        n, ku, kv = len(du[rows]), int(groups_u[rows].max()), int(groups_v[rows].max())
+        keys = (np.arange(n)[:, None] * ku + du[rows]) * kv + dv[rows]
+        table = np.bincount(keys.ravel(), minlength=n * ku * kv).reshape(n, ku, kv)
+        # entries in a later u group (column totals minus running sums) and an
+        # earlier v group are discordant
+        later_u = np.cumsum(table, axis=1)
+        np.subtract(later_u[:, -1:], later_u, out=later_u)
+        earlier_v = np.cumsum(later_u, axis=2)
+        earlier_v -= later_u
+        table, earlier_v = table.reshape(n, -1), earlier_v.reshape(n, -1)
+        dis[rows] = np.vecdot(table, earlier_v)
+        joint[rows] = (np.vecdot(table, table) - m) // 2
+    return _tau_b(ru, rv, iu, iv, dis, joint)
 
 
-def _tau_b_from_blocks(ru: _Ranked, rv: _Ranked, i: int, j: int) -> float:
-    """scipy's tau-b of u[i] and v[j]: sorted by (u, v), the discordant pairs
-    are the inversions of v's groups (Knight 1966).  Over blocks of s positions
-    and of s ranks, s = ceil(sqrt(m)), pairs within a block are compared
-    directly and the rest read off the (position block, rank block) histogram."""
-    m, kv = ru.values.shape[1], int(rv.groups[j])
-    keys = ru.dense(i) * kv
-    keys += rv.dense(j)
-    keys.sort()
-    runs = np.diff(np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]), append=m)
+def _tau_b_from_blocks(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    """scipy's tau-b of each u[iu[k]] and v[iv[k]], one pair at a time: sorted
+    by (u, v), the discordant pairs are the inversions of v's groups (Knight
+    1966).  Over blocks of s positions and of s ranks, s = ceil(sqrt(m)),
+    pairs within a block are compared directly and the rest read off the
+    (position block, rank block) histogram."""
+    m, k = ru.values.shape[1], len(iu)
     s = math.isqrt(m - 1) + 1
-    # the positions in (v, u) order (the stable sort keeps u's order within ties
-    # in v), padded to s * s with positions in order, which add no inversion
-    order = np.argsort((keys % kv).astype(np.min_scalar_type(kv - 1)), kind="stable")
-    order = np.r_[order, m:s * s].astype(np.min_scalar_type(s * s - 1))
-    rank = np.argsort(order, kind="stable").astype(order.dtype)
     later = np.triu(np.ones((s, s), dtype=bool), 1)
     step = max(1, KENDALL_COMPARE_CELLS // (s * s))
-    dis = 0
-    # pairs in one position block by rank, in one rank block by position block
-    for rows in (rank.reshape(s, s), (order // s).reshape(s, s)):
-        for start in range(0, s, step):
-            chunk = rows[start:start + step]
-            dis += int(np.count_nonzero((chunk[:, :, None] > chunk[:, None, :]) & later))
-    grid = np.bincount(np.arange(s * s) // s * s + rank // s, minlength=s * s).reshape(s, s)
-    # per position block past the first: the entries before it, by rank block up to each
-    below = np.cumsum(np.cumsum(grid[:-1], axis=0), axis=1)
-    dis += s * s * s * (s - 1) // 2 - int(np.vdot(grid[1:], below))
-    return _tau_b(ru, rv, i, j, dis, (int(np.vdot(runs, runs)) - m) // 2)
+    dis, joint = np.zeros(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    for row, (i, j) in enumerate(zip(iu, iv)):
+        kv = int(rv.groups[j])
+        keys = ru.dense(i) * kv
+        keys += rv.dense(j)
+        keys.sort()
+        runs = np.diff(np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]), append=m)
+        joint[row] = (int(np.vdot(runs, runs)) - m) // 2
+        # the positions in (v, u) order (the stable sort keeps u's order within
+        # ties in v), padded to s * s with positions in order, which add no inversion
+        order = np.argsort((keys % kv).astype(np.min_scalar_type(kv - 1)), kind="stable")
+        order = np.r_[order, m:s * s].astype(np.min_scalar_type(s * s - 1))
+        rank = np.argsort(order, kind="stable").astype(order.dtype)
+        # pairs in one position block by rank, in one rank block by position block
+        for blocks in (rank.reshape(s, s), (order // s).reshape(s, s)):
+            for start in range(0, s, step):
+                chunk = blocks[start:start + step]
+                hit = chunk[:, :, None] > chunk[:, None, :]
+                hit &= later
+                dis[row] += np.count_nonzero(hit)
+                del hit
+        grid = np.bincount(np.arange(s * s) // s * s + rank // s, minlength=s * s).reshape(s, s)
+        # per position block past the first: the entries before it, by rank block up to each
+        below = np.cumsum(np.cumsum(grid[:-1], axis=0), axis=1)
+        dis[row] += s * s * s * (s - 1) // 2 - int(np.vdot(grid[1:], below))
+    return _tau_b(ru, rv, iu, iv, dis, joint)
 
 
 def _corr4(
@@ -445,14 +516,12 @@ def _normalized_rank_vectors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per pair (i, j): unit-L2 max-rank vectors of x[i] and y[j], ordered by
     descending rank in x[i], ties by AP id; one row each."""
+    iu, iv = _columns(pairs)
     tx, ty = rx.top(), ry.top()
-    order = np.argsort(-tx, axis=1, kind="stable")
-    iu, iv = (np.array(side) for side in zip(*pairs))
-    kx = np.take_along_axis(tx, order, axis=1)[iu]
-    ky = np.take_along_axis(ty[iv], order[iu], axis=1)
+    order = np.argsort(-tx, axis=1, kind="stable")[iu]
+    kx, ky = tx[iu[:, None], order], ty[iv[:, None], order]
     for k in (kx, ky):
-        for row in k:
-            row /= math.sqrt(row @ row)
+        k /= np.sqrt(np.vecdot(k, k))[:, None]
     return kx, ky
 
 
@@ -488,20 +557,19 @@ def _shared_values(a: Fingerprint, b: Fingerprint) -> tuple[np.ndarray, np.ndarr
     return a.encoding[1][ia], b.encoding[1][ib]
 
 
-def _rank_concordance(x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of shared-AP pairs whose RSSI ordering agrees across a and b.
+def _rank_concordance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fraction of shared-AP pairs whose RSSI ordering agrees across a and b,
+    for each row of x and y (a scalar for two 1-D vectors).
 
     A pair tied in both fingerprints counts as concordant; tied in exactly
     one counts ``RE3_TIE_CREDIT``.  Fewer than two shared APs gives 0.
     """
-    if x.size < 2:
-        return 0.0
     sx, sy = _pair_signs(x, y)
     both_tied = (sx == 0) & (sy == 0)
     one_tied = (sx == 0) ^ (sy == 0)
     agree = (sx == sy) & (sx != 0)
-    score = agree.sum() + both_tied.sum() + RE3_TIE_CREDIT * one_tied.sum()
-    return float(score) / sx.size
+    score = agree.sum(axis=-1) + both_tied.sum(axis=-1) + RE3_TIE_CREDIT * one_tied.sum(axis=-1)
+    return score / max(sx.shape[-1], 1)
 
 
 def identical_devices(a: Fingerprint, b: Fingerprint) -> float:
@@ -512,52 +580,91 @@ def identical_devices(a: Fingerprint, b: Fingerprint) -> float:
 # Full extraction
 # ---------------------------------------------------------------------------
 
-#: the calibrated forms that each variant pairs, as (row of a's, row of b's)
-#: in the stacks that ``extract`` builds: a as read, A*r+B and (A/2)*r+B/2;
-#: b as read and C*r+D
+#: the calibrated forms that each variant pairs, as (form of a, form of b):
+#: a as read, A*r+B and (A/2)*r+B/2; b as read and C*r+D
 _VARIANT_FORMS = ((0, 0), (1, 0), (2, 0), (1, 1))
-_FORM_A, _FORM_B = (np.array(side) for side in zip(*_VARIANT_FORMS))
-_SAME_ROW = tuple((k, k) for k in range(len(_VARIANT_FORMS)))
+#: a batch holds pairs of one shared-AP count n while their pair-ratio
+#: entries, n(n-1) per form, and full-fingerprint readings total at most this
+#: many: about one high-density pair, or dozens of low-density ones
+BATCH_CELLS = 1 << 12
+
+
+def _variant_rows(n_pairs: int) -> np.ndarray:
+    """(4 * n_pairs, 2): each variant's (row of a's forms, row of b's forms).
+
+    Pair p's forms are rows 3p..3p+2 of a's stack and 2p..2p+1 of b's, and
+    its four variants are rows 4p..4p+3 of the result (``_VARIANT_FORMS``).
+    """
+    return (np.arange(n_pairs)[:, None, None] * [3, 2] + _VARIANT_FORMS).reshape(-1, 2)
+
+
+def _forms(v: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+    """Rows ``slopes[p, f] * v[p] + intercepts[p, f]``, f-major within each p."""
+    forms = slopes[:, :, None] * v[:, None, :] + intercepts[:, :, None]
+    p, f, m = forms.shape
+    return forms.reshape(p * f, m)
+
+
+def _padded(fingerprints: Sequence[Fingerprint]) -> tuple[np.ndarray, np.ndarray]:
+    """(readings, pad): the fingerprints' RSSIs in BSSID order as rows, padded
+    to the longest; ``pad`` marks the padding."""
+    counts = np.array([fp.ap_count for fp in fingerprints])
+    pad = np.arange(counts.max()) >= counts[:, None]
+    readings = np.zeros(pad.shape)
+    readings[~pad] = np.concatenate([fp.encoding[1] for fp in fingerprints])
+    return readings, pad
+
+
+def _strongest(readings: np.ndarray, pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per padded row: the largest reading, and the positions of the 8
+    strongest readings, strongest first, ties by BSSID.  The padding sorts
+    after every reading (NaN included) and never raises the maximum."""
+    top = np.argsort(np.where(pad, np.nan, -readings), axis=1, kind="stable")[:, :8]
+    return np.where(pad, -np.inf, readings).max(axis=1, initial=-np.inf), top
 
 
 def _variant_block(
     x: np.ndarray,
     y: np.ndarray,
-    a_ids: np.ndarray,
-    a_vals: np.ndarray,
-    b_ids: np.ndarray,
-    b_vals: np.ndarray,
+    a_full: tuple[np.ndarray, np.ndarray],
+    b_full: tuple[np.ndarray, np.ndarray],
+    match: np.ndarray,
+    forms: np.ndarray,
 ) -> np.ndarray:
-    """The 79 RSSI-dependent features of each calibration variant, one row each.
+    """The 79 RSSI-dependent features of each variant row of ``forms``.
 
-    Each row of ``x``/``a_vals`` holds one calibrated form of a's shared-AP
-    resp. full readings, aligned with ``a_ids``; ``y``/``b_vals`` the same
-    for b; all in ascending BSSID order.  Variant k pairs the forms named by
-    ``_VARIANT_FORMS[k]``, so each form's vectors are built and sorted once.
+    Each row of ``x`` holds one calibrated form of a pair's shared-AP
+    readings for a, and ``a_full`` is ``(readings, pad)`` of the same form of
+    a's full fingerprint, padded (see ``_padded``); ``y`` and ``b_full`` the
+    same for b; all in ascending BSSID order.  ``match`` gives, per row of
+    ``a_full``, the position in b's fingerprint of each of a's APs, -1 where
+    b lacks it.  Each form's vectors are built and sorted once, whichever
+    variants read it.
     """
     n = x.shape[1]
-    r = len(_VARIANT_FORMS)
-    d = x[_FORM_A] - y[_FORM_B]
+    r = len(forms)
+    fa, fb = forms.T
+    d = x[fa] - y[fb]
     gaps = np.abs(d)
 
     # dist (0 without shared APs: empty sums)
-    dist = np.column_stack([gaps.sum(axis=1), [math.sqrt(row @ row) for row in d]])
+    dist = np.column_stack([gaps.sum(axis=1), np.sqrt(np.vecdot(d, d))])
 
     # top_ap_within and rssi_within_pct, z = 1..15
+    (a_max, top_a), (b_max, top_b) = _strongest(*a_full), _strongest(*b_full)
     z = np.arange(1, 16)
     if n:
-        depth = np.maximum(
-            a_vals.max(axis=1)[_FORM_A, None] - x[_FORM_A],
-            b_vals.max(axis=1)[_FORM_B, None] - y[_FORM_B],
-        ).min(axis=1)
+        depth = np.maximum(a_max[fa, None] - x[fa], b_max[fb, None] - y[fb]).min(axis=1)
         within = (depth[:, None] <= z).astype(np.float64)
         within_pct = (gaps[:, :, None] <= z).sum(axis=1) / n
     else:
         within = within_pct = np.zeros((r, len(z)))
 
-    # shared_top_k, k = 1..8: the k strongest APs coincide as sets
-    top_a = a_ids[np.argsort(-a_vals, axis=1, kind="stable")[_FORM_A, :8]]
-    top_b = b_ids[np.argsort(-b_vals, axis=1, kind="stable")[_FORM_B, :8]]
+    # shared_top_k, k = 1..8: the k strongest APs coincide as sets.  a's top
+    # APs are named by their position in b, so neither an AP that b lacks
+    # nor padding on either side matches, and k past either AP count gives 0
+    top_a = match[np.arange(len(match))[:, None], top_a][fa]
+    top_b = top_b[fb]
     kk = min(top_a.shape[1], top_b.shape[1])
     hits = (top_a[:, :kk, None] == top_b[:, None, :kk]).cumsum(axis=1).cumsum(axis=2)
     top_k = np.zeros((r, 8))
@@ -567,78 +674,133 @@ def _variant_block(
     n_full = (gaps <= REDPIN_MATCH_THRESHOLD_DBM).sum(axis=1)
     n_partial = n - n_full
     redpin = np.zeros((r, 2))
-    for j, p_count in enumerate((b_ids.size, a_ids.size)):
-        if p_count:
-            redpin[:, j] = (
-                REDPIN_MATCH_CREDIT * n_full
-                + REDPIN_PARTIAL_CREDIT * n_partial
-                - REDPIN_MISS_PENALTY * (p_count - n)
-            ) / p_count
+    for j, p_count in enumerate(((~b_full[1]).sum(axis=1)[fb], (~a_full[1]).sum(axis=1)[fa])):
+        score = (
+            REDPIN_MATCH_CREDIT * n_full
+            + REDPIN_PARTIAL_CREDIT * n_partial
+            - REDPIN_MISS_PENALTY * (p_count - n)
+        )
+        np.divide(score, p_count, out=redpin[:, j], where=p_count > 0)
 
     # correlations over four vector pairs, and statistics of their absolute
     # gaps; the long pairwise vectors live one family at a time
     rx, ry = _Ranked(x), _Ranked(y)
-    corr_rk = _corr4(*_normalized_rank_vectors(rx, ry, _VARIANT_FORMS), _SAME_ROW)
-    corr_pd, diff_pd = _pairwise_family(_pair_differences(x), _pair_differences(y))
-    corr_pr, diff_pr = _pairwise_family(_pair_ratios(x), _pair_ratios(y))
+    same_row = np.repeat(np.arange(r)[:, None], 2, axis=1)
+    corr_rk = _corr4(*_normalized_rank_vectors(rx, ry, forms), same_row)
+    corr_pd, diff_pd = _pairwise_family(_pair_differences(x), _pair_differences(y), forms)
+    corr_pr, diff_pr = _pairwise_family(_pair_ratios(x), _pair_ratios(y), forms)
     return np.concatenate(
         [
             dist, within, within_pct, top_k, redpin,
-            _corr4(x, y, _VARIANT_FORMS, (rx, ry)), corr_pd, corr_pr, corr_rk,
+            _corr4(x, y, forms, (rx, ry)), corr_pd, corr_pr, corr_rk,
             _stats7(gaps), diff_pd, diff_pr,
         ],
         axis=1,
     )
 
 
-def _pairwise_family(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pairwise_family(u: np.ndarray, v: np.ndarray, forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Correlations of the variants' pairwise vectors and statistics of their gaps."""
-    gaps = u[_FORM_A]
-    gaps -= v[_FORM_B]
+    gaps = u[forms[:, 0]]
+    gaps -= v[forms[:, 1]]
     diff = _stats7(np.abs(gaps, out=gaps))
     del gaps  # freed before the correlations rank u and v
-    return _corr4(u, v, _VARIANT_FORMS), diff
+    return _corr4(u, v, forms), diff
+
+
+def _extract_batch(pairs: Sequence[FingerprintPair], shared: Sequence[tuple]) -> np.ndarray:
+    """The feature rows of pairs that share the same number of APs;
+    ``shared`` holds each pair's ``_shared_index``."""
+    n_pairs = len(pairs)
+    (a_vals, a_pad), (b_vals, b_pad) = _padded([p.a for p in pairs]), _padded([p.b for p in pairs])
+    ia, ib = (np.array(side) for side in zip(*shared))
+    row = np.arange(n_pairs)[:, None]
+    x, y = a_vals[row, ia], b_vals[row, ib]
+    slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(x, y)
+    # (slopes, intercepts) of each calibrated form, in _variant_rows' order;
+    # 1.0 * r + -0.0 is r, bit for bit
+    one, keep = np.ones(n_pairs), np.full(n_pairs, -0.0)
+    a_fit = (np.array([one, slope_ab, slope_ab / 2.0]).T,
+             np.array([keep, inter_ab, inter_ab / 2.0]).T)
+    b_fit = np.array([one, slope_ba]).T, np.array([keep, inter_ba]).T
+    match = np.full(a_pad.shape, -1)
+    match[row, ia] = ib
+    block = _variant_block(
+        _forms(x, *a_fit), _forms(y, *b_fit),
+        (_forms(a_vals, *a_fit), np.repeat(a_pad, 3, axis=0)),
+        (_forms(b_vals, *b_fit), np.repeat(b_pad, 2, axis=0)),
+        np.repeat(match, 3, axis=0),
+        _variant_rows(n_pairs),
+    )
+    return np.column_stack([
+        [ap_detection_features(p.a, p.b) for p in pairs],
+        block.reshape(n_pairs, -1),
+        [identical_devices(p.a, p.b) for p in pairs],
+        _rank_concordance(x, y),
+    ])
+
+
+def _extract_rows(pairs: Sequence[FingerprintPair]) -> np.ndarray:
+    """(len(pairs), N_FEATURES): each pair's features, non-finite ones kept.
+
+    Pairs that share the same number of APs run together, in batches of at
+    most ``BATCH_CELLS`` cells.
+    """
+    out = np.empty((len(pairs), N_FEATURES))
+    shared = [_shared_index(p.a, p.b) for p in pairs]
+    batches: list[list[int]] = []
+    last_n = cells = -1
+    for k in sorted(range(len(pairs)), key=lambda k: shared[k][0].size):
+        n = shared[k][0].size
+        size = n * (n - 1) + pairs[k].a.ap_count + pairs[k].b.ap_count
+        if n != last_n or cells + size > BATCH_CELLS:
+            batches.append([])
+            last_n, cells = n, 0
+        batches[-1].append(k)
+        cells += size
+    # overflowing readings surface as NonFiniteFeatureError, with the feature
+    # names, rather than as numpy RuntimeWarnings from deep inside
+    with np.errstate(all="ignore"):
+        for batch in batches:
+            out[batch] = _extract_batch([pairs[k] for k in batch], [shared[k] for k in batch])
+    return out
+
+
+def _finite(rows: np.ndarray, pairs: Sequence[FingerprintPair]) -> np.ndarray:
+    """``rows``, unless some value is inf or NaN: then the first such pair's error."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=1)))
+        bad = [FEATURE_NAMES[i] for i in np.flatnonzero(~finite[k])]
+        raise NonFiniteFeatureError(f"non-finite feature values for pair {pairs[k].key}: {bad}")
+    return rows
 
 
 def extract(pair: FingerprintPair) -> FeatureVector:
     """Compute the full 323-entry feature vector for a canonical pair."""
-    # overflowing readings surface as NonFiniteFeatureError below, with the
-    # feature names, rather than as numpy RuntimeWarnings from deep inside
-    with np.errstate(all="ignore"):
-        a, b = pair.a, pair.b
-        (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
-        ia, ib = _shared_index(a, b)
-        x, y = a_vals[ia], b_vals[ib]
-        slope_ab, inter_ab, slope_ba, inter_ba = _fit_both_ways(x, y)
-        # one row per calibrated form (see _VARIANT_FORMS)
-        av = np.stack([
-            a_vals, slope_ab * a_vals + inter_ab, (slope_ab / 2.0) * a_vals + inter_ab / 2.0
-        ])
-        bv = np.stack([b_vals, slope_ba * b_vals + inter_ba])
-        block = _variant_block(
-            np.take(av, ia, axis=1), np.take(bv, ib, axis=1), a_ids, av, b_ids, bv
-        )
-        arr = np.concatenate([
-            ap_detection_features(a, b),
-            block.ravel(),
-            [identical_devices(a, b), _rank_concordance(x, y)],
-        ])
+    return FeatureVector(values=_finite(_extract_rows([pair]), [pair])[0])
 
-    if not np.all(np.isfinite(arr)):
-        bad = [FEATURE_NAMES[i] for i in np.nonzero(~np.isfinite(arr))[0]]
-        raise NonFiniteFeatureError(f"non-finite feature values for pair {pair.key}: {bad}")
-    return FeatureVector(values=arr)
+
+#: ``extract_many`` splits its pairs into this many contiguous chunks per worker
+_CHUNKS_PER_WORKER = 8
 
 
 def extract_many(pairs: Sequence[FingerprintPair], workers: int = 1) -> list[FeatureVector]:
-    """Extract feature vectors for many pairs, preserving input order."""
-    if workers <= 1 or len(pairs) < 4:
-        return [extract(p) for p in pairs]
-    import multiprocessing
+    """Feature vectors for many pairs, in input order, extracted in batches.
 
-    with multiprocessing.Pool(workers) as pool:
-        chunk = max(1, len(pairs) // (workers * 8))
-        return pool.map(extract, pairs, chunksize=chunk)
+    With ``workers`` > 1, contiguous chunks of the pairs go to a pool of at
+    most ``workers`` processes, and no more than there are chunks.
+    """
+    if workers <= 1 or len(pairs) < 4:
+        rows = _extract_rows(pairs)
+    else:
+        import multiprocessing
+
+        size = -(-len(pairs) // (workers * _CHUNKS_PER_WORKER))
+        chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
+        with multiprocessing.Pool(min(workers, len(chunks))) as pool:
+            rows = np.concatenate(pool.map(_extract_rows, chunks))
+    return [FeatureVector(values=row) for row in _finite(rows, pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -706,15 +868,38 @@ def table_from_vectors(
     )
 
 
+#: ``write_feature_table`` formats the number cells of this many rows at a time
+_WRITE_BLOCK_ROWS = 64
+
+
+class _Rows(list):
+    """What a ``csv.writer`` writes to it: one string per row."""
+
+    write = list.append
+
+
 def write_feature_table(table: FeatureTable, path: str | Path) -> None:
-    """Write a CSV whose float cells round-trip exactly (shortest repr)."""
+    """Write a CSV whose float cells round-trip exactly (shortest repr).
+
+    ``csv.writer`` writes each row's meta cells.  The number cells of a block
+    of rows come from one ``repr`` of the block's list of rows: a float's
+    ``repr`` holds no comma, quote or bracket, so it needs no quoting and
+    the list's separators split it into rows and cells.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*_META_COLUMNS, *table.names])
-        for pid, dist, label, row in zip(
-            table.pair_ids, table.distances.tolist(), table.labels, table.matrix
-        ):
-            writer.writerow([pid, repr(dist), label.value, *map(repr, row.tolist())])
+        csv.writer(fh).writerow([*_META_COLUMNS, *table.names])
+        metas = _Rows()
+        meta = csv.writer(metas)
+        distances = table.distances.tolist()
+        sep = "," if table.names else ""
+        for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            lines = repr(table.matrix[start:stop].tolist())[2:-2].replace(", ", ",").split("],[")
+            meta.writerows(zip(table.pair_ids[start:stop], map(repr, distances[start:stop]),
+                               (label.value for label in table.labels[start:stop])))
+            # each meta row ends in the writer's "\r\n"
+            fh.writelines(f"{m[:-2]}{sep}{cells}\r\n" for m, cells in zip(metas, lines))
+            metas.clear()
 
 
 def read_feature_table(path: str | Path) -> FeatureTable:

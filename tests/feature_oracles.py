@@ -6,13 +6,17 @@ variant on its own, rank with a stable sort per statistic, and hand every
 Kendall input longer than 64 entries to ``scipy.stats.kendalltau``.  Tests
 compare ``extract`` with ``extract_oracle`` byte for byte.
 
-The features that the batch did not touch (AP detection, device features,
-the least-squares fit) are read from ``wifiprox.features`` itself, so that
+The least-squares fit and the rank-order concordance, which batched
+extraction also rewrote, are here as the scalar one-pair functions they
+replaced.  The features that no batch touched (AP detection and the
+identical-device flag) are read from ``wifiprox.features`` itself, so that
 each of them keeps one implementation.
 
 ``read_feature_table_oracle`` is the ``csv.reader`` loop that
 ``features.read_feature_table`` replaced with one ``np.loadtxt`` pass: a
 Python ``float()`` per cell.  Tests compare the two readers byte for byte.
+``write_feature_table_oracle`` is the writer's old ``csv.writer`` row per
+pair, with a ``repr`` per cell; tests compare the two files byte for byte.
 """
 
 import csv
@@ -29,6 +33,7 @@ from wifiprox.features import (
     REDPIN_MATCH_THRESHOLD_DBM,
     REDPIN_MISS_PENALTY,
     REDPIN_PARTIAL_CREDIT,
+    RE3_TIE_CREDIT,
     VARIANTS,
     ZERO_RSSI_SUBSTITUTE,
 )
@@ -155,6 +160,36 @@ def normalized_rank_vectors(x, y):
     return rx / np.linalg.norm(rx), ry / np.linalg.norm(ry)
 
 
+def fit_line(x, y):
+    """OLS slope/intercept mapping x -> y, with degenerate fallbacks."""
+    if x.size == 0:
+        return 1.0, 0.0
+    mx = float(x.mean())
+    my = float(y.mean())
+    dx = x - mx
+    sxx = float(dx @ dx)
+    if sxx == 0.0:
+        return 1.0, my - mx
+    a = float(dx @ (y - my)) / sxx
+    return a, my - a * mx
+
+
+def fit_both_ways(x, y):
+    return (*fit_line(x, y), *fit_line(y, x))
+
+
+def rank_concordance(x, y):
+    """Fraction of shared-AP pairs whose RSSI ordering agrees across a and b."""
+    if x.size < 2:
+        return 0.0
+    sx, sy = np.sign(pair_differences(x)), np.sign(pair_differences(y))
+    both_tied = (sx == 0) & (sy == 0)
+    one_tied = (sx == 0) ^ (sy == 0)
+    agree = (sx == sy) & (sx != 0)
+    score = agree.sum() + both_tied.sum() + RE3_TIE_CREDIT * one_tied.sum()
+    return float(score) / sx.size
+
+
 def variant_block(x, y, a_ids, a_vals, b_ids, b_vals):
     """The 79 RSSI-dependent features for one calibration variant."""
     n = x.size
@@ -228,7 +263,7 @@ def extract_oracle(pair) -> np.ndarray:
         a, b = pair.a, pair.b
         x, y = features._shared_values(a, b)
         (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
-        slope_ab, inter_ab, slope_ba, inter_ba = features._fit_both_ways(x, y)
+        slope_ab, inter_ab, slope_ba, inter_ba = fit_both_ways(x, y)
         values = list(features.ap_detection_features(a, b))
         for variant in VARIANTS:
             if variant == "none":
@@ -245,7 +280,7 @@ def extract_oracle(pair) -> np.ndarray:
                 yb, bv = slope_ba * y + inter_ba, slope_ba * b_vals + inter_ba
             values += variant_block(xa, yb, a_ids, av, b_ids, bv)
         values.append(features.identical_devices(a, b))
-        values.append(features._rank_concordance(x, y))
+        values.append(rank_concordance(x, y))
     return np.asarray(values, dtype=np.float64)
 
 
@@ -271,3 +306,14 @@ def read_feature_table_oracle(path) -> features.FeatureTable:
         labels=tuple(labels),
         matrix=np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names))),
     )
+
+
+def write_feature_table_oracle(table, path) -> None:
+    """A feature CSV written one ``csv.writer`` row and one ``repr`` per cell at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pair_id", "distance_m", "label", *table.names])
+        for pid, dist, label, row in zip(
+            table.pair_ids, table.distances.tolist(), table.labels, table.matrix
+        ):
+            writer.writerow([pid, repr(dist), label.value, *map(repr, row.tolist())])

@@ -1,8 +1,10 @@
 """Feature registry, calibration, correlation kernels, extraction, tables."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
+import multiprocessing
 import re
 import tracemalloc
 import warnings
@@ -37,7 +39,14 @@ from wifiprox.pairing import enumerate_pairs, make_pair
 from wifiprox.synth import generate_site, site_config_for_density
 
 from conftest import bss, make_fp, pair_of, random_readings
-from feature_oracles import extract_oracle, one_row, read_feature_table_oracle
+from feature_oracles import (
+    extract_oracle,
+    one_row,
+    read_feature_table_oracle,
+    write_feature_table_oracle,
+)
+from test_golden import _dense_pairs as _golden_dense_pairs
+from test_golden import _fuzz_pairs
 
 GOLDEN = Path(__file__).parent / "data" / "feature_names.txt"
 
@@ -429,6 +438,23 @@ class TestKernels:
         u = np.array([1.0, 0.0])
         v = np.array([1.0, 1.0])
         assert math.isclose(one_row(features._cosine, u, v), 1 / math.sqrt(2), abs_tol=1e-15)
+
+    @pytest.mark.parametrize("n", [*range(2, 15), 33, 63, 88])
+    def test_stacked_dots_keep_1d_matmul_bits(self, n):
+        # the row lengths the kernels see for n shared APs: the readings, their
+        # n(n-1)/2 pair differences and n(n-1) pair ratios; a BLAS whose
+        # stacked matmul rounds unlike 1-D ``@`` fails here, not in a golden hash
+        rng = np.random.default_rng(n)
+        for length in (n, n * (n - 1) // 2, n * (n - 1)):
+            x = rng.integers(-95, -30, size=(8, length)).astype(float)
+            y = rng.integers(-95, -30, size=(8, length)).astype(float)
+            u = rng.uniform(0.5, 1.5, (8, 1)) * x + rng.uniform(-10, 10, (8, 1))
+            u -= u.mean(axis=1, keepdims=True)
+            v = y - y.mean(axis=1, keepdims=True)
+            for a, b in ((u, v), (x, y), (u, u)):
+                want = np.array([row_a @ row_b for row_a, row_b in zip(a, b)]).tobytes()
+                assert np.vecdot(a, b).tobytes() == want, (n, length)
+                assert np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tobytes() == want
 
     def test_avg_ranks_matches_scipy(self, rng):
         for _ in range(20):
@@ -1006,6 +1032,135 @@ class TestExtract:
                 assert got.tobytes() == want.tobytes(), (stat, variant, got, want)
 
 
+def _tied_pair(rng, n_shared, n_own, key):
+    """Readings from four levels, so that most of them tie."""
+    ids = [bss(int(i) + 1) for i in rng.choice(300, size=n_shared + 2 * n_own, replace=False)]
+    a = {i: float(rng.integers(-62, -58)) for i in ids[:n_shared + n_own]}
+    b = {i: float(rng.integers(-62, -58)) for i in ids[:n_shared] + ids[n_shared + n_own:]}
+    return make_pair(make_fp(id=f"ta{key}", readings=a),
+                     make_fp(id=f"tb{key}", readings=b, position=(1.0, 0.0)),
+                     1.0, ProximityClass.CLOSE)
+
+
+def _mixed_batch():
+    """Every edge-case kind, several pairs per shared-AP count, in mixed order."""
+    rng = np.random.default_rng(2110)
+    pairs = [_oracle_pair(kind, seed) for seed in range(3) for kind in _ORACLE_KINDS]
+    # tied readings; fingerprints of fewer than 8 APs; equal shared counts
+    # with fingerprints of different sizes, which batches pad
+    for k, (n_shared, n_own) in enumerate(
+        [(2, 0), (2, 1), (2, 3), (5, 1), (5, 2), (12, 0), (12, 6), (70, 0), (70, 1), (70, 4)]
+    ):
+        pairs.append(_tied_pair(rng, n_shared, n_own, k))
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+def _overflow_pair(key, shared=12, seed=0):
+    rng = np.random.default_rng(seed)
+    a_read = {bss(i): float(rng.integers(-95, -30)) for i in range(1, shared + 1)}
+    b_read = {k: float(rng.integers(-95, -30)) for k in a_read}
+    if key.startswith("bad"):
+        a_read[bss(1)], b_read[bss(1)] = 1e200, -1e200
+    return make_pair(make_fp(id=f"{key}-a", readings=a_read),
+                     make_fp(id=f"{key}-b", readings=b_read, position=(1.0, 0.0)),
+                     1.0, ProximityClass.CLOSE)
+
+
+#: sha256 of ``extract_many`` over the golden fuzz and dense corpora in one
+#: mixed call (``_fuzz_pairs() + _dense_pairs()`` of test_golden, permuted
+#: with seed 20261023), recorded with per-pair extraction
+MIXED_CORPUS_SHA256 = "8eb35bddb7beaa486c41e95e50a07ccfba2c92661d3780190c90419f0f24cd99"
+
+
+class TestBatches:
+    """Pairs extracted together give the bytes of pairs extracted alone."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_extract_many_equals_extract_and_oracle(self, workers):
+        pairs = _mixed_batch()
+        shared = [len(p.a.ap_set & p.b.ap_set) for p in pairs]
+        assert {0, 1, 2} <= set(shared) and max(shared) > 64
+        assert all(shared.count(n) >= 3 for n in (0, 1, 2, 12, 70))
+        assert any(fit_least_squares(p.a, p.b)[0] < 0 for p in pairs)
+        assert any(p.a.ap_count < 8 and p.b.ap_count >= 8 for p in pairs)
+        got = extract_many(pairs, workers=workers)
+        assert len(got) == len(pairs)
+        for k, (pair, vec) in enumerate(zip(pairs, got)):
+            assert vec.values.tobytes() == extract(pair).values.tobytes(), k
+            assert vec.values.tobytes() == extract_oracle(pair).tobytes(), k
+
+    def test_mixed_corpus_hash(self):
+        pairs = _fuzz_pairs() + _golden_dense_pairs()
+        pairs = [pairs[i] for i in np.random.default_rng(20261023).permutation(len(pairs))]
+        digest = hashlib.sha256(b"".join(v.values.tobytes() for v in extract_many(pairs)))
+        assert digest.hexdigest() == MIXED_CORPUS_SHA256
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_mid_batch_names_the_first_bad_pair(self, workers):
+        # all share 12 APs, so they run in one batch (or one per chunk)
+        pairs = [_overflow_pair(f"ok{k}", seed=k) for k in range(6)]
+        pairs[2:2] = [_overflow_pair("bad1", seed=7)]
+        pairs[5:5] = [_overflow_pair("bad2", seed=8)]
+        with pytest.raises(NonFiniteFeatureError) as alone:
+            extract(pairs[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFeatureError) as batched:
+                extract_many(pairs, workers=workers)
+        assert str(batched.value) == str(alone.value)
+        assert "('bad1-a', 'bad1-b')" in str(batched.value)
+
+    @pytest.mark.parametrize("workers, n_pairs, processes", [
+        (8, 5, 5), (3, 4, 3), (2, 40, 2), (8, 3, None), (1, 40, None),
+    ])
+    def test_pool_is_no_larger_than_its_chunks(self, monkeypatch, rng, workers, n_pairs, processes):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, f, chunks):
+                return [f(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        pairs = [_random_pair(rng) for _ in range(n_pairs)]
+        got = extract_many(pairs, workers=workers)
+        assert started == ([] if processes is None else [processes])
+        assert [v.values.tobytes() for v in got] == [extract(p).values.tobytes() for p in pairs]
+
+    def test_batches_allocate_less_than_the_largest_dense_pair(self, monkeypatch):
+        # a batch holds dozens of low-density pairs or about one high-density
+        # pair, and allocates no more than one high-density pair did alone
+        # (2.1 MiB for 88 shared APs, per-pair extraction, numpy 2.4)
+        cfg = site_config_for_density("low", site_id="low", seed=45, n_clusters=10)
+        low = list(itertools.islice(enumerate_pairs(generate_site(cfg)), 0, 3000, 15))
+        pairs = low + _dense_pairs(np.random.default_rng(1), per_density=10)
+        extract_many(pairs)  # index caches filled
+        peaks, sizes = [], []
+        batch = features._extract_batch
+
+        def traced(batch_pairs, shared):
+            tracemalloc.start()
+            try:
+                return batch(batch_pairs, shared)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                sizes.append(len(batch_pairs))
+                tracemalloc.stop()
+
+        monkeypatch.setattr(features, "_extract_batch", traced)
+        extract_many(pairs)
+        assert max(sizes) >= 20
+        assert max(peaks) < 2.1 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Feature tables
 # ---------------------------------------------------------------------------
@@ -1190,6 +1345,37 @@ def _table_lines(tmp_path, n=3):
     path = tmp_path / "t.csv"
     write_feature_table(table, path)
     return path, path.read_bytes().decode().split("\r\n")[:-1]
+
+
+class TestWriterAgainstOracle:
+    """``write_feature_table`` gives the bytes of the one-``csv.writer``-row-per-pair writer."""
+
+    @given(_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_equal_the_oracle(self, tmp_path_factory, table):
+        d = tmp_path_factory.mktemp("writer")
+        write_feature_table(table, d / "got.csv")
+        write_feature_table_oracle(table, d / "want.csv")
+        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_rows, n_cols", [
+        (0, 3), (3, 0), (1, 1),
+        (features._WRITE_BLOCK_ROWS, 4), (features._WRITE_BLOCK_ROWS + 1, 4),
+        (2 * features._WRITE_BLOCK_ROWS + 7, 11),
+    ])
+    def test_blocks_and_edges_equal_the_oracle(self, tmp_path, n_rows, n_cols):
+        # rows cycle through the pinned ids and cells, across block boundaries
+        cells = [_PINNED_CELLS[k % len(_PINNED_CELLS)] for k in range(n_rows * n_cols)]
+        table = FeatureTable(
+            names=tuple(f"f{j}" for j in range(n_cols)),
+            pair_ids=tuple(_PINNED_IDS[k % len(_PINNED_IDS)] + str(k) for k in range(n_rows)),
+            distances=np.array([_PINNED_CELLS[k % len(_PINNED_CELLS)] for k in range(n_rows)]),
+            labels=tuple(list(ProximityClass)[k % 2] for k in range(n_rows)),
+            matrix=np.array(cells, dtype=float).reshape(n_rows, n_cols),
+        )
+        write_feature_table(table, tmp_path / "got.csv")
+        write_feature_table_oracle(table, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestReaderErrors:
