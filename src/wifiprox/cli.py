@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import features, ingest, model, pairing, selection_metrics, synth
-from .core import ProximityClass
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -157,6 +156,10 @@ def cmd_pairs(args: argparse.Namespace) -> int:
             f"pseudo_fingerprints={len(fps)}"
         )
     pairs = pairing.enumerate_pairs(fps)
+    n_close = int(pairs.is_close.sum())
+    doc["enumerated"] = {
+        "combinations": pairs.combinations, "close": n_close, "far": len(pairs) - n_close,
+    }
     # sample before writing anything, so a failed sample leaves no files behind
     selected = (
         pairing.sample_training_set(pairs, args.n_close, args.n_far, args.seed)
@@ -170,7 +173,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
         _write_meta(args.remainder_out, doc)
     pairing.save_pairs(selected, args.out)
     _write_meta(args.out, doc)
-    n_close = sum(p.label is ProximityClass.CLOSE for p in selected)
+    n_close = int(selected.is_close.sum())
     print(f"close={n_close} far={len(selected) - n_close} total={len(selected)}")
     return EXIT_OK
 
@@ -183,7 +186,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     pairs = pairing.load_pairs(args.pairs, fps)
     vectors = features.extract_many(pairs, workers=args.workers)
     table = features.table_from_vectors(pairs, vectors)
-    features.write_feature_table(table, args.out)
+    features.write_feature_table(table, args.out, workers=args.workers)
     shared = table.matrix[:, table.names.index("ap.shared_count.none")].astype(int).tolist()
     doc["table"] = {
         "no_shared_ap_pairs": shared.count(0),

@@ -781,6 +781,19 @@ def extract(pair: FingerprintPair) -> FeatureVector:
     return FeatureVector(values=_finite(_extract_rows([pair]), [pair])[0])
 
 
+def _ordered_map(fn, tasks: list, workers: int) -> Iterator:
+    """``fn`` over ``tasks``, results in task order: in this process, or through
+    a pool of ``min(workers, len(tasks))`` processes when that is more than one."""
+    processes = min(workers, len(tasks))
+    if processes <= 1:
+        yield from map(fn, tasks)
+        return
+    import multiprocessing
+
+    with multiprocessing.Pool(processes) as pool:
+        yield from pool.imap(fn, tasks)
+
+
 #: ``extract_many`` splits its pairs into this many contiguous chunks per worker
 _CHUNKS_PER_WORKER = 8
 
@@ -792,14 +805,11 @@ def extract_many(pairs: Sequence[FingerprintPair], workers: int = 1) -> list[Fea
     most ``workers`` processes, and no more than there are chunks.
     """
     if workers <= 1 or len(pairs) < 4:
-        rows = _extract_rows(pairs)
+        chunks = [pairs]
     else:
-        import multiprocessing
-
         size = -(-len(pairs) // (workers * _CHUNKS_PER_WORKER))
         chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-        with multiprocessing.Pool(min(workers, len(chunks))) as pool:
-            rows = np.concatenate(pool.map(_extract_rows, chunks))
+    rows = np.concatenate(list(_ordered_map(_extract_rows, chunks, workers)))
     return [FeatureVector(values=row) for row in _finite(rows, pairs)]
 
 
@@ -868,7 +878,7 @@ def table_from_vectors(
     )
 
 
-#: ``write_feature_table`` formats the number cells of this many rows at a time
+#: ``write_feature_table`` formats this many rows at a time
 _WRITE_BLOCK_ROWS = 64
 
 
@@ -878,28 +888,39 @@ class _Rows(list):
     write = list.append
 
 
-def write_feature_table(table: FeatureTable, path: str | Path) -> None:
+def _format_block(block: tuple) -> str:
+    """The CSV lines of a block of rows: (pair ids, distances, label values, matrix).
+
+    ``csv.writer`` writes each row's meta cells.  The number cells come from
+    one ``repr`` of the block's list of rows: a float's ``repr`` holds no
+    comma, quote or bracket, so it needs no quoting and the list's
+    separators split it into rows and cells.
+    """
+    pair_ids, distances, labels, matrix = block
+    metas = _Rows()
+    csv.writer(metas).writerows(zip(pair_ids, map(repr, distances), labels))
+    lines = repr(matrix.tolist())[2:-2].replace(", ", ",").split("],[")
+    sep = "," if matrix.shape[1] else ""
+    # each meta row ends in the writer's "\r\n"
+    return "".join(f"{m[:-2]}{sep}{cells}\r\n" for m, cells in zip(metas, lines))
+
+
+def write_feature_table(table: FeatureTable, path: str | Path, workers: int = 1) -> None:
     """Write a CSV whose float cells round-trip exactly (shortest repr).
 
-    ``csv.writer`` writes each row's meta cells.  The number cells of a block
-    of rows come from one ``repr`` of the block's list of rows: a float's
-    ``repr`` holds no comma, quote or bracket, so it needs no quoting and
-    the list's separators split it into rows and cells.
+    Blocks of rows are formatted in this process, or across a pool of at
+    most ``workers`` processes and no more than there are blocks.
     """
+    distances = table.distances.tolist()
+    labels = [label.value for label in table.labels]
+    blocks = [
+        (table.pair_ids[k:k + _WRITE_BLOCK_ROWS], distances[k:k + _WRITE_BLOCK_ROWS],
+         labels[k:k + _WRITE_BLOCK_ROWS], table.matrix[k:k + _WRITE_BLOCK_ROWS])
+        for k in range(0, len(table), _WRITE_BLOCK_ROWS)
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow([*_META_COLUMNS, *table.names])
-        metas = _Rows()
-        meta = csv.writer(metas)
-        distances = table.distances.tolist()
-        sep = "," if table.names else ""
-        for start in range(0, len(table), _WRITE_BLOCK_ROWS):
-            stop = start + _WRITE_BLOCK_ROWS
-            lines = repr(table.matrix[start:stop].tolist())[2:-2].replace(", ", ",").split("],[")
-            meta.writerows(zip(table.pair_ids[start:stop], map(repr, distances[start:stop]),
-                               (label.value for label in table.labels[start:stop])))
-            # each meta row ends in the writer's "\r\n"
-            fh.writelines(f"{m[:-2]}{sep}{cells}\r\n" for m, cells in zip(metas, lines))
-            metas.clear()
+        fh.writelines(_ordered_map(_format_block, blocks, workers))
 
 
 def read_feature_table(path: str | Path) -> FeatureTable:

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import math
 import random
-from itertools import combinations
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .core import Fingerprint, FingerprintPair, FloorKey, ProximityClass, open_utf8
 
@@ -53,7 +55,88 @@ def pair_distance(a: Fingerprint, b: Fingerprint) -> float:
 make_pair = FingerprintPair
 
 
-def enumerate_pairs(fps: Sequence[Fingerprint]) -> list[FingerprintPair]:
+#: cells of one floor's upper triangle gated at a time (rows x columns),
+#: and pairs turned into Python values at a time when iterating
+_GATE_CELLS = 1 << 18
+#: a vectorized distance this close to a gate, relative to it, is measured
+#: again with ``math.dist``; numpy's ``hypot`` is within an ulp or two of it
+_RECHECK = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class Pairs(Sequence[FingerprintPair]):
+    """Labeled pairs held as index arrays into a tuple of fingerprints.
+
+    A pair object is built only when the sequence is indexed or iterated,
+    with ``math.dist`` as its distance; a slice is a list of pair objects.
+    ``combinations`` counts the same-floor combinations the enumeration
+    considered.
+    """
+
+    fps: tuple[Fingerprint, ...]
+    i: np.ndarray
+    j: np.ndarray
+    is_close: np.ndarray
+    combinations: int
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def _pair(self, i: int, j: int, close: bool) -> FingerprintPair:
+        a, b = self.fps[i], self.fps[j]
+        label = ProximityClass.CLOSE if close else ProximityClass.FAR
+        return FingerprintPair(a, b, math.dist(a.position, b.position), label)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[m] for m in range(*k.indices(len(self)))]
+        return self._pair(int(self.i[k]), int(self.j[k]), bool(self.is_close[k]))
+
+    def __iter__(self) -> Iterator[FingerprintPair]:
+        for start in range(0, len(self), _GATE_CELLS):
+            rows = slice(start, start + _GATE_CELLS)
+            for i, j, close in zip(self.i[rows].tolist(), self.j[rows].tolist(),
+                                   self.is_close[rows].tolist()):
+                yield self._pair(i, j, close)
+
+    def take(self, rows: np.ndarray) -> "Pairs":
+        """The pairs at ``rows`` (indices or a mask), in that order."""
+        return Pairs(self.fps, self.i[rows], self.j[rows], self.is_close[rows],
+                     self.combinations)
+
+
+def _gate_floor(group: Sequence[Fingerprint]) -> Iterator[tuple[np.ndarray, ...]]:
+    """(i, j, is_close) of each kept combination of ``group``, in combination order.
+
+    Blocks of rows of the upper triangle are gated at once on ``hypot``;
+    a distance near a gate is measured again with ``math.dist``, so every
+    label is the one ``PairingConfig().classify(math.dist(...))`` gives.  No
+    distance is negative, so the lower end of the Close gate needs no recheck.
+    """
+    gates = PairingConfig()
+    pos = np.array([fp.position for fp in group], dtype=np.float64)
+    n = len(group)
+    step = max(1, _GATE_CELLS // max(n, 1))
+    for r0 in range(0, n - 1, step):
+        r1 = min(r0 + step, n - 1)
+        rows = np.arange(r0, r1)[:, None]
+        d = np.hypot(pos[r0:r1, None, 0] - pos[None, r0 + 1:, 0],
+                     pos[r0:r1, None, 1] - pos[None, r0 + 1:, 1])
+        upper = np.arange(r0 + 1, n) > rows
+        close = d <= CLOSE_MAX_M
+        keep = upper & (close | ((d >= FAR_MIN_M) & (d <= FAR_MAX_M)))
+        near = np.abs(d - CLOSE_MAX_M) <= _RECHECK * CLOSE_MAX_M
+        near |= np.abs(d - FAR_MIN_M) <= _RECHECK * FAR_MIN_M
+        near |= np.abs(d - FAR_MAX_M) <= _RECHECK * FAR_MAX_M
+        for r, c in zip(*np.nonzero(near & upper)):
+            label = gates.classify(math.dist(group[r0 + r].position, group[r0 + 1 + c].position))
+            keep[r, c] = label is not None
+            close[r, c] = label is ProximityClass.CLOSE
+        r, c = np.nonzero(keep)
+        yield (r + r0).astype(np.int32), (c + r0 + 1).astype(np.int32), close[r, c]
+
+
+def enumerate_pairs(fps: Sequence[Fingerprint]) -> Pairs:
     """Enumerate pairs across all floor subsets, labeled by the default gates.
 
     Fingerprints with no readings are not admitted to pairing.  Output order
@@ -65,44 +148,49 @@ def enumerate_pairs(fps: Sequence[Fingerprint]) -> list[FingerprintPair]:
         if not fp.readings:
             continue
         by_floor.setdefault(fp.floor_key, []).append(fp)
-    gates = PairingConfig()
-    pairs: list[FingerprintPair] = []
+    admitted: list[Fingerprint] = []
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, bool))]
+    combinations = 0
     for floor_key in sorted(by_floor):
         group = sorted(by_floor[floor_key], key=lambda fp: fp.id)
-        for a, b in combinations(group, 2):
-            d = math.dist(a.position, b.position)
-            label = gates.classify(d)
-            if label is None:
-                continue
-            pairs.append(FingerprintPair(a, b, d, label))
-    return pairs
+        combinations += len(group) * (len(group) - 1) // 2
+        ids = np.array([fp.id for fp in group], dtype=object)
+        repeats = len(set(ids)) < len(ids)
+        for i, j, close in _gate_floor(group):
+            if repeats and (ids[i] == ids[j]).any():
+                raise ValueError("cannot pair a fingerprint with itself")
+            parts.append((i + len(admitted), j + len(admitted), close))
+        admitted += group
+    i, j, close = (np.concatenate(column) for column in zip(*parts))
+    return Pairs(tuple(admitted), i, j, close, combinations)
 
 
-def sample_training_set(
-    pairs: Sequence[FingerprintPair], n_close: int, n_far: int, seed: int
-) -> list[FingerprintPair]:
+def sample_training_set(pairs: Pairs, n_close: int, n_far: int, seed: int) -> Pairs:
     """Uniform per-class sample without replacement, deterministic given seed.
 
     The selection keeps the input's relative order; the pairs not selected
     form the evaluation pool (see :func:`holdout`).
     """
-    close_idx = [i for i, p in enumerate(pairs) if p.label is ProximityClass.CLOSE]
-    far_idx = [i for i, p in enumerate(pairs) if p.label is ProximityClass.FAR]
+    close_idx = np.flatnonzero(pairs.is_close).tolist()
+    far_idx = np.flatnonzero(~pairs.is_close).tolist()
     if n_close > len(close_idx):
         raise ValueError(f"requested {n_close} Close pairs, only {len(close_idx)} available")
     if n_far > len(far_idx):
         raise ValueError(f"requested {n_far} Far pairs, only {len(far_idx)} available")
     rng = random.Random(seed)
     chosen = sorted(rng.sample(close_idx, n_close) + rng.sample(far_idx, n_far))
-    return [pairs[i] for i in chosen]
+    return pairs.take(np.array(chosen, dtype=np.intp))
 
 
-def holdout(
-    pairs: Sequence[FingerprintPair], selected: Sequence[FingerprintPair]
-) -> list[FingerprintPair]:
-    """Pairs not in ``selected``, in original order: the evaluation pool."""
-    taken = {p.key for p in selected}
-    return [p for p in pairs if p.key not in taken]
+def holdout(pairs: Pairs, selected: Pairs) -> Pairs:
+    """Pairs not in ``selected``, in original order: the evaluation pool.
+
+    ``selected`` is a sample of ``pairs``: a pair is the same fingerprints.
+    """
+    n = len(pairs.fps)
+    taken = np.isin(pairs.i.astype(np.int64) * n + pairs.j,
+                    selected.i.astype(np.int64) * n + selected.j)
+    return pairs.take(~taken)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -687,6 +689,23 @@ class TestArtifacts:
         assert pairs_doc["config"]["sub_bursts"] is False
         assert "skip_report" not in pairs_doc  # only sub-bursts skip anything
 
+    def test_pairs_sidecar_counts_the_enumeration(self, tmp_path, capsys):
+        site, out = tmp_path / "site.jsonl", tmp_path / "pairs.jsonl"
+        ingest.save_canonical([
+            make_fp(id="f0", position=(0.0, 0.0)),
+            make_fp(id="f1", position=(2.0, 0.0)),  # Close to f0
+            make_fp(id="f2", position=(10.0, 0.0)),  # Far from f0 and f1
+            make_fp(id="quiet", readings={}, position=(1.0, 0.0)),  # not admitted
+            make_fp(id="g0", floor=("ds", "0", "1")),  # alone on its floor
+            make_fp(id="h0", floor=("ds", "0", "2")),
+            make_fp(id="h1", position=(2.75, 0.0), floor=("ds", "0", "2")),  # between gates
+        ], site)
+        for sample in ([], ["--n-close", 1, "--n-far", 1, "--seed", 3]):
+            assert run("pairs", "--in", site, "--out", out, *sample) == EXIT_OK
+            doc = json.loads(Path(str(out) + ".meta.json").read_text())
+            assert doc["enumerated"] == {"combinations": 4, "close": 1, "far": 2}
+        assert capsys.readouterr().out.splitlines()[-1] == "close=1 far=1 total=2"
+
     def test_featurize_sidecar_counts_the_written_table(self, tmp_path):
         a = make_fp(id="a", readings={bss(1): -50.0, bss(2): -61.0, bss(3): -70.0})
         b = make_fp(id="b", readings={bss(1): -52.0, bss(2): -64.0}, position=(1.0, 0.0))
@@ -958,3 +977,42 @@ class TestRerunStability:
             ) == EXIT_OK
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+#: ``pairs --n-close 40 --n-far 40 --seed 7`` and its ``featurize`` on the
+#: 300-cluster low-density site of seed 1101, recorded with the combination loop
+SCALE_PAIRS_SHA256 = "38d1031bcd588bbb06fd23d54b35c75e3d50af74ae66bf01b727f5be01e8c950"
+SCALE_FEATURES_SHA256 = "890ca62a970c4e5f65763de39fd27c239d819f1430c78765b5fcc9752b274688"
+
+
+class TestSiteScale:
+    """One floor of 3,000 fingerprints: 4,498,500 combinations, 2,668,044 kept."""
+
+    def test_pairs_then_featurize_a_sample(self, tmp_path):
+        site = tmp_path / "site.jsonl"
+        assert run(
+            "synth", "--out", site, "--seed", 1101, "--site-id", "scale",
+            "--density", "low", "--clusters", 300,
+        ) == EXIT_OK
+        fps = ingest.load_canonical(site)
+        assert len(fps) == 3000
+        tracemalloc.start()
+        try:
+            kept = len(pairing.enumerate_pairs(fps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == 2_668_044
+        assert peak < 100 * 2**20
+        pairs, table = tmp_path / "pairs.jsonl", tmp_path / "features.csv"
+        assert run(
+            "pairs", "--in", site, "--out", pairs, "--n-close", 40, "--n-far", 40, "--seed", 7,
+        ) == EXIT_OK
+        assert hashlib.sha256(pairs.read_bytes()).hexdigest() == SCALE_PAIRS_SHA256
+        doc = json.loads(Path(str(pairs) + ".meta.json").read_text())
+        assert doc["enumerated"] == {"combinations": 4_498_500, "close": 66_232, "far": 2_601_812}
+        assert run(
+            "featurize", "--pairs", pairs, "--fingerprints", site, "--out", table,
+            "--workers", 2,
+        ) == EXIT_OK
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == SCALE_FEATURES_SHA256

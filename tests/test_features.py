@@ -1072,6 +1072,28 @@ def _overflow_pair(key, shared=12, seed=0):
 MIXED_CORPUS_SHA256 = "8eb35bddb7beaa486c41e95e50a07ccfba2c92661d3780190c90419f0f24cd99"
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``processes`` of each ``multiprocessing.Pool`` started; its ``imap`` runs here."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, f, tasks):
+            return map(f, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return started
+
+
 class TestBatches:
     """Pairs extracted together give the bytes of pairs extracted alone."""
 
@@ -1113,26 +1135,10 @@ class TestBatches:
     @pytest.mark.parametrize("workers, n_pairs, processes", [
         (8, 5, 5), (3, 4, 3), (2, 40, 2), (8, 3, None), (1, 40, None),
     ])
-    def test_pool_is_no_larger_than_its_chunks(self, monkeypatch, rng, workers, n_pairs, processes):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, f, chunks):
-                return [f(chunk) for chunk in chunks]
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    def test_pool_is_no_larger_than_its_chunks(self, pool_sizes, rng, workers, n_pairs, processes):
         pairs = [_random_pair(rng) for _ in range(n_pairs)]
         got = extract_many(pairs, workers=workers)
-        assert started == ([] if processes is None else [processes])
+        assert pool_sizes == ([] if processes is None else [processes])
         assert [v.values.tobytes() for v in got] == [extract(p).values.tobytes() for p in pairs]
 
     def test_batches_allocate_less_than_the_largest_dense_pair(self, monkeypatch):
@@ -1347,6 +1353,18 @@ def _table_lines(tmp_path, n=3):
     return path, path.read_bytes().decode().split("\r\n")[:-1]
 
 
+def _pinned_table(n_rows, n_cols):
+    """Rows cycling through the pinned ids and cells, across block boundaries."""
+    cells = [_PINNED_CELLS[k % len(_PINNED_CELLS)] for k in range(n_rows * n_cols)]
+    return FeatureTable(
+        names=tuple(f"f{j}" for j in range(n_cols)),
+        pair_ids=tuple(_PINNED_IDS[k % len(_PINNED_IDS)] + str(k) for k in range(n_rows)),
+        distances=np.array([_PINNED_CELLS[k % len(_PINNED_CELLS)] for k in range(n_rows)]),
+        labels=tuple(list(ProximityClass)[k % 2] for k in range(n_rows)),
+        matrix=np.array(cells, dtype=float).reshape(n_rows, n_cols),
+    )
+
+
 class TestWriterAgainstOracle:
     """``write_feature_table`` gives the bytes of the one-``csv.writer``-row-per-pair writer."""
 
@@ -1364,17 +1382,33 @@ class TestWriterAgainstOracle:
         (2 * features._WRITE_BLOCK_ROWS + 7, 11),
     ])
     def test_blocks_and_edges_equal_the_oracle(self, tmp_path, n_rows, n_cols):
-        # rows cycle through the pinned ids and cells, across block boundaries
-        cells = [_PINNED_CELLS[k % len(_PINNED_CELLS)] for k in range(n_rows * n_cols)]
-        table = FeatureTable(
-            names=tuple(f"f{j}" for j in range(n_cols)),
-            pair_ids=tuple(_PINNED_IDS[k % len(_PINNED_IDS)] + str(k) for k in range(n_rows)),
-            distances=np.array([_PINNED_CELLS[k % len(_PINNED_CELLS)] for k in range(n_rows)]),
-            labels=tuple(list(ProximityClass)[k % 2] for k in range(n_rows)),
-            matrix=np.array(cells, dtype=float).reshape(n_rows, n_cols),
-        )
+        table = _pinned_table(n_rows, n_cols)
         write_feature_table(table, tmp_path / "got.csv")
         write_feature_table_oracle(table, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestWriterWorkers:
+    """Blocks formatted across a pool give the bytes of the one-process writer."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_equal_the_oracle(self, tmp_path, workers):
+        table = _pinned_table(4 * features._WRITE_BLOCK_ROWS + 9, 13)
+        write_feature_table(table, tmp_path / "got.csv", workers=workers)
+        write_feature_table_oracle(table, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers, n_rows, processes", [
+        (8, 3 * 64, 3), (3, 3 * 64 + 1, 3), (2, 40 * 64, 2),
+        (8, 64, None), (8, 0, None), (1, 40 * 64, None),
+    ])
+    def test_pool_is_no_larger_than_its_blocks(self, pool_sizes, tmp_path, workers, n_rows,
+                                               processes):
+        assert features._WRITE_BLOCK_ROWS == 64
+        table = _pinned_table(n_rows, 2)
+        write_feature_table(table, tmp_path / "got.csv", workers=workers)
+        write_feature_table_oracle(table, tmp_path / "want.csv")
+        assert pool_sizes == ([] if processes is None else [processes])
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

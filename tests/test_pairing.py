@@ -1,9 +1,13 @@
 """Pair enumeration, distance gates, class sampling, persistence."""
 
+import itertools
 import math
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wifiprox.core import FingerprintPair, ProximityClass
 from wifiprox.pairing import (
@@ -21,6 +25,38 @@ from wifiprox.pairing import (
 )
 
 from conftest import bss, make_fp
+
+
+def enumerate_pairs_oracle(fps):
+    """The combination loop that ``enumerate_pairs`` replaced: one pair object
+    per kept combination, labeled by ``math.dist`` and ``classify``."""
+    by_floor = {}
+    for fp in fps:
+        if fp.readings:
+            by_floor.setdefault(fp.floor_key, []).append(fp)
+    gates = PairingConfig()
+    out = []
+    for floor_key in sorted(by_floor):
+        group = sorted(by_floor[floor_key], key=lambda fp: fp.id)
+        for a, b in itertools.combinations(group, 2):
+            d = math.dist(a.position, b.position)
+            label = gates.classify(d)
+            if label is not None:
+                out.append(FingerprintPair(a, b, d, label))
+    return out
+
+
+def sample_oracle(pairs, n_close, n_far, seed):
+    """The list-based per-class sample that ``sample_training_set`` replaced."""
+    close_idx = [i for i, p in enumerate(pairs) if p.label is ProximityClass.CLOSE]
+    far_idx = [i for i, p in enumerate(pairs) if p.label is ProximityClass.FAR]
+    rng = random.Random(seed)
+    chosen = sorted(rng.sample(close_idx, n_close) + rng.sample(far_idx, n_far))
+    return [pairs[i] for i in chosen]
+
+
+def _facts(pairs):
+    return [(p.key, p.distance_m, p.label) for p in pairs]
 
 
 class TestConfig:
@@ -100,14 +136,14 @@ class TestEnumerate:
             make_fp(id="f0", position=(0.0, 0.0)),
             make_fp(id="f1", position=(2.75, 0.0)),  # between 2.25 and 3.25
         ]
-        assert enumerate_pairs(fps) == []
+        assert list(enumerate_pairs(fps)) == []
 
     def test_beyond_far_gate_is_dropped(self):
         fps = [
             make_fp(id="f0", position=(0.0, 0.0)),
             make_fp(id="f1", position=(25.0, 0.0)),
         ]
-        assert enumerate_pairs(fps) == []
+        assert list(enumerate_pairs(fps)) == []
 
     def test_empty_fingerprints_not_admitted(self):
         fps = self._grid() + [make_fp(id="empty", readings={}, position=(1.0, 0.0))]
@@ -134,13 +170,16 @@ class TestEnumerate:
 
 
 def _labeled_pool(n_close=8, n_far=8):
-    fps = [make_fp(id=f"c{i}", position=(0.1 * i, 0.0)) for i in range(n_close + 1)]
-    fps += [make_fp(id=f"r{i}", position=(100.0 + 4.0 * i, 0.0)) for i in range(n_far)]
-    pairs = enumerate_pairs(fps)
-    # keep a flat pool with exactly the requested class counts
-    close = [p for p in pairs if p.label is ProximityClass.CLOSE][:n_close]
-    far = [p for p in pairs if p.label is ProximityClass.FAR][:n_far]
-    return close + far
+    # one two-fingerprint floor per pair gives exactly the requested class counts
+    fps = []
+    for k, apart in enumerate([1.0] * n_close + [4.0] * n_far):
+        floor = ("ds", "0", f"{k:02d}")
+        fps += [make_fp(id=f"p{k}a", floor=floor),
+                make_fp(id=f"p{k}b", position=(apart, 0.0), floor=floor)]
+    pool = enumerate_pairs(fps)
+    assert sum(p.label is ProximityClass.CLOSE for p in pool) == n_close
+    assert len(pool) == n_close + n_far
+    return pool
 
 
 class TestSampling:
@@ -263,3 +302,100 @@ class TestPersistence:
         fps = [make_fp(id="f0"), make_fp(id="f1", position=(1.0, 0.0))]
         (pair,) = load_pairs(path, fps)
         assert pair.key == ("f0", "f1")
+
+
+def _ulps(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_GATES = (CLOSE_MAX_M, FAR_MIN_M, FAR_MAX_M)
+
+
+class TestAgainstCombinationLoop:
+    """``enumerate_pairs`` gives the pairs, distances and labels of the old loop."""
+
+    @pytest.mark.parametrize("gate", _GATES)
+    @pytest.mark.parametrize("steps", [-1, 0, 1])
+    def test_gate_distances_label_as_math_dist_and_classify(self, gate, steps):
+        d = _ulps(gate, steps)
+        fps = [make_fp(id="a"), make_fp(id="b", position=(d, 0.0)),
+               make_fp(id="c", position=(0.0, -d))]
+        pairs = enumerate_pairs(fps)
+        assert _facts(pairs) == _facts(enumerate_pairs_oracle(fps))
+        want = PairingConfig().classify(d)
+        got = {p.key: (p.distance_m, p.label) for p in pairs}
+        assert [got.get(k) for k in (("a", "b"), ("a", "c"))] == (
+            [(d, want)] * 2 if want is not None else [None, None])
+
+    def test_coincident_fingerprints_are_close(self):
+        fps = [make_fp(id="a", position=(1.5, -2.0)), make_fp(id="b", position=(1.5, -2.0))]
+        assert _facts(enumerate_pairs(fps)) == [(("a", "b"), 0.0, ProximityClass.CLOSE)]
+
+    def test_off_axis_pairs_at_the_gates_label_as_the_loop(self):
+        # pairs a gate apart in random directions from random points: a
+        # vectorized distance rounds differently from math.dist on some of them
+        rng = random.Random(20261020)
+        fps = []
+        for k in range(1500):
+            gate, floor = _GATES[k % 3], ("ds", "gate", f"{k:04d}")
+            x, y, theta = rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0, 2 * math.pi)
+            fps += [make_fp(id=f"{k}a", position=(x, y), floor=floor),
+                    make_fp(id=f"{k}b", position=(x + gate * math.cos(theta),
+                                                  y + gate * math.sin(theta)), floor=floor)]
+        want = enumerate_pairs_oracle(fps)
+        for g in range(len(_GATES)):  # each gate keeps some of its pairs and drops the rest
+            assert 0 < sum(int(p.a.floor_key[2]) % 3 == g for p in want) < 500
+        assert _facts(enumerate_pairs(fps)) == _facts(want)
+
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from([("ds", "0", "0"), ("ds", "0", "1"), ("other", "1", "0")]),
+            st.one_of(st.floats(-25, 25), st.sampled_from([0.0, *_GATES, -2.25, 1e-310]),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+            st.one_of(st.floats(-25, 25), st.sampled_from([0.0, *_GATES, -20.0])),
+            st.booleans(),
+        ),
+        max_size=40,
+    ), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_loop(self, specs, shuffle):
+        fps = [make_fp(id=f"f{k:02d}", floor=floor, position=(x, y),
+                       readings={bss(1): -50.0} if seen else {})
+               for k, (floor, x, y, seen) in enumerate(specs)]
+        shuffle.shuffle(fps)
+        pairs = enumerate_pairs(fps)
+        want = enumerate_pairs_oracle(fps)
+        assert len(pairs) == len(want)
+        assert _facts(pairs) == _facts(want)
+        assert [_facts([pairs[k]]) for k in range(-len(pairs), 0)] == [_facts([p]) for p in want]
+        assert _facts(pairs[1::2]) == _facts(want[1::2])
+        n_close = sum(p.label is ProximityClass.CLOSE for p in want)
+        n_far = len(want) - n_close
+        for c, f in ((n_close, n_far), (n_close // 2, n_far // 3)):
+            picked = sample_training_set(pairs, c, f, seed=len(specs))
+            assert _facts(picked) == _facts(sample_oracle(want, c, f, seed=len(specs)))
+            taken = {p.key for p in picked}
+            assert _facts(holdout(pairs, picked)) == _facts(p for p in want if p.key not in taken)
+
+    def test_repeated_id_on_a_floor_fails_as_the_loop_does(self):
+        fps = [make_fp(id="a"), make_fp(id="b", position=(1.0, 0.0)),
+               make_fp(id="a", position=(2.0, 0.0))]
+        with pytest.raises(ValueError) as want:
+            enumerate_pairs_oracle(fps)
+        with pytest.raises(ValueError) as got:
+            enumerate_pairs(fps)
+        assert str(got.value) == str(want.value) == "cannot pair a fingerprint with itself"
+
+    def test_repeated_id_outside_the_gates_is_dropped_as_by_the_loop(self):
+        fps = [make_fp(id="a"), make_fp(id="b", position=(1.0, 0.0)),
+               make_fp(id="a", position=(2.75, 0.0))]
+        assert _facts(enumerate_pairs(fps)) == _facts(enumerate_pairs_oracle(fps))
+
+    def test_large_floor_matches_the_loop(self):
+        # more fingerprints than one block of rows holds
+        rng = random.Random(5)
+        fps = [make_fp(id=f"f{k:04d}", position=(rng.uniform(0, 40), rng.uniform(0, 25)))
+               for k in range(600)]
+        assert _facts(enumerate_pairs(fps)) == _facts(enumerate_pairs_oracle(fps))
