@@ -26,6 +26,8 @@ FUZZ_SHA256 = "13d176eb6af9012b90043e18fbb7a02ffc7911034c4d2f2897c193ddb5540937"
 DENSE_SHA256 = "0c9397c9804d115bc0701d462b75b980bbef30cb83868bf52050d13128228e3c"
 MODEL_SHA256 = "0bd1147a37464ab39774d92d5a05d479e2040ec56f3eb3c8ea3aeb0943245bca"
 DEEP_MODEL_SHA256 = "43452af8ffda657f9a66df799bb0344961194b2009003d21a8d60e651bfc29ca"
+SCORES_SHA256 = "1645ef227b1550461ba7e4b0ba0fcefdca78c748628c8fe55226481f5debc2b1"
+SCORE_VALUES = [0.2, 0.2, 0.0, 0.6, 0.6, 0.2]
 MRMR_RANKING_SHA256 = "46b08b3283c691429c00abb2160e60688afec31ab8ef9f53e1680e8f40647b35"
 PSEUDO_SHA256 = "4f8333e5b3093d330f3d6fc3f0433a7566208639ce560cffd1bf84015da1263d"
 
@@ -102,7 +104,7 @@ def test_model_json_hash(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_SHA256
 
 
-def test_deep_tree_model_json_hash(tmp_path):
+def _deep_model():
     """Five trees of 2k-2.6k nodes on 5000 rows with many repeated values."""
     rng = np.random.default_rng(20261021)
     X = rng.integers(-40, 41, size=(5000, 12)).astype(np.float64) / 4.0
@@ -110,11 +112,41 @@ def test_deep_tree_model_json_hash(tmp_path):
     X[:, 7] = np.where(X[:, 7] == 0.0, -0.0, X[:, 7])
     y = X[:, 0] + X[:, 1] + rng.normal(0, 6, size=len(X)) > 0
     names = tuple(f"f{i}" for i in range(X.shape[1]))
-    trained = train_ensemble(X, y, names, EnsembleConfig(n_estimators=5), seed=7)
+    return train_ensemble(X, y, names, EnsembleConfig(n_estimators=5), seed=7)
+
+
+def _scored_matrix(model):
+    """Rows on the deep model's value grid and past it, with NaN and +-inf
+    cells, then three cells per row set to some split's own threshold."""
+    rng = np.random.default_rng(20261023)
+    X = rng.integers(-48, 49, size=(600, 12)).astype(np.float64) / 4.0
+    for value, share in ((np.nan, 0.03), (np.inf, 0.02), (-np.inf, 0.02)):
+        X[rng.random(X.shape) < share] = value
+    X[-3:] = [[np.nan], [np.inf], [-np.inf]]
+    splits = [(int(t.feature[node]), float(t.threshold[node]))
+              for t in model.trees for node in np.flatnonzero(t.feature >= 0)]
+    for row in range(len(X) - 3):
+        for k in rng.choice(len(splits), size=3, replace=False):
+            X[row, splits[k][0]] = splits[k][1]
+    return X
+
+
+def test_deep_tree_model_json_hash(tmp_path):
+    trained = _deep_model()
     assert min(t.n_nodes for t in trained.trees) >= 1000
     path = tmp_path / "model.json"
     save_model(trained, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEEP_MODEL_SHA256
+
+
+def test_scores_hash():
+    """The deep model's scores, one tree walk per row and tree, pinned by their bytes."""
+    model = _deep_model()
+    X = _scored_matrix(model)
+    scores = model.predict_scores(X)
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == SCORES_SHA256
+    assert [model.predict_score(X[i]) for i in (0, 1, 2, 597, 598, 599)] == SCORE_VALUES
+    assert model.predict_scores(X[:0]).tobytes() == b""
 
 
 def test_mrmr_ranking_hash():
