@@ -89,7 +89,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -284,17 +284,15 @@ class _Ranked:
         first, size = self._runs()
         return self._per_entry((first % max(self.values.shape[1], 1) + size).astype(np.float64), size)
 
-    def dense(self, rows) -> np.ndarray:
-        """0-based index of each entry's group within its row, in ascending
-        order: (m,) for one row index, (k, m) for an array of k of them."""
-        m = self.values.shape[1]
-        start = np.asarray(rows)[..., None] * m
-        sorted_pos = start + np.arange(m)
-        # each sorted position's entry, moved from its row of values to its row of out
-        target = self._flat[sorted_pos] - start + np.arange(start.size).reshape(start.shape) * m
-        out = np.empty(sorted_pos.shape, dtype=np.intp)
-        out.reshape(-1)[target] = np.cumsum(self._starts[sorted_pos], axis=-1) - 1
-        return out
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """(r, m): 0-based index of each entry's group within its row, in
+        ascending order."""
+        groups = np.cumsum(self._starts).reshape(self.values.shape)
+        groups -= groups[:, :1]  # each row starts a group
+        out = np.empty(self.values.size, dtype=np.intp)
+        out[self._flat] = groups.ravel()
+        return out.reshape(self.values.shape)
 
 
 def _columns(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -391,11 +389,10 @@ def _tau_b_from_table(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) 
     time, zero-padded to the stack's largest group counts, which adds no pair."""
     m, k = ru.values.shape[1], len(iu)
     groups_u, groups_v = ru.groups[iu], rv.groups[iv]
-    du, dv = ru.dense(iu), rv.dense(iv)
     dis, joint = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
     for rows in _chunks(k, int(groups_u.max() * groups_v.max())):
-        n, ku, kv = len(du[rows]), int(groups_u[rows].max()), int(groups_v[rows].max())
-        keys = (np.arange(n)[:, None] * ku + du[rows]) * kv + dv[rows]
+        n, ku, kv = len(iu[rows]), int(groups_u[rows].max()), int(groups_v[rows].max())
+        keys = (np.arange(n)[:, None] * ku + ru.dense[iu[rows]]) * kv + rv.dense[iv[rows]]
         table = np.bincount(keys.ravel(), minlength=n * ku * kv).reshape(n, ku, kv)
         # entries in a later u group (column totals minus running sums) and an
         # earlier v group are discordant
@@ -422,8 +419,8 @@ def _tau_b_from_blocks(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray)
     dis, joint = np.zeros(k, dtype=np.int64), np.empty(k, dtype=np.int64)
     for row, (i, j) in enumerate(zip(iu, iv)):
         kv = int(rv.groups[j])
-        keys = ru.dense(i) * kv
-        keys += rv.dense(j)
+        keys = ru.dense[i] * kv
+        keys += rv.dense[j]
         keys.sort()
         runs = np.diff(np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]), append=m)
         joint[row] = (int(np.vdot(runs, runs)) - m) // 2
@@ -528,20 +525,6 @@ def _normalized_rank_vectors(
 # ---------------------------------------------------------------------------
 # Features read directly off the pair
 # ---------------------------------------------------------------------------
-
-def ap_detection_features(a: Fingerprint, b: Fingerprint) -> tuple[float, ...]:
-    """(shared, union, non-shared, |count difference|, Jaccard)."""
-    n_shared = len(a.ap_set & b.ap_set)
-    n_union = a.ap_count + b.ap_count - n_shared
-    jaccard = n_shared / n_union if n_union else 0.0
-    return (
-        float(n_shared),
-        float(n_union),
-        float(n_union - n_shared),
-        float(abs(a.ap_count - b.ap_count)),
-        jaccard,
-    )
-
 
 def _shared_index(a: Fingerprint, b: Fingerprint) -> tuple[np.ndarray, np.ndarray]:
     """Where the APs both fingerprints detected sit in a's and b's encodings."""
@@ -732,8 +715,12 @@ def _extract_batch(pairs: Sequence[FingerprintPair], shared: Sequence[tuple]) ->
         np.repeat(match, 3, axis=0),
         _variant_rows(n_pairs),
     )
+    n, count_a, count_b = x.shape[1], (~a_pad).sum(axis=1), (~b_pad).sum(axis=1)
+    union = count_a + count_b - n
     return np.column_stack([
-        [ap_detection_features(p.a, p.b) for p in pairs],
+        # AP detection: shared, union, non-shared, |count difference|, Jaccard
+        np.full(n_pairs, n), union, union - n, np.abs(count_a - count_b),
+        np.divide(n, union, out=np.zeros(n_pairs), where=union > 0),
         block.reshape(n_pairs, -1),
         [identical_devices(p.a, p.b) for p in pairs],
         _rank_concordance(x, y),

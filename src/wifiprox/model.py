@@ -25,13 +25,17 @@ does not depend on how its trees were grown; ``tests/test_model.py`` checks
 ``train_tree`` array for array against a node-at-a-time grower.
 
 The ensemble's score for a pair is the fraction of trees voting Close; the
-pair is Close when that score is at least ``DECISION_THRESHOLD``.
+pair is Close when that score is at least ``DECISION_THRESHOLD``.  Scoring
+walks all trees at once over one set of node arrays (QuickScorer's flat
+traversal, Lucchese et al., SIGIR 2015): each (row, tree) lane leaves the
+walk at its leaf with a vote of 1.0, 0.0 or 0.5 (Close, Far, tied leaf).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,6 +48,8 @@ SCHEMA_VERSION = 1
 MAX_FEATURES = 3
 #: a pair is Close when at least this fraction of the trees votes Close
 DECISION_THRESHOLD = 0.5
+#: scoring walks the (row, tree) lanes of at most this many at a time
+SCORE_LANES = 1 << 16
 #: a tree's node arrays, by the name a model file stores each under, with their dtypes
 _NODE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
                 "right": np.int32, "n_close": np.int64, "n_far": np.int64}
@@ -94,26 +100,6 @@ class Tree:
                 return depth
             level = np.concatenate((self.left[level], self.right[level]))
             depth += 1
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index for every row of X."""
-        idx = np.zeros(len(X), dtype=np.int32)
-        while True:
-            feat = self.feature[idx]
-            active = np.nonzero(feat >= 0)[0]
-            if active.size == 0:
-                return idx
-            node = idx[active]
-            vals = X[active, self.feature[node]]
-            go_left = vals <= self.threshold[node]
-            idx[active] = np.where(go_left, self.left[node], self.right[node])
-
-    def votes(self, X: np.ndarray) -> np.ndarray:
-        """Per-row vote: 1.0 Close, 0.0 Far, 0.5 when the leaf is tied."""
-        leaf = self.apply(X)
-        close = self.n_close[leaf]
-        far = self.n_far[leaf]
-        return np.where(close > far, 1.0, np.where(close < far, 0.0, 0.5))
 
 
 def train_tree(
@@ -301,6 +287,18 @@ class BaggedEnsemble:
     train_seed: int
     class_balance: tuple[int, int]  # (n_close, n_far) in the training data
 
+    @cached_property
+    def _nodes(self) -> tuple[np.ndarray, ...]:
+        """All trees' nodes in one set of arrays: the roots, then per node the
+        split feature (-1 at a leaf), threshold, both children and vote."""
+        sizes = [tree.n_nodes for tree in self.trees]
+        roots = np.cumsum(sizes) - sizes
+        feature, threshold, left, right, close, far = (
+            np.concatenate([getattr(tree, name) for tree in self.trees]) for name in _NODE_ARRAYS)
+        vote = np.where(close > far, 1.0, np.where(close < far, 0.0, 0.5))
+        offset = np.repeat(roots, sizes)
+        return roots, feature.astype(np.intp), threshold, left + offset, right + offset, vote
+
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Fraction of trees voting Close, per row of X."""
         X = np.asarray(X, dtype=np.float64)
@@ -308,9 +306,20 @@ class BaggedEnsemble:
             raise ValueError(
                 f"expected (n, {len(self.feature_names)}) matrix, got {X.shape}"
             )
+        roots, feature, threshold, left, right, vote = self._nodes
         total = np.zeros(len(X), dtype=np.float64)
-        for tree in self.trees:
-            total += tree.votes(X)
+        step = max(1, SCORE_LANES // len(roots))
+        for start in range(0, len(X), step):
+            block, out = X[start:start + step], total[start:start + step]
+            # lane k walks tree k % len(roots) for row k // len(roots) of the block
+            row, node = np.repeat(np.arange(len(block)), len(roots)), np.tile(roots, len(block))
+            while node.size:
+                split = feature[node]
+                leaf = split < 0
+                out += np.bincount(row[leaf], vote[node[leaf]], minlength=len(block))
+                row, node, split = row[~leaf], node[~leaf], split[~leaf]
+                # NaN compares False and goes right
+                node = np.where(block[row, split] <= threshold[node], left[node], right[node])
         return total / len(self.trees)
 
     def predict_score(self, values: np.ndarray) -> float:
@@ -402,7 +411,8 @@ def load_model(path: str | Path) -> BaggedEnsemble:
             raise ValueError(f"{p}: not a valid model file ({e})") from e
     if not isinstance(doc, dict) or doc.get("kind") != "rssi-pair-bagging":
         raise ValueError(f"{p}: not a recognized model file")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # as saved: not true, not 1.0
         raise ValueError(
             f"{p}: unsupported schema version {doc.get('schema_version')!r}"
         )
@@ -420,7 +430,7 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         if len(set(names)) != len(names):
             repeated = next(n for i, n in enumerate(names) if n in names[:i])
             raise ValueError(f"feature_names repeats {repeated!r}")
-        trees = tuple(_tree_from_record(i, t) for i, t in enumerate(doc["trees"]))
+        trees = tuple(_tree_from_record(i, t, len(names)) for i, t in enumerate(doc["trees"]))
         model = BaggedEnsemble(
             trees=trees,
             feature_names=tuple(names),
@@ -445,13 +455,22 @@ def load_model(path: str | Path) -> BaggedEnsemble:
     return model
 
 
-def _tree_from_record(index: int, rec: dict) -> Tree:
-    """A saved tree's arrays; an integer array holds JSON integers only, as saved."""
+def _tree_from_record(index: int, rec: dict, n_features: int) -> Tree:
+    """A saved tree's arrays, as saved: JSON floats in ``threshold``, JSON
+    integers elsewhere, and at most ``MAX_FEATURES`` distinct columns of
+    the model in ``feature_subset``."""
     for name in ("feature_subset", *_NODE_ARRAYS):
         values = rec[name]
-        if name != "threshold" and not set(map(type, values)) <= {int}:
-            bad = next(v for v in values if type(v) is not int)
-            raise ValueError(f"tree {index} {name} holds {bad!r}, which is not an integer")
+        kind = float if name == "threshold" else int
+        if not set(map(type, values)) <= {kind}:
+            bad = next(v for v in values if type(v) is not kind)
+            raise ValueError(f"tree {index} {name} holds {bad!r}, which is not "
+                             f"{'a float' if kind is float else 'an integer'}")
+    subset = rec["feature_subset"]
+    if (len(subset) > MAX_FEATURES or len(set(subset)) != len(subset)
+            or not all(0 <= f < n_features for f in subset)):
+        raise ValueError(f"tree {index} feature_subset {subset!r} is not at most "
+                         f"{MAX_FEATURES} distinct columns of 0..{n_features - 1}")
     return Tree(**{name: np.asarray(rec[name], dtype=d) for name, d in _NODE_ARRAYS.items()},
                 feature_subset=tuple(rec["feature_subset"]))
 
@@ -460,7 +479,7 @@ def _tree_problem(tree: Tree, n_features: int) -> Optional[str]:
     """Why ``tree`` cannot be traversed and voted safely, or None.
 
     Every internal node must send rows to children stored after itself and
-    inside the tree (so :meth:`Tree.apply` ends in range) and split on a
+    inside the tree (so a walk from the root ends at a leaf) and split on a
     ``feature_subset`` column at a non-NaN threshold; no count is negative.
     """
     n = tree.feature.size

@@ -28,12 +28,11 @@ FAR_MAX_M = 20.0
 
 
 class PairingConfig:
-    """Labels a distance by the fixed gates.
+    """Labels a distance by the fixed gates, which are module constants.
 
-    The gates are module constants rather than class attributes because
-    ``classify`` runs once per combination, and CPython 3.11 does not
-    specialize a class attribute read through ``self``: it cost about a
-    fifth more per call.
+    ``enumerate_pairs`` gates combinations on vectorized distances and calls
+    ``classify`` only to recheck a distance near a gate (``_gate_floor``);
+    ``load_pairs`` calls it once per record, to check the record's label.
     """
 
     def classify(self, distance_m: float) -> Optional[ProximityClass]:

@@ -6,11 +6,11 @@ variant on its own, rank with a stable sort per statistic, and hand every
 Kendall input longer than 64 entries to ``scipy.stats.kendalltau``.  Tests
 compare ``extract`` with ``extract_oracle`` byte for byte.
 
-The least-squares fit and the rank-order concordance, which batched
-extraction also rewrote, are here as the scalar one-pair functions they
-replaced.  The features that no batch touched (AP detection and the
-identical-device flag) are read from ``wifiprox.features`` itself, so that
-each of them keeps one implementation.
+The least-squares fit, the rank-order concordance and the AP-detection
+counts, which batched extraction also rewrote, are here as the scalar
+one-pair functions they replaced.  The identical-device flag, which no
+batch touched, is read from ``wifiprox.features`` itself, so that it keeps
+one implementation.
 
 ``read_feature_table_oracle`` is the ``csv.reader`` loop that
 ``features.read_feature_table`` replaced with one ``np.loadtxt`` pass: a
@@ -190,6 +190,20 @@ def rank_concordance(x, y):
     return float(score) / sx.size
 
 
+def ap_detection_features(a, b) -> tuple[float, ...]:
+    """(shared, union, non-shared, |count difference|, Jaccard)."""
+    n_shared = len(a.ap_set & b.ap_set)
+    n_union = a.ap_count + b.ap_count - n_shared
+    jaccard = n_shared / n_union if n_union else 0.0
+    return (
+        float(n_shared),
+        float(n_union),
+        float(n_union - n_shared),
+        float(abs(a.ap_count - b.ap_count)),
+        jaccard,
+    )
+
+
 def variant_block(x, y, a_ids, a_vals, b_ids, b_vals):
     """The 79 RSSI-dependent features for one calibration variant."""
     n = x.size
@@ -264,7 +278,7 @@ def extract_oracle(pair) -> np.ndarray:
         x, y = features._shared_values(a, b)
         (a_ids, a_vals), (b_ids, b_vals) = a.encoding, b.encoding
         slope_ab, inter_ab, slope_ba, inter_ba = fit_both_ways(x, y)
-        values = list(features.ap_detection_features(a, b))
+        values = list(ap_detection_features(a, b))
         for variant in VARIANTS:
             if variant == "none":
                 xa, av, yb, bv = x, a_vals, y, b_vals

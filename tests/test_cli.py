@@ -268,6 +268,37 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("flaw, message", [
+        ("string-threshold", "malformed model file (tree 0 threshold holds '-0.155'"),
+        ("true-threshold", "malformed model file (tree 0 threshold holds True"),
+        ("repeated-subset-column", "malformed model file (tree 0 feature_subset"),
+        ("true-schema-version", "unsupported schema version True"),
+        ("float-schema-version", "unsupported schema version 1.0"),
+    ])
+    def test_model_values_not_as_saved_are_validation_errors(
+        self, pipeline, tmp_path, capsys, flaw, message
+    ):
+        # numpy would parse "-0.155" and read true as 1.0; true and 1.0 pass for 1
+        doc = json.loads(pipeline["model"].read_text())
+        tree = doc["trees"][0]
+        if flaw == "string-threshold":
+            tree["threshold"][0] = "-0.155"
+        elif flaw == "true-threshold":
+            tree["threshold"][0] = True
+        elif flaw == "repeated-subset-column":
+            tree["feature_subset"] = [tree["feature_subset"][0]] * 2
+        else:
+            doc["schema_version"] = True if flaw == "true-schema-version" else 1.0
+        bad = tmp_path / "bad-model.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(
+            "evaluate", "--model", bad, "--features", pipeline["features"],
+            "--report-out", tmp_path / "report.json",
+        ) == EXIT_VALIDATION
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_tree_count_disagreeing_with_config_is_validation_error(
         self, pipeline, tmp_path, capsys
     ):

@@ -26,7 +26,6 @@ from wifiprox.features import (
     FeatureTable,
     FeatureVector,
     NonFiniteFeatureError,
-    ap_detection_features,
     extract,
     extract_many,
     fit_least_squares,
@@ -40,6 +39,7 @@ from wifiprox.synth import generate_site, site_config_for_density
 
 from conftest import bss, make_fp, pair_of, random_readings
 from feature_oracles import (
+    ap_detection_features,
     extract_oracle,
     one_row,
     read_feature_table_oracle,
@@ -463,7 +463,7 @@ class TestKernels:
             for i, v in enumerate(rows):
                 np.testing.assert_array_equal(ranked.average()[i], stats.rankdata(v))
                 np.testing.assert_array_equal(ranked.top()[i], stats.rankdata(v, method="max"))
-                np.testing.assert_array_equal(ranked.dense(i), stats.rankdata(v, method="dense") - 1)
+                np.testing.assert_array_equal(ranked.dense[i], stats.rankdata(v, method="dense") - 1)
                 counts = np.unique(v, return_counts=True)[1]
                 assert ranked.groups[i] == counts.size
                 assert ranked.tied[i] == int((counts * (counts - 1) // 2).sum())
@@ -526,6 +526,11 @@ class TestKernels:
 # Feature families
 # ---------------------------------------------------------------------------
 
+def _ap_columns(pair) -> list[float]:
+    """``extract``'s five AP-detection values for ``pair``."""
+    return extract(pair).values[:5].tolist()
+
+
 class TestFamilies:
     def test_ap_detection_hand_values(self):
         a = make_fp(id="a", readings={bss(1): -50.0, bss(2): -60.0, bss(3): -70.0})
@@ -537,11 +542,13 @@ class TestFamilies:
         shared, union, non_shared, count_diff, jaccard = ap_detection_features(a, b)
         assert (shared, union, non_shared, count_diff) == (2.0, 5.0, 3.0, 1.0)
         assert math.isclose(jaccard, 2 / 5)
+        assert _ap_columns(make_pair(a, b, 1.0, ProximityClass.CLOSE)) == [2.0, 5.0, 3.0, 1.0, 2 / 5]
 
     def test_ap_detection_no_readings(self):
         a = make_fp(id="a", readings={})
         b = make_fp(id="b", readings={}, position=(1.0, 0.0))
         assert ap_detection_features(a, b) == (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert _ap_columns(make_pair(a, b, 1.0, ProximityClass.CLOSE)) == [0.0] * 5
 
     def test_manhattan_euclidean_hand_values(self):
         a = make_fp(id="a", readings={bss(1): -50.0, bss(2): -60.0})

@@ -1,4 +1,4 @@
-"""Tree induction, bagging determinism, vote semantics, persistence."""
+"""Tree induction, bagging determinism, vote semantics, scoring, persistence."""
 
 import json
 import math
@@ -14,6 +14,7 @@ from wifiprox.model import (
     DECISION_THRESHOLD,
     MAX_FEATURES,
     SCHEMA_VERSION,
+    SCORE_LANES,
     BaggedEnsemble,
     EnsembleConfig,
     Tree,
@@ -24,8 +25,51 @@ from wifiprox.model import (
 )
 
 
+def _ensemble(trees, n_features: int) -> BaggedEnsemble:
+    names = tuple(f"f{i}" for i in range(n_features))
+    return BaggedEnsemble(trees=tuple(trees), feature_names=names, train_seed=0,
+                          class_balance=(1, 1))
+
+
 def _labels(tree, X):
-    return tree.votes(np.asarray(X, dtype=np.float64))
+    """``tree``'s vote per row of X, scored as a one-tree ensemble."""
+    X = np.asarray(X, dtype=np.float64)
+    return _ensemble([tree], X.shape[1]).predict_scores(X)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: each tree walked on its own, one level of its rows at a time, and
+# the votes summed tree by tree.
+# ---------------------------------------------------------------------------
+
+def oracle_leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf index for every row of X."""
+    idx = np.zeros(len(X), dtype=np.int32)
+    while True:
+        feat = tree.feature[idx]
+        active = np.nonzero(feat >= 0)[0]
+        if active.size == 0:
+            return idx
+        node = idx[active]
+        vals = X[active, tree.feature[node]]
+        go_left = vals <= tree.threshold[node]
+        idx[active] = np.where(go_left, tree.left[node], tree.right[node])
+
+
+def oracle_votes(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Per-row vote: 1.0 Close, 0.0 Far, 0.5 when the leaf is tied."""
+    leaf = oracle_leaves(tree, X)
+    close = tree.n_close[leaf]
+    far = tree.n_far[leaf]
+    return np.where(close > far, 1.0, np.where(close < far, 0.0, 0.5))
+
+
+def oracle_scores(model: BaggedEnsemble, X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    total = np.zeros(len(X), dtype=np.float64)
+    for tree in model.trees:
+        total += oracle_votes(tree, X)
+    return total / len(model.trees)
 
 
 class TestConfig:
@@ -330,7 +374,7 @@ class TestEnsemble:
         m = train_ensemble(X, y, names, EnsembleConfig(n_estimators=7), seed=1)
         scores = m.predict_scores(X)
         assert np.all((scores >= 0) & (scores <= 1))
-        votes = np.stack([t.votes(X) for t in m.trees])
+        votes = np.stack([oracle_votes(t, X) for t in m.trees])
         np.testing.assert_allclose(scores, votes.mean(axis=0))
 
     def test_predict_label_threshold_is_inclusive(self):
@@ -344,8 +388,7 @@ class TestEnsemble:
             )
 
         def ensemble(*trees):
-            return BaggedEnsemble(trees=trees, feature_names=("f0",), train_seed=0,
-                                  class_balance=(1, 1))
+            return _ensemble(trees, 1)
 
         X = np.zeros((3, 1))
         tied = ensemble(leaf(1, 1))
@@ -391,6 +434,73 @@ class TestEnsemble:
         names = tuple(f"f{i}" for i in range(X.shape[1]))
         m = train_ensemble(X, y, names, EnsembleConfig(n_estimators=2), seed=0)
         assert m.class_balance == (int(y.sum()), int(len(y) - y.sum()))
+
+
+def _random_tree(rng, n_features: int, cuts: np.ndarray, max_nodes: int) -> Tree:
+    """A tree as ``train_tree`` numbers one (children after their parent),
+    splitting at ``cuts``; leaves hold 0-2 rows of each class, so many tie."""
+    subset = np.sort(rng.choice(n_features, size=min(MAX_FEATURES, n_features), replace=False))
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    node = 0
+    while node < len(feature):
+        if len(feature) + 2 <= max_nodes and rng.random() < 0.6:
+            feature[node], threshold[node] = int(rng.choice(subset)), float(rng.choice(cuts))
+            left[node], right[node] = len(feature), len(feature) + 1
+            for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+                column += [blank, blank]
+        node += 1
+    counts = rng.integers(0, 3, size=(2, len(feature)))
+    counts[:, np.asarray(feature) >= 0] = 0
+    return Tree(feature=np.asarray(feature, dtype=np.int32), threshold=np.asarray(threshold),
+                left=np.asarray(left, dtype=np.int32), right=np.asarray(right, dtype=np.int32),
+                n_close=counts[0], n_far=counts[1], feature_subset=tuple(subset.tolist()))
+
+
+class TestAgainstPerTreeOracle:
+    """``predict_scores`` walks every tree at once; the bytes must be the
+    per-tree walk's."""
+
+    CUTS = np.array([-np.inf, -2.5, -0.0, 0.0, 1.0, BELOW_ONE, 7.0, np.inf])
+    CELLS = np.array([np.nan, np.inf, -np.inf, -2.5, -0.0, 0.0, 1.0, BELOW_ONE, ABOVE_ONE, 7.0])
+
+    @given(
+        n_trees=st.sampled_from([1, 2, 7, 300]),
+        rows=st.sampled_from(["none", "one", "few", "block-1", "block", "block+1"]),
+        n_features=st.integers(1, 6),
+        max_nodes=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_forests(self, n_trees, rows, n_features, max_nodes, seed):
+        rng = np.random.default_rng(seed)
+        trees = [_random_tree(rng, n_features, self.CUTS, max_nodes) for _ in range(n_trees)]
+        block = SCORE_LANES // n_trees
+        n_rows = {"none": 0, "one": 1, "few": 5,
+                  "block-1": block - 1, "block": block, "block+1": block + 1}[rows]
+        X = rng.choice(self.CELLS, size=(n_rows, n_features))
+        off_grid = rng.random(X.shape) < 0.3
+        X[off_grid] = rng.normal(0, 4, size=off_grid.sum())
+        model = _ensemble(trees, n_features)
+        got = model.predict_scores(X)
+        assert got.dtype == np.float64 and got.shape == (n_rows,)
+        assert got.tobytes() == oracle_scores(model, X).tobytes()
+        if n_rows:
+            assert model.predict_score(X[-1]) == oracle_scores(model, X[-1:])[0]
+
+    def test_trained_deep_trees(self):
+        # thousands of nodes per tree, NaN and +-inf cells, and cells on the
+        # midpoints of the training grid, where the thresholds sit
+        rng = np.random.default_rng(11)
+        X = rng.integers(-60, 61, size=(3000, 5)) / 8.0
+        y = X[:, 0] - X[:, 2] + rng.normal(0, 8, size=len(X)) > 0
+        model = train_ensemble(X, y, tuple(f"f{i}" for i in range(5)),
+                               EnsembleConfig(n_estimators=30), seed=2)
+        assert max(t.depth for t in model.trees) > 20
+        Z = rng.integers(-70, 71, size=(2500, 5)) / 8.0
+        Z += 1 / 16
+        Z[rng.random(Z.shape) < 0.05] = np.nan
+        Z[rng.random(Z.shape) < 0.05] = rng.choice([np.inf, -np.inf])
+        assert model.predict_scores(Z).tobytes() == oracle_scores(model, Z).tobytes()
 
 
 class TestPersistence:
@@ -541,6 +651,62 @@ class TestPersistence:
         problem = f"tree 0 {field} holds {value!r}, which is not an integer"
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file ({problem})")):
             load_model(path)
+
+    @pytest.mark.parametrize("value", ["-0.155", True, 2, None], ids=["string", "bool", "int", "null"])
+    def test_rejects_thresholds_not_saved_as_floats(self, rng, tmp_path, value):
+        # numpy would parse "-0.155" and read true as 1.0; save_model writes
+        # every threshold as a JSON float
+        m, _ = self._model(rng, n=1)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        doc["trees"][0]["threshold"][0] = value
+        path.write_text(json.dumps(doc))
+        problem = f"tree 0 threshold holds {value!r}, which is not a float"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file ({problem})")):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_rejects_schema_version_not_saved_as_integer(self, rng, tmp_path, version):
+        m, _ = self._model(rng, n=1)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        assert version == SCHEMA_VERSION
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported schema version {version!r}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", ["repeat", "past-last-column", "negative", "too-many"])
+    def test_rejects_feature_subset_training_cannot_write(self, rng, tmp_path, edit):
+        # training draws at most MAX_FEATURES distinct columns of the table
+        m, _ = self._model(rng, n=1)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        doc = json.loads(path.read_text())
+        tree = doc["trees"][0]
+        subset = tree["feature_subset"]
+        assert len(subset) == MAX_FEATURES and len(doc["feature_names"]) == 6
+        subset = {"repeat": subset + subset[:1], "past-last-column": subset + [999],
+                  "negative": [-5] + subset,
+                  "too-many": sorted(set(subset) | set(range(5)))[:5]}[edit]
+        tree["feature_subset"] = subset
+        path.write_text(json.dumps(doc))
+        problem = f"tree 0 feature_subset {subset!r} is not at most 3 distinct columns of 0..5"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed model file ({problem})")):
+            load_model(path)
+
+    def test_narrow_and_one_column_models_load(self, rng, tmp_path):
+        # subsets as short as the table is narrow, down to one column
+        for n_feat in (1, 2, MAX_FEATURES):
+            X = rng.normal(size=(30, n_feat))
+            y = X[:, 0] + rng.normal(0, 0.5, size=30) > 0
+            m = train_ensemble(X, y, tuple(f"f{i}" for i in range(n_feat)),
+                               EnsembleConfig(n_estimators=3), seed=0)
+            path = tmp_path / f"m{n_feat}.json"
+            save_model(m, path)
+            assert load_model(path).predict_scores(X).tobytes() == m.predict_scores(X).tobytes()
 
     def test_rejects_missing_fields(self, rng, tmp_path):
         m, _ = self._model(rng, n=1)
