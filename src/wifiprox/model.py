@@ -413,9 +413,7 @@ def load_model(path: str | Path) -> BaggedEnsemble:
         raise ValueError(f"{p}: not a recognized model file")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:  # as saved: not true, not 1.0
-        raise ValueError(
-            f"{p}: unsupported schema version {doc.get('schema_version')!r}"
-        )
+        raise ValueError(f"{p}: unsupported schema version {version!r}")
     try:
         recorded = doc["config"]
         names, seed, balance = doc["feature_names"], doc["train_seed"], doc["class_balance"]
@@ -461,11 +459,10 @@ def _tree_from_record(index: int, rec: dict, n_features: int) -> Tree:
     the model in ``feature_subset``."""
     for name in ("feature_subset", *_NODE_ARRAYS):
         values = rec[name]
-        kind = float if name == "threshold" else int
+        kind, noun = (float, "a float") if name == "threshold" else (int, "an integer")
         if not set(map(type, values)) <= {kind}:
             bad = next(v for v in values if type(v) is not kind)
-            raise ValueError(f"tree {index} {name} holds {bad!r}, which is not "
-                             f"{'a float' if kind is float else 'an integer'}")
+            raise ValueError(f"tree {index} {name} holds {bad!r}, which is not {noun}")
     subset = rec["feature_subset"]
     if (len(subset) > MAX_FEATURES or len(set(subset)) != len(subset)
             or not all(0 <= f < n_features for f in subset)):

@@ -140,7 +140,7 @@ def test_deep_tree_model_json_hash(tmp_path):
 
 
 def test_scores_hash():
-    """The deep model's scores, one tree walk per row and tree, pinned by their bytes."""
+    """The deep model's scores on NaN, +-inf and threshold-equal cells, by their bytes."""
     model = _deep_model()
     X = _scored_matrix(model)
     scores = model.predict_scores(X)
