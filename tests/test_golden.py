@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from wifiprox.core import ProximityClass
-from wifiprox.features import FEATURE_NAMES, extract
+from wifiprox.features import FEATURE_NAMES, extract, extract_many
 from wifiprox.ingest import save_canonical, split_all_sub_bursts
 from wifiprox.model import EnsembleConfig, save_model, train_ensemble
 from wifiprox.pairing import enumerate_pairs, make_pair, sample_training_set
@@ -30,6 +30,7 @@ SCORES_SHA256 = "1645ef227b1550461ba7e4b0ba0fcefdca78c748628c8fe55226481f5debc2b
 SCORE_VALUES = [0.2, 0.2, 0.0, 0.6, 0.6, 0.2]
 MRMR_RANKING_SHA256 = "46b08b3283c691429c00abb2160e60688afec31ab8ef9f53e1680e8f40647b35"
 PSEUDO_SHA256 = "4f8333e5b3093d330f3d6fc3f0433a7566208639ce560cffd1bf84015da1263d"
+LOW_DENSITY_BATCH_SHA256 = "b8cc71e7a53d6fe3015d1e5945d9a77ba35d4eb29ec8c09b7d2b4095ce3b59fb"
 
 
 def _fuzz_pairs():
@@ -93,6 +94,30 @@ def test_dense_pairs_feature_hash():
     pairs = _dense_pairs()
     assert min(len(p.a.ap_set & p.b.ap_set) for p in pairs) > 64
     assert _values_sha256(pairs) == DENSE_SHA256
+
+
+def _site_pairs(density, site_id, seed, n_clusters, count):
+    """About ``count`` pairs taken at an even stride from a synthetic site's pairs."""
+    pairs = enumerate_pairs(generate_site(SiteConfig(density, site_id, seed, n_clusters=n_clusters)))
+    return [pairs[i] for i in range(0, len(pairs), len(pairs) // count)]
+
+
+def test_low_density_batch_feature_hash():
+    """``extract_many``'s rows for 300 low-density and 40 medium-density pairs.
+
+    The low pairs share 8-14 APs, so their pair-difference and pair-ratio
+    vectors hold 28-182 entries, and pairs of one shared-AP count run
+    together, up to dozens to a batch with four Kendall inputs each per
+    vector family.  The medium pairs share 14-47 APs: their pair-difference
+    vectors fall on both sides of 256 entries.
+    """
+    low = _site_pairs("low", "golden-batch-low", 1101, 20, 300)
+    medium = _site_pairs("medium", "golden-batch-medium", 2101, 10, 40)
+    shared = [len(p.a.ap_set & p.b.ap_set) for p in low + medium]
+    assert min(shared[:len(low)]) >= 8 and max(shared[:len(low)]) == 14
+    assert min(shared[len(low):]) < 23 < max(shared[len(low):])  # 23 * 22 / 2 = 253
+    digest = hashlib.sha256(b"".join(v.values.tobytes() for v in extract_many(low + medium)))
+    assert digest.hexdigest() == LOW_DENSITY_BATCH_SHA256
 
 
 def test_model_json_hash(tmp_path):
