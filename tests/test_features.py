@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import os
 import re
 import tracemalloc
 import warnings
@@ -286,12 +287,24 @@ def _with_groups(rng, m, ku, kv):
 
 
 #: name -> rng -> (u, v, path that Kendall's tau-b must take); the ``scipy-``
-#: cases name the inputs that were once handed to scipy
+#: cases name the inputs that were once handed to scipy, and the ``table-``
+#: cases of at most ``KENDALL_DIRECT_MAX`` entries those that took the table
+#: before the direct count
 _KENDALL_LONG_CASES = {
     "table-heavy-ties": _heavy_ties,
     "scipy-long-pair-ratios": _long_pair_ratios,
     # 80 x 81 = 6480 cells, past 64 per entry at m = 100: no cap per entry
-    "table-past-64-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 81), "table"),
+    "table-past-64-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 81), "direct"),
+    # every entry distinct: v's ranks fill uint8
+    "direct-at-max-all-distinct": lambda rng: (*_with_groups(rng, 256, 256, 256), "direct"),
+    # one entry past the direct count: 200 x 150 = 30000 cells
+    "table-past-direct": lambda rng: (*_with_groups(rng, 257, 200, 150), "table"),
+    "table-past-direct-all-tied-but-one": lambda rng: (
+        np.r_[np.full(256, -60.0), -59.0],
+        rng.integers(-95, -30, size=257).astype(float),
+        "table",
+    ),
+    "blocks-past-direct-all-distinct": lambda rng: (*_with_groups(rng, 257, 257, 257), "blocks"),
     # 128 x 256 = 2**15 cells at m = 1000 (the cap is inclusive)
     "table-at-cell-cap": lambda rng: (*_with_groups(rng, 1000, 128, 256), "table"),
     "scipy-past-cell-cap": lambda rng: (*_with_groups(rng, 1000, 129, 256), "blocks"),
@@ -299,13 +312,13 @@ _KENDALL_LONG_CASES = {
     "table-all-tied-but-one": lambda rng: (
         np.r_[np.full(199, -60.0), -59.0],
         rng.integers(-95, -30, size=200).astype(float),
-        "table",
+        "direct",
     ),
 }
 
 
 def _count_kendall_paths(monkeypatch):
-    """Count the long Kendall inputs that take the table and the block count."""
+    """Count the calls of the direct, table and block counts of Kendall's tau-b."""
     taken = {}
 
     def counting(path, f):
@@ -314,6 +327,8 @@ def _count_kendall_paths(monkeypatch):
             return f(*args)
         return wrapper
 
+    monkeypatch.setattr(features, "_tau_b_direct",
+                        counting("direct", features._tau_b_direct))
     monkeypatch.setattr(features, "_tau_b_from_table",
                         counting("table", features._tau_b_from_table))
     monkeypatch.setattr(features, "_tau_b_from_blocks",
@@ -369,14 +384,16 @@ class TestKernels:
     @settings(max_examples=80, deadline=None)
     def test_kendall_table_path_past_signs_equals_scipy(self, m, ku, kv, seed):
         # 2..8 groups tie heavily, ku >= m leaves every entry distinct; even
-        # then 181 x 181 = 32761 cells <= 2**15, so scipy is never reached
+        # then 181 x 181 = 32761 cells <= 2**15, so these lengths took the
+        # table before the direct count, which now takes them all
         assert 181 * 181 <= features.KENDALL_TABLE_MAX_CELLS
+        assert 181 <= features.KENDALL_DIRECT_MAX
         u, v = _with_groups(np.random.default_rng(seed), m, min(ku, m), min(kv, m))
         expected = stats.kendalltau(u, v).statistic
         with pytest.MonkeyPatch.context() as mp:
             taken = _count_kendall_paths(mp)
             got = one_row(features._kendall, u, v)
-        assert taken == {"table": 1}
+        assert taken == {"direct": 1}
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     @given(
@@ -404,8 +421,50 @@ class TestKernels:
         with pytest.MonkeyPatch.context() as mp:
             taken = _count_kendall_paths(mp)
             got = one_row(features._kendall, u, v)
-        assert taken == {"blocks" if ku * kv > features.KENDALL_TABLE_MAX_CELLS else "table": 1}
+        if m <= features.KENDALL_DIRECT_MAX:
+            path = "direct"
+        else:
+            path = "blocks" if ku * kv > features.KENDALL_TABLE_MAX_CELLS else "table"
+        assert taken == {path: 1}
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @given(
+        st.sampled_from([features.KENDALL_SIGNS_MAX + 1, 255, 256, 257]),
+        st.sampled_from([-1, 0, 1]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(m=256, off=1, nan=True, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_kendall_batch_equals_scipy_across_compare_chunks(self, m, off, nan, seed):
+        # every v entry distinct (kv = m: v's ranks fill uint8 at m = 256),
+        # NaN entries (each its own group) and a number of rows one short
+        # of, at or one past a chunk of the direct count
+        rng = np.random.default_rng(seed)
+        step = max(1, features.KENDALL_COMPARE_CELLS // (m * m))
+        n = max(1, step + off)
+        u = rng.integers(0, rng.integers(2, m + 1, size=(n, 1)), size=(n, m)).astype(float)
+        u[:, 0] = -1.0  # at least two groups
+        v = rng.permuted(np.tile(np.arange(m, dtype=float), (n, 1)), axis=1)
+        if nan:
+            u[rng.random(u.shape) < 0.05] = np.nan
+            v[rng.random(v.shape) < 0.05] = np.nan
+        ru, rv = features._Ranked(u), features._Ranked(v)
+        assert (rv.groups == m).all()
+        pairs = np.c_[np.arange(n), rng.permutation(n)]
+        # u against v, and u against u's rows, whose ties meet u's (joint ties)
+        for left, right in ((ru, rv), (ru, ru)):
+            with pytest.MonkeyPatch.context() as mp:
+                taken = _count_kendall_paths(mp)
+                got = features._kendall(left, right, pairs)
+            if m <= features.KENDALL_DIRECT_MAX:
+                assert taken == {"direct": 1}
+            else:
+                assert set(taken) <= {"table", "blocks"}
+            # tau-b reads only each entry's group, so the dense ranks are scipy's input
+            expected = [stats.kendalltau(left.dense[i], right.dense[j]).statistic
+                        for i, j in pairs]
+            assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("shared", [200, 300])
     def test_kendall_block_count_stays_within_8_mib(self, shared):
@@ -531,7 +590,35 @@ def _ap_columns(pair) -> list[float]:
     return extract(pair).values[:5].tolist()
 
 
+#: name -> (a's AP numbers, b's), each sorted and unique by BSSID
+_SHARED_INDEX_CASES = {
+    "overlap": ([1, 3, 5, 7, 9], [2, 3, 4, 9, 11, 12]),
+    "identical": ([4, 5, 6], [4, 5, 6]),
+    "disjoint": ([1, 2, 3], [4, 5, 6, 7]),
+    "interleaved-disjoint": ([1, 3, 5], [2, 4, 6]),
+    "a-past-b": ([8, 9], [1, 2, 3]),
+    "a-empty": ([], [1, 2]),
+    "b-empty": ([1, 2], []),
+    "both-empty": ([], []),
+    "one-ap-shared": ([7], [7]),
+    "one-ap-apart": ([7], [8]),
+    "one-ap-in-many": ([5], [1, 5, 9]),
+}
+
+
 class TestFamilies:
+    @pytest.mark.parametrize("case", sorted(_SHARED_INDEX_CASES))
+    def test_shared_index_equals_intersect1d(self, case):
+        a_ids, b_ids = _SHARED_INDEX_CASES[case]
+        a = make_fp(id="a", readings={bss(i): -50.0 - i for i in a_ids})
+        b = make_fp(id="b", readings={bss(i): -60.0 - i for i in b_ids}, position=(1.0, 0.0))
+        for x, y in ((a, b), (b, a)):
+            got = features._shared_index(x, y)
+            _, *want = np.intersect1d(x.encoding[0], y.encoding[0], assume_unique=True,
+                                      return_indices=True)
+            assert [g.dtype for g in got] == [w.dtype for w in want] == [np.intp, np.intp]
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
     def test_ap_detection_hand_values(self):
         a = make_fp(id="a", readings={bss(1): -50.0, bss(2): -60.0, bss(3): -70.0})
         b = make_fp(
@@ -1079,9 +1166,14 @@ def _overflow_pair(key, shared=12, seed=0):
 MIXED_CORPUS_SHA256 = "8eb35bddb7beaa486c41e95e50a07ccfba2c92661d3780190c90419f0f24cd99"
 
 
+#: the usable CPUs that ``pool_sizes`` reports
+PINNED_CPUS = 16
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The ``processes`` of each ``multiprocessing.Pool`` started; its ``imap`` runs here."""
+    """The ``processes`` of each ``multiprocessing.Pool`` started, on a host
+    pinned to ``PINNED_CPUS`` usable CPUs; its ``imap`` runs here."""
     started = []
 
     class RecordingPool:
@@ -1098,6 +1190,7 @@ def pool_sizes(monkeypatch):
             return map(f, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(features, "_usable_cpus", lambda: PINNED_CPUS)
     return started
 
 
@@ -1141,12 +1234,18 @@ class TestBatches:
 
     @pytest.mark.parametrize("workers, n_pairs, processes", [
         (8, 5, 5), (3, 4, 3), (2, 40, 2), (8, 3, None), (1, 40, None),
+        (10**6, 40, PINNED_CPUS),
     ])
     def test_pool_is_no_larger_than_its_chunks(self, pool_sizes, rng, workers, n_pairs, processes):
         pairs = [_random_pair(rng) for _ in range(n_pairs)]
         got = extract_many(pairs, workers=workers)
         assert pool_sizes == ([] if processes is None else [processes])
         assert [v.values.tobytes() for v in got] == [extract(p).values.tobytes() for p in pairs]
+
+    def test_usable_cpus_are_the_affinity_set_or_all(self, monkeypatch):
+        assert features._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert features._usable_cpus() == os.cpu_count()
 
     def test_batches_allocate_less_than_the_largest_dense_pair(self, monkeypatch):
         # a batch holds dozens of low-density pairs or about one high-density
@@ -1407,7 +1506,7 @@ class TestWriterWorkers:
 
     @pytest.mark.parametrize("workers, n_rows, processes", [
         (8, 3 * 64, 3), (3, 3 * 64 + 1, 3), (2, 40 * 64, 2),
-        (8, 64, None), (8, 0, None), (1, 40 * 64, None),
+        (8, 64, None), (8, 0, None), (1, 40 * 64, None), (10**6, 40 * 64, PINNED_CPUS),
     ])
     def test_pool_is_no_larger_than_its_blocks(self, pool_sizes, tmp_path, workers, n_rows,
                                                processes):
