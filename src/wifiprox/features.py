@@ -407,25 +407,32 @@ def _tau_b(
     return np.clip(con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie), -1.0, 1.0)
 
 
-def _inversions(rows: np.ndarray) -> np.ndarray:
-    """(r,): the pairs i < j with rows[k, i] > rows[k, j] in each row k,
-    compared at most ``KENDALL_COMPARE_CELLS`` pairs at a time."""
-    r, w = rows.shape
+@lru_cache(maxsize=512)
+def _later(w: int) -> np.ndarray:
+    """(w, w), read-only: True where the column comes after the row."""
     later = np.triu(np.ones((w, w), dtype=bool), 1)
-    out = np.empty(r, dtype=np.int64)
+    later.setflags(write=False)
+    return later
+
+
+def _inversion_hits(rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """(chunk, hit) for chunks of the rows of an (r, w) array, holding at most
+    ``KENDALL_COMPARE_CELLS`` cells of ``hit`` or one row: ``hit[k, i, j]``
+    is whether i < j and rows[chunk][k, i] > rows[chunk][k, j]."""
+    r, w = rows.shape
+    later = _later(w)
     step = max(1, KENDALL_COMPARE_CELLS // (w * w))
     for start in range(0, r, step):
-        hit = rows[start:start + step, :, None] > rows[start:start + step, None, :]
+        chunk = slice(start, start + step)
+        hit = rows[chunk, :, None] > rows[chunk, None, :]
         hit &= later
-        # one count per row is faster than a count along axes
-        out[start:start + step] = [np.count_nonzero(h) for h in hit]
-    return out
+        yield chunk, hit
 
 
 def _tau_b_direct(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
-    """scipy's tau-b of each u[iu[k]] and v[iv[k]], all rows at once: sorted
-    by (u, v), equal keys are jointly tied and the discordant pairs are the
-    inversions of v's groups (Knight 1966), compared directly."""
+    """scipy's tau-b of each u[iu[k]] and v[iv[k]], sorting all rows in one
+    call: sorted by (u, v), equal keys are jointly tied and the discordant
+    pairs are the inversions of v's groups (Knight 1966), compared directly."""
     m = ru.values.shape[1]
     keys = ru.dense[iu] * m
     keys += rv.dense[iv]
@@ -435,7 +442,10 @@ def _tau_b_direct(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> n
     run_start = np.where(keys[:, 1:] == keys[:, :-1], 0, position[1:])
     np.maximum.accumulate(run_start, axis=1, out=run_start)
     joint = (position[1:] - run_start).sum(axis=1)
-    dis = _inversions((keys % m).astype(np.min_scalar_type(m - 1)))
+    dis = np.empty(len(iu), dtype=np.int64)
+    for rows, hit in _inversion_hits((keys % m).astype(np.min_scalar_type(m - 1))):
+        # one count per row is faster than a count along axes
+        dis[rows] = [np.count_nonzero(h) for h in hit]
     return _tau_b(ru, rv, iu, iv, dis, joint)
 
 
@@ -485,7 +495,7 @@ def _tau_b_from_blocks(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray)
         rank = np.argsort(order, kind="stable").astype(order.dtype)
         # pairs in one position block by rank, in one rank block by position block
         for blocks in (rank.reshape(s, s), (order // s).reshape(s, s)):
-            dis[row] += int(_inversions(blocks).sum())
+            dis[row] += sum(np.count_nonzero(hit) for _, hit in _inversion_hits(blocks))
         grid = np.bincount(np.arange(s * s) // s * s + rank // s, minlength=s * s).reshape(s, s)
         # per position block past the first: the entries before it, by rank block up to each
         below = np.cumsum(np.cumsum(grid[:-1], axis=0), axis=1)
