@@ -407,7 +407,7 @@ def _tau_b(
     return np.clip(con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie), -1.0, 1.0)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=8)  # batches of one shared-AP count run in turn, so few widths recur
 def _later(w: int) -> np.ndarray:
     """(w, w), read-only: True where the column comes after the row."""
     later = np.triu(np.ones((w, w), dtype=bool), 1)
