@@ -81,10 +81,10 @@ Kendall's tau-b is scipy's statistic, bit for bit except on short inputs:
   blocks of sqrt(m); the cost grows as m**1.5.
 
 Per row on a 2-core x86-64 host, pair-difference and pair-ratio vectors of
-integer-dBm readings of 66-253 entries took 3-22 us by the direct count,
-against 30-370 us by the table and 78-160 us by the block count.  The direct
+integer-dBm readings of 66-253 entries took 4-21 us by the direct count,
+against 36-420 us by the table and 56-95 us by the block count.  The direct
 count grows as m**2 but was still the fastest of the three at 506 entries
-(76 us against 130-240 us by blocks); 256 keeps v's ranks in one byte.
+(70-73 us against 96-102 us by blocks); 256 keeps v's ranks in one byte.
 
 Fixed constants of the catalog:
 
@@ -863,8 +863,11 @@ def extract_many(pairs: Sequence[FingerprintPair], workers: int = 1) -> list[Fea
     """Feature vectors for many pairs, in input order, extracted in batches.
 
     With ``workers`` > 1, contiguous chunks of the pairs go to a pool of at
-    most ``workers`` processes, and no more than there are chunks or usable CPUs.
+    most ``workers`` processes, and no more than there are chunks or usable
+    CPUs; the chunks are cut for the processes the pool can have, so that
+    excess workers do not shrink the batches.
     """
+    workers = min(workers, _usable_cpus())
     if workers <= 1 or len(pairs) < 4:
         chunks = [pairs]
     else:

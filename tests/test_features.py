@@ -1242,6 +1242,21 @@ class TestBatches:
         assert pool_sizes == ([] if processes is None else [processes])
         assert [v.values.tobytes() for v in got] == [extract(p).values.tobytes() for p in pairs]
 
+    def test_chunks_are_cut_for_the_usable_cpus(self, pool_sizes, rng, monkeypatch):
+        # 10**6 workers on 16 CPUs: 16 * 8 chunks of 4 pairs, not 512 of one
+        pairs = [_random_pair(rng) for _ in range(512)]
+        sizes = []
+        rows = features._extract_rows
+
+        def recording(chunk):
+            sizes.append(len(chunk))
+            return rows(chunk)
+
+        monkeypatch.setattr(features, "_extract_rows", recording)
+        extract_many(pairs, workers=10**6)
+        assert pool_sizes == [PINNED_CPUS]
+        assert sizes == [4] * (PINNED_CPUS * features._CHUNKS_PER_WORKER)
+
     def test_usable_cpus_are_the_affinity_set_or_all(self, monkeypatch):
         assert features._usable_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")
