@@ -370,10 +370,11 @@ def _kendall(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.n
     out = np.zeros(len(iu))
     ku, kv = ru.groups[iu], rv.groups[iv]
     defined = (ku >= 2) & (kv >= 2)
-    if ru.values.shape[1] <= KENDALL_SIGNS_MAX:
+    m = ru.values.shape[1]
+    if m <= KENDALL_SIGNS_MAX:
         out[defined] = _tau_b_from_signs(ru.values, rv.values, iu[defined], iv[defined])
         return out
-    if ru.values.shape[1] <= KENDALL_DIRECT_MAX:
+    if m <= KENDALL_DIRECT_MAX:
         out[defined] = _tau_b_direct(ru, rv, iu[defined], iv[defined])
         return out
     table = defined & (ku * kv <= KENDALL_TABLE_MAX_CELLS)
