@@ -53,38 +53,36 @@ of a with one of b.  Each form is one row of a stacked array; its vectors
 are built once and sorted once for all their rank statistics (Spearman's
 average ranks, Kendall's tie groups, the rank vectors' max ranks).
 
-Kendall's tau-b is scipy's statistic, bit for bit except on short inputs:
+Kendall's tau-b is scipy's statistic, bit for bit except on short inputs.
+It has two rules, chosen by the length m of its rows alone:
 
-* up to ``KENDALL_SIGNS_MAX`` (64) entries it counts the signs of all pair
-  differences and evaluates ``(sx . sy) / sqrt(nx * ny)``, which can differ
+* up to ``KENDALL_SIGNS_MAX`` (64) entries, the signs rule
+  (``_tau_b_from_signs``) counts the signs of all pair differences and
+  evaluates ``(sx . sy) / sqrt(nx * ny)``, which can differ
   from scipy's expression in the last bits (up to 3 ULP on 3,000 random
   integer-dBm inputs of 3-64 entries; the golden hashes pin these bits).
   The sign vectors of a batch are built a few rows at a time, so that they
   hold at most ``CHUNK_CELLS`` entries;
-* longer vectors take scipy's integer counts of discordant and jointly
-  tied pairs and evaluate scipy's expression (``_tau_b``).  Its bits depend
-  only on those counts, so any exact count gives them.  Up to
-  ``KENDALL_DIRECT_MAX`` (256) entries (the pair-difference and pair-ratio
-  vectors of pairs sharing up to 23 and 16 APs, so every low-density
-  pair's, and the RSSI and rank vectors of pairs sharing more than 64), the
-  keys ``dense_u * m + dense_v`` of a batch's rows are sorted in one call;
-  runs of equal keys are the joint ties, and the discordant pairs are v's
-  inversions in that order (Knight 1966), counted by comparing every pair
-  of positions directly, a few rows at a time;
-* past that, vectors whose tie groups' contingency table (Christensen 2005,
-  *Comput. Stat.* 20:51) has at most ``KENDALL_TABLE_MAX_CELLS`` (2**15)
-  cells take the counts from that table (discordant pairs from 2-D
-  cumulative sums; a batch's tables are zero-padded to the largest and
-  stacked);
-* larger tables, mostly the pair-ratio vectors of pairs sharing dozens of
-  APs, count v's inversions after the same sort one row at a time, in
-  blocks of sqrt(m); the cost grows as m**1.5.
+* past it, the sorted count (``_tau_b_sorted``): the keys
+  ``dense_u * m + dense_v`` of each row are sorted, runs of equal keys are
+  the joint ties, and the discordant pairs are v's inversions in that order
+  (Knight 1966).  scipy's expression then gives its bits from those integer
+  counts.  Up to ``KENDALL_DIRECT_MAX`` (256) entries (the pair-difference
+  and pair-ratio vectors of pairs sharing up to 23 and 16 APs, so every
+  low-density pair's, and the RSSI and rank vectors of pairs sharing more
+  than 64) a call's rows are sorted together and the inversions counted
+  directly, comparing every pair of positions a few rows at a time.  Past
+  it, rows are sorted a chunk of at most ``CHUNK_CELLS`` entries at a time
+  and each row's inversions are counted by blocks of sqrt(m) positions
+  (``_block_inversions``); the cost grows as m**1.5.
 
-Per row on a 2-core x86-64 host, pair-difference and pair-ratio vectors of
-integer-dBm readings of 66-253 entries took 4-21 us by the direct count,
-against 36-420 us by the table and 56-95 us by the block count.  The direct
-count grows as m**2 but was still the fastest of the three at 506 entries
-(70-73 us against 96-102 us by blocks); 256 keeps v's ranks in one byte.
+Per row on a 2-core x86-64 host, the direct count took 3, 8, 11 and 19 us at
+66, 132, 182 and 256 integer-dBm entries, and the block count 76, 205 and
+1,055 us at 506, 2,162 and 7,656 distinct entries.  Kendall's calls past 64
+entries on build-density seed set 0's 100 low, 100 medium and 100 high
+pairs, ranks included, took 8, 116 and 391 ms (medians of 10 interleaved
+rounds).  A direct count up to 512 entries was no faster on the medium calls
+(faster in 4 of 10 rounds), and 256 keeps v's ranks in one byte.
 
 Fixed constants of the catalog:
 
@@ -239,21 +237,22 @@ def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, flo
 # short rows; ``tests/test_features.py`` pins both on the row lengths that
 # extraction produces).
 
-#: Kendall's tau-b counts pair signs directly up to this many entries
+#: Kendall's tau-b takes the signs rule up to this many entries, and the
+#: sorted count (the inversions of one sort of each row) past it
 KENDALL_SIGNS_MAX = 64
-#: beyond it and up to this many entries, it counts the inversions of one
-#: sort of each row, many rows at a time
+#: the sorted count counts inversions directly up to this many entries, many
+#: rows at a time, and by blocks one row at a time past it; its calls on
+#: build-density's low, medium and high pairs took 8, 116 and 391 ms, and a
+#: cutoff at 512 was no faster (the module docstring has the measurements)
 KENDALL_DIRECT_MAX = 256
-#: longer vectors take the contingency table of their tie groups while it
-#: has at most this many cells, and the block count past it
-KENDALL_TABLE_MAX_CELLS = 1 << 15
 #: the inversion counts (the direct count, and the block count within its
 #: blocks) compare at most this many pairs of entries at a time, or one row
 #: if it holds more
 KENDALL_COMPARE_CELLS = 1 << 18
 #: the kernels that gather rows for pairs of vectors a chunk at a time (dot
-#: products, pair-sign vectors, stacked contingency tables) keep each
-#: chunk's arrays to at most this many cells, or one row if a row holds more
+#: products, pair-sign vectors, the sorted count past ``KENDALL_DIRECT_MAX``)
+#: keep each chunk's arrays to at most this many cells, or one row if a row
+#: holds more
 CHUNK_CELLS = 1 << 13
 
 
@@ -308,10 +307,12 @@ class _Ranked:
     @cached_property
     def dense(self) -> np.ndarray:
         """(r, m): 0-based index of each entry's group within its row, in
-        ascending order."""
-        groups = np.cumsum(self._starts).reshape(self.values.shape)
-        groups -= groups[:, :1]  # each row starts a group
-        out = np.empty(self.values.size, dtype=np.intp)
+        ascending order, in the smallest unsigned type that holds m."""
+        m = self.values.shape[1]
+        groups = np.cumsum(self._starts.reshape(self.values.shape), axis=1,
+                           dtype=np.min_scalar_type(m))
+        groups -= 1  # each row starts a group
+        out = np.empty(self.values.size, dtype=groups.dtype)
         out[self._flat] = groups.ravel()
         return out.reshape(self.values.shape)
 
@@ -368,19 +369,11 @@ def _kendall(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.n
     """Kendall's tau-b per pair; 0.0 where undefined (short or constant input)."""
     iu, iv = _columns(pairs)
     out = np.zeros(len(iu))
-    ku, kv = ru.groups[iu], rv.groups[iv]
-    defined = (ku >= 2) & (kv >= 2)
-    m = ru.values.shape[1]
-    if m <= KENDALL_SIGNS_MAX:
+    defined = (ru.groups[iu] >= 2) & (rv.groups[iv] >= 2)
+    if ru.values.shape[1] <= KENDALL_SIGNS_MAX:
         out[defined] = _tau_b_from_signs(ru.values, rv.values, iu[defined], iv[defined])
-        return out
-    if m <= KENDALL_DIRECT_MAX:
-        out[defined] = _tau_b_direct(ru, rv, iu[defined], iv[defined])
-        return out
-    table = defined & (ku * kv <= KENDALL_TABLE_MAX_CELLS)
-    for count, rows in ((_tau_b_from_table, table), (_tau_b_from_blocks, defined & ~table)):
-        if rows.any():
-            out[rows] = count(ru, rv, iu[rows], iv[rows])
+    else:
+        out[defined] = _tau_b_sorted(ru, rv, iu[defined], iv[defined])
     return out
 
 
@@ -395,17 +388,6 @@ def _tau_b_from_signs(u: np.ndarray, v: np.ndarray, iu: np.ndarray, iv: np.ndarr
         nonzero = np.count_nonzero(sx, axis=1) * np.count_nonzero(sy, axis=1)
         out[rows] = np.vecdot(sx, sy) / np.sqrt(nonzero)
     return out
-
-
-def _tau_b(
-    ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray, dis: np.ndarray, joint_ties: np.ndarray
-) -> np.ndarray:
-    """scipy's ``(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie)``, clipped to
-    [-1, 1], from u[iu] and v[iv]'s discordant and jointly tied pairs."""
-    m, xtie, ytie = ru.values.shape[1], ru.tied[iu], rv.tied[iv]
-    tot = m * (m - 1) // 2
-    con_minus_dis = tot - xtie - ytie + joint_ties - 2 * dis
-    return np.clip(con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie), -1.0, 1.0)
 
 
 @lru_cache(maxsize=8)  # batches of one shared-AP count run in turn, so few widths recur
@@ -430,78 +412,57 @@ def _inversion_hits(rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield chunk, hit
 
 
-def _tau_b_direct(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
-    """scipy's tau-b of each u[iu[k]] and v[iv[k]], sorting all rows in one
-    call: sorted by (u, v), equal keys are jointly tied and the discordant
-    pairs are the inversions of v's groups (Knight 1966), compared directly."""
-    m = ru.values.shape[1]
-    keys = ru.dense[iu] * m
-    keys += rv.dense[iv]
-    keys.sort(axis=1)
-    # joint ties: each entry pairs with the earlier entries of its run
+def _tau_b_sorted(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    """scipy's ``(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie)``, clipped to
+    [-1, 1], of each u[iu[k]] and v[iv[k]].  Sorted by (u, v), equal keys are
+    jointly tied and the discordant pairs are the inversions of v's groups
+    (Knight 1966).  Up to ``KENDALL_DIRECT_MAX`` entries all rows are sorted
+    in one call and their inversions compared directly; past it rows are
+    sorted a chunk at a time and each row's inversions counted by blocks."""
+    m, k = ru.values.shape[1], len(iu)
+    direct = m <= KENDALL_DIRECT_MAX
     position = np.arange(m)
-    run_start = np.where(keys[:, 1:] == keys[:, :-1], 0, position[1:])
-    np.maximum.accumulate(run_start, axis=1, out=run_start)
-    joint = (position[1:] - run_start).sum(axis=1)
-    dis = np.empty(len(iu), dtype=np.int64)
-    for rows, hit in _inversion_hits((keys % m).astype(np.min_scalar_type(m - 1))):
-        # one count per row is faster than a count along axes
-        dis[rows] = [np.count_nonzero(h) for h in hit]
-    return _tau_b(ru, rv, iu, iv, dis, joint)
-
-
-def _tau_b_from_table(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
-    """scipy's tau-b of each u[iu[k]] and v[iv[k]] from their tie groups'
-    contingency table.  Tables are stacked up to ``CHUNK_CELLS`` cells at a
-    time, zero-padded to the stack's largest group counts, which adds no pair."""
-    m, k = ru.values.shape[1], len(iu)
-    groups_u, groups_v = ru.groups[iu], rv.groups[iv]
     dis, joint = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
-    for rows in _chunks(k, int(groups_u.max() * groups_v.max())):
-        n, ku, kv = len(iu[rows]), int(groups_u[rows].max()), int(groups_v[rows].max())
-        keys = (np.arange(n)[:, None] * ku + ru.dense[iu[rows]]) * kv + rv.dense[iv[rows]]
-        table = np.bincount(keys.ravel(), minlength=n * ku * kv).reshape(n, ku, kv)
-        # entries in a later u group (column totals minus running sums) and an
-        # earlier v group are discordant
-        later_u = np.cumsum(table, axis=1)
-        np.subtract(later_u[:, -1:], later_u, out=later_u)
-        earlier_v = np.cumsum(later_u, axis=2)
-        earlier_v -= later_u
-        table, earlier_v = table.reshape(n, -1), earlier_v.reshape(n, -1)
-        dis[rows] = np.vecdot(table, earlier_v)
-        joint[rows] = (np.vecdot(table, table) - m) // 2
-    return _tau_b(ru, rv, iu, iv, dis, joint)
+    for rows in [slice(None)] if direct else _chunks(k, m):
+        keys = np.multiply(ru.dense[iu[rows]], m, dtype=np.intp)
+        keys += rv.dense[iv[rows]]
+        keys.sort(axis=1)
+        # joint ties: each entry pairs with the earlier entries of its run
+        run_start = np.where(keys[:, 1:] == keys[:, :-1], 0, position[1:])
+        np.maximum.accumulate(run_start, axis=1, out=run_start)
+        joint[rows] = (position[1:] - run_start).sum(axis=1)
+        del run_start
+        ranks = (keys % m).astype(np.min_scalar_type(m - 1))
+        if direct:
+            for chunk, hit in _inversion_hits(ranks):
+                # one count per row is faster than a count along axes
+                dis[chunk] = [np.count_nonzero(h) for h in hit]
+        else:
+            dis[rows] = [_block_inversions(r) for r in ranks]
+    xtie, ytie = ru.tied[iu], rv.tied[iv]
+    tot = m * (m - 1) // 2
+    con_minus_dis = tot - xtie - ytie + joint - 2 * dis
+    return np.clip(con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie), -1.0, 1.0)
 
 
-def _tau_b_from_blocks(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
-    """scipy's tau-b of each u[iu[k]] and v[iv[k]], one pair at a time: sorted
-    by (u, v), the discordant pairs are the inversions of v's groups (Knight
-    1966).  Over blocks of s positions and of s ranks, s = ceil(sqrt(m)),
-    pairs within a block are compared directly and the rest read off the
-    (position block, rank block) histogram."""
-    m, k = ru.values.shape[1], len(iu)
+def _block_inversions(ranks: np.ndarray) -> int:
+    """Inversions of one row of m ranks.  Over blocks of s positions and of s
+    ranks, s = ceil(sqrt(m)), pairs within a block are compared directly and
+    the rest read off the (position block, rank block) histogram."""
+    m = len(ranks)
     s = math.isqrt(m - 1) + 1
-    dis, joint = np.zeros(k, dtype=np.int64), np.empty(k, dtype=np.int64)
-    for row, (i, j) in enumerate(zip(iu, iv)):
-        kv = int(rv.groups[j])
-        keys = ru.dense[i] * kv
-        keys += rv.dense[j]
-        keys.sort()
-        runs = np.diff(np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]), append=m)
-        joint[row] = (int(np.vdot(runs, runs)) - m) // 2
-        # the positions in (v, u) order (the stable sort keeps u's order within
-        # ties in v), padded to s * s with positions in order, which add no inversion
-        order = np.argsort((keys % kv).astype(np.min_scalar_type(kv - 1)), kind="stable")
-        order = np.r_[order, m:s * s].astype(np.min_scalar_type(s * s - 1))
-        rank = np.argsort(order, kind="stable").astype(order.dtype)
-        # pairs in one position block by rank, in one rank block by position block
-        for blocks in (rank.reshape(s, s), (order // s).reshape(s, s)):
-            dis[row] += sum(np.count_nonzero(hit) for _, hit in _inversion_hits(blocks))
-        grid = np.bincount(np.arange(s * s) // s * s + rank // s, minlength=s * s).reshape(s, s)
-        # per position block past the first: the entries before it, by rank block up to each
-        below = np.cumsum(np.cumsum(grid[:-1], axis=0), axis=1)
-        dis[row] += s * s * s * (s - 1) // 2 - int(np.vdot(grid[1:], below))
-    return _tau_b(ru, rv, iu, iv, dis, joint)
+    # the positions in rank order (the stable sort keeps position order within
+    # ties), padded to s * s with positions in order, which add no inversion
+    order = np.r_[np.argsort(ranks, kind="stable"), m:s * s].astype(np.min_scalar_type(s * s - 1))
+    rank = np.argsort(order, kind="stable").astype(order.dtype)
+    # pairs in one position block by rank, in one rank block by position block
+    dis = 0
+    for blocks in (rank.reshape(s, s), (order // s).reshape(s, s)):
+        dis += sum(np.count_nonzero(hit) for _, hit in _inversion_hits(blocks))
+    grid = np.bincount(np.arange(s * s) // s * s + rank // s, minlength=s * s).reshape(s, s)
+    # per position block past the first: the entries before it, by rank block up to each
+    below = np.cumsum(np.cumsum(grid[:-1], axis=0), axis=1)
+    return dis + s * s * s * (s - 1) // 2 - int(np.vdot(grid[1:], below))
 
 
 def _corr4(

@@ -266,17 +266,17 @@ def _vec_pairs(rng, n_trials=30):
 
 
 def _heavy_ties(rng):
-    # 3000 entries over 41 x 41 values: a small table, far past the sign path
+    # 3000 entries over 41 x 41 values: few tie groups, far past the sign path
     u = rng.integers(-20, 21, size=3000).astype(float)
     v = np.clip(u + rng.integers(-6, 7, size=3000), -20, 20).astype(float)
-    return u, v, "table"
+    return u, v
 
 
 def _long_pair_ratios(rng):
     # ratios of 80 readings: thousands of distinct values in both vectors
     x = rng.integers(-95, -30, size=80).astype(float)
     y = np.clip(x + rng.normal(0, 6, size=80), -99, -20)
-    return features._pair_ratios(x), features._pair_ratios(y), "blocks"
+    return features._pair_ratios(x), features._pair_ratios(y)
 
 
 def _with_groups(rng, m, ku, kv):
@@ -286,39 +286,37 @@ def _with_groups(rng, m, ku, kv):
     return rng.permutation(u), rng.permutation(v)
 
 
-#: name -> rng -> (u, v, path that Kendall's tau-b must take); the ``scipy-``
-#: cases name the inputs that were once handed to scipy, and the ``table-``
-#: cases of at most ``KENDALL_DIRECT_MAX`` entries those that took the table
-#: before the direct count
+#: name -> rng -> (u, v); the ``scipy-`` cases name the inputs that were once
+#: handed to scipy, and the ``table-`` cases of at most ``KENDALL_DIRECT_MAX``
+#: entries those that took the tie-group table before the direct count
 _KENDALL_LONG_CASES = {
-    "table-heavy-ties": _heavy_ties,
+    "heavy-ties-3000": _heavy_ties,
     "scipy-long-pair-ratios": _long_pair_ratios,
-    # 80 x 81 = 6480 cells, past 64 per entry at m = 100: no cap per entry
-    "table-past-64-per-entry": lambda rng: (*_with_groups(rng, 100, 80, 81), "direct"),
+    # 80 x 81 groups at m = 100
+    "table-past-64-per-entry": lambda rng: _with_groups(rng, 100, 80, 81),
     # every entry distinct: v's ranks fill uint8
-    "direct-at-max-all-distinct": lambda rng: (*_with_groups(rng, 256, 256, 256), "direct"),
-    # one entry past the direct count: 200 x 150 = 30000 cells
-    "table-past-direct": lambda rng: (*_with_groups(rng, 257, 200, 150), "table"),
-    "table-past-direct-all-tied-but-one": lambda rng: (
+    "direct-at-max-all-distinct": lambda rng: _with_groups(rng, 256, 256, 256),
+    # one entry past the direct count, 200 x 150 groups
+    "few-groups-257": lambda rng: _with_groups(rng, 257, 200, 150),
+    # one entry past the direct count, differing from 256 tied ones
+    "tied-but-one-257": lambda rng: (
         np.r_[np.full(256, -60.0), -59.0],
         rng.integers(-95, -30, size=257).astype(float),
-        "table",
     ),
-    "blocks-past-direct-all-distinct": lambda rng: (*_with_groups(rng, 257, 257, 257), "blocks"),
-    # 128 x 256 = 2**15 cells at m = 1000 (the cap is inclusive)
-    "table-at-cell-cap": lambda rng: (*_with_groups(rng, 1000, 128, 256), "table"),
-    "scipy-past-cell-cap": lambda rng: (*_with_groups(rng, 1000, 129, 256), "blocks"),
+    "blocks-past-direct-all-distinct": lambda rng: _with_groups(rng, 257, 257, 257),
+    # 128 x 256 and 129 x 256 groups at m = 1000
+    "few-groups-1000": lambda rng: _with_groups(rng, 1000, 128, 256),
+    "scipy-past-cell-cap": lambda rng: _with_groups(rng, 1000, 129, 256),
     # one entry differs from 199 tied ones
     "table-all-tied-but-one": lambda rng: (
         np.r_[np.full(199, -60.0), -59.0],
         rng.integers(-95, -30, size=200).astype(float),
-        "direct",
     ),
 }
 
 
 def _count_kendall_paths(monkeypatch):
-    """Count the calls of the direct, table and block counts of Kendall's tau-b."""
+    """Count the calls of Kendall's sorted count and of its per-row block count."""
     taken = {}
 
     def counting(path, f):
@@ -327,13 +325,17 @@ def _count_kendall_paths(monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(features, "_tau_b_direct",
-                        counting("direct", features._tau_b_direct))
-    monkeypatch.setattr(features, "_tau_b_from_table",
-                        counting("table", features._tau_b_from_table))
-    monkeypatch.setattr(features, "_tau_b_from_blocks",
-                        counting("blocks", features._tau_b_from_blocks))
+    monkeypatch.setattr(features, "_tau_b_sorted",
+                        counting("sorted", features._tau_b_sorted))
+    monkeypatch.setattr(features, "_block_inversions",
+                        counting("blocks", features._block_inversions))
     return taken
+
+
+def _kendall_paths(m, rows=1):
+    """The calls that ``_count_kendall_paths`` sees for one call of ``rows``
+    defined rows of m > ``KENDALL_SIGNS_MAX`` entries: it follows m alone."""
+    return {"sorted": 1} if m <= features.KENDALL_DIRECT_MAX else {"sorted": 1, "blocks": rows}
 
 
 class TestKernels:
@@ -354,9 +356,9 @@ class TestKernels:
             assert math.isclose(one_row(features._spearman, u, v), expected, abs_tol=1e-12)
 
     def test_kendall_small_path_matches_scipy(self, rng):
-        # integer RSSIs produce plenty of ties; n <= 64 exercises the
-        # direct pair-enumeration branch, whose own expression may differ
-        # from scipy's in the last bits only
+        # integer RSSIs produce plenty of ties; n <= 64 exercises the signs
+        # rule, whose own expression may differ from scipy's in the last
+        # bits only
         for u, v in _vec_pairs(rng):
             expected = stats.kendalltau(u, v).statistic
             if np.isnan(expected):
@@ -366,11 +368,11 @@ class TestKernels:
 
     @pytest.mark.parametrize("case", sorted(_KENDALL_LONG_CASES))
     def test_kendall_long_input_equals_scipy_exactly(self, case, monkeypatch):
-        u, v, path = _KENDALL_LONG_CASES[case](np.random.default_rng(2108))
+        u, v = _KENDALL_LONG_CASES[case](np.random.default_rng(2108))
         expected = stats.kendalltau(u, v).statistic
         taken = _count_kendall_paths(monkeypatch)
         got = one_row(features._kendall, u, v)
-        assert taken == {path: 1}
+        assert taken == _kendall_paths(len(u))
         assert got == expected
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
@@ -383,17 +385,15 @@ class TestKernels:
     @example(m=181, ku=181, kv=181, seed=0)
     @settings(max_examples=80, deadline=None)
     def test_kendall_table_path_past_signs_equals_scipy(self, m, ku, kv, seed):
-        # 2..8 groups tie heavily, ku >= m leaves every entry distinct; even
-        # then 181 x 181 = 32761 cells <= 2**15, so these lengths took the
-        # table before the direct count, which now takes them all
-        assert 181 * 181 <= features.KENDALL_TABLE_MAX_CELLS
+        # 2..8 groups tie heavily, ku >= m leaves every entry distinct; the
+        # direct count takes every length here
         assert 181 <= features.KENDALL_DIRECT_MAX
         u, v = _with_groups(np.random.default_rng(seed), m, min(ku, m), min(kv, m))
         expected = stats.kendalltau(u, v).statistic
         with pytest.MonkeyPatch.context() as mp:
             taken = _count_kendall_paths(mp)
             got = one_row(features._kendall, u, v)
-        assert taken == {"direct": 1}
+        assert taken == _kendall_paths(m)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     @given(
@@ -421,11 +421,7 @@ class TestKernels:
         with pytest.MonkeyPatch.context() as mp:
             taken = _count_kendall_paths(mp)
             got = one_row(features._kendall, u, v)
-        if m <= features.KENDALL_DIRECT_MAX:
-            path = "direct"
-        else:
-            path = "blocks" if ku * kv > features.KENDALL_TABLE_MAX_CELLS else "table"
-        assert taken == {path: 1}
+        assert taken == _kendall_paths(m)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     @given(
@@ -457,41 +453,57 @@ class TestKernels:
             with pytest.MonkeyPatch.context() as mp:
                 taken = _count_kendall_paths(mp)
                 got = features._kendall(left, right, pairs)
-            if m <= features.KENDALL_DIRECT_MAX:
-                assert taken == {"direct": 1}
-            else:
-                assert set(taken) <= {"table", "blocks"}
+            assert taken == _kendall_paths(m, n)
             # tau-b reads only each entry's group, so the dense ranks are scipy's input
             expected = [stats.kendalltau(left.dense[i], right.dense[j]).statistic
                         for i, j in pairs]
             assert got.tobytes() == np.array(expected).tobytes()
 
-    @pytest.mark.parametrize("shared", [200, 300])
-    def test_kendall_block_count_stays_within_8_mib(self, shared):
+    @pytest.mark.parametrize("shared, rows", [
+        pytest.param(200, 1, id="200"),
+        pytest.param(300, 1, id="300"),
+        # a dense pair's four variants, each a row of the call
+        pytest.param(200, 4, id="200-4-rows"),
+        pytest.param(300, 4, id="300-4-rows"),
+    ])
+    def test_kendall_block_count_stays_within_8_mib(self, shared, rows):
         # all-distinct pair ratios of 39,800 and 89,700 entries, past any preset:
-        # the block count compares in chunks, so only arrays of m entries remain
+        # rows are sorted a chunk at a time and the block count compares in
+        # chunks, so only arrays of a few rows of m entries remain.  Four rows
+        # pair a's three calibrated forms with b's two, as a pair's variants do
         rng = np.random.default_rng(shared)
         x = rng.uniform(-95, -30, shared)
         y = x + rng.normal(0, 6, shared)
-        u, v = (features._Ranked(features._pair_ratios(r)[None]) for r in (x, y))
-        assert u.groups[0] == v.groups[0] == shared * (shared - 1)
+        if rows == 1:
+            forms_a, forms_b, pairs = [x], [y], ((0, 0),)
+        else:
+            forms_a, forms_b = [x, 0.9 * x - 4, 0.45 * x - 2], [y, 1.1 * y + 3]
+            pairs = features._VARIANT_FORMS
+        u, v = (features._Ranked(features._pair_ratios(np.array(f))) for f in (forms_a, forms_b))
+        assert (u.groups == shared * (shared - 1)).all()
+        assert (v.groups == shared * (shared - 1)).all()
         tracemalloc.start()
         try:
-            got = features._kendall(u, v, ((0, 0),))[0]
+            got = features._kendall(u, v, pairs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        expected = stats.kendalltau(u.values[0], v.values[0]).statistic
-        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        expected = [stats.kendalltau(u.values[i], v.values[j]).statistic for i, j in pairs]
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_kendall_path_consistency_at_boundary(self, rng):
-        # same data evaluated through both code paths must agree
-        u = rng.integers(-95, -30, size=64).astype(float)
-        v = rng.integers(-95, -30, size=64).astype(float)
-        small = one_row(features._kendall, u, v)
-        big = stats.kendalltau(u, v).statistic
-        assert math.isclose(small, big, abs_tol=1e-12)
+        # the signs rule and the sorted count on the same 64-entry rows: the
+        # sorted count gives scipy's bits, the signs rule is within 4 ULP of them
+        u = rng.integers(-95, -30, size=(8, 64)).astype(float)
+        v = rng.integers(-95, -30, size=(8, 64)).astype(float)
+        v[1] = u[1]  # every tie of this row pair is a joint tie
+        iu = iv = np.arange(8)
+        signs = features._tau_b_from_signs(u, v, iu, iv)
+        sorted_count = features._tau_b_sorted(features._Ranked(u), features._Ranked(v), iu, iv)
+        expected = np.array([stats.kendalltau(a, b).statistic for a, b in zip(u, v)])
+        assert sorted_count.tobytes() == expected.tobytes()
+        assert (np.abs(signs - sorted_count) <= 4 * np.spacing(np.abs(sorted_count))).all()
 
     def test_cosine_hand_value(self):
         u = np.array([1.0, 0.0])

@@ -1,6 +1,7 @@
 """Lint guards: no module under src/wifiprox imports a name it never uses, or
 anything but the standard library, numpy and the package itself; scipy, the
-tests' Kendall oracle, is not a runtime dependency."""
+tests' Kendall oracle, is not a runtime dependency; and no private name at
+module level is left without a reader in the package."""
 
 import ast
 import os
@@ -73,6 +74,70 @@ def test_checker_flags_and_forgives():
     assert unused_imports(source) == ["Sequence (line 4)", "os (line 2)"]
 
 
+def _module_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """Underscore-prefixed module-level functions, classes and constants of
+    the modules in ``sources`` (file name -> text) that none of them reads.
+
+    A name is read where it is loaded as an identifier, taken as an attribute
+    (``features._chunks``) or imported (``from .core import _x``), in any of
+    the modules, its own included.  Dunder names are skipped.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [
+        f"{file}: {name} (line {line})"
+        for file, tree in sorted(trees.items())
+        for name, line in _module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_no_orphaned_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert orphans(sources) == []
+
+
+def test_orphan_check_flags_and_forgives():
+    sources = {
+        "a.py": (
+            "__all__ = ['public']\n"
+            "_UNREAD = 1\n"
+            "_READ, _PAIRED = 2, 3\n"
+            "_IMPORTED: int = 4\n"
+            "_BY_ATTRIBUTE = 5\n"
+            "def _helper():\n"
+            "    return _READ\n"
+            "class _Gone:\n"
+            "    _attr = 6\n"
+            "def public():\n"
+            "    return _helper()\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _IMPORTED\nprint(a._BY_ATTRIBUTE)\n",
+    }
+    assert orphans(sources) == ["a.py: _UNREAD (line 2)", "a.py: _PAIRED (line 3)",
+                                "a.py: _Gone (line 8)"]
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level package of every module an import statement names."""
     found = set()
@@ -136,9 +201,9 @@ for n_aps in (12, 60, 90):
 
 
 def test_scipy_never_loads():
-    # 12 shared APs keep every tie-group table small (a low-density pair); 60
-    # and 90 give pair-ratio vectors of 3,540 and 8,010 entries, whose tables
-    # are far past 2**15 cells
+    # 12 shared APs keep every vector within the direct count (a low-density
+    # pair); 60 and 90 give pair-ratio vectors of 3,540 and 8,010 entries,
+    # which the block count takes
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
