@@ -53,28 +53,25 @@ of a with one of b.  Each form is one row of a stacked array; its vectors
 are built once and sorted once for all their rank statistics (Spearman's
 average ranks, Kendall's tie groups, the rank vectors' max ranks).
 
-Kendall's tau-b is scipy's statistic, bit for bit except on short inputs.
-It has two rules, chosen by the length m of its rows alone:
-
-* up to ``KENDALL_SIGNS_MAX`` (64) entries, the signs rule
-  (``_tau_b_from_signs``) counts the signs of all pair differences and
-  evaluates ``(sx . sy) / sqrt(nx * ny)``, which can differ
-  from scipy's expression in the last bits (up to 3 ULP on 3,000 random
-  integer-dBm inputs of 3-64 entries; the golden hashes pin these bits).
-  The sign vectors of a batch are built a few rows at a time, so that they
-  hold at most ``CHUNK_CELLS`` entries;
-* past it, the sorted count (``_tau_b_sorted``): the keys
-  ``dense_u * m + dense_v`` of each row are sorted, runs of equal keys are
-  the joint ties, and the discordant pairs are v's inversions in that order
-  (Knight 1966).  scipy's expression then gives its bits from those integer
-  counts.  Up to ``KENDALL_DIRECT_MAX`` (256) entries (the pair-difference
-  and pair-ratio vectors of pairs sharing up to 23 and 16 APs, so every
-  low-density pair's, and the RSSI and rank vectors of pairs sharing more
-  than 64) a call's rows are sorted together and the inversions counted
-  directly, comparing every pair of positions a few rows at a time.  Past
-  it, rows are sorted a chunk of at most ``CHUNK_CELLS`` entries at a time
-  and each row's inversions are counted by blocks of sqrt(m) positions
-  (``_block_inversions``); the cost grows as m**1.5.
+Kendall's tau-b takes one count at every length, the sorted count
+(``_tau_b_sorted``): the keys ``dense_u * m + dense_v`` of each row are
+sorted, runs of equal keys are the joint ties, and the discordant pairs are
+v's inversions in that order (Knight 1966).  Up to ``KENDALL_DIRECT_MAX``
+(256) entries (the pair-difference and pair-ratio vectors of pairs sharing up
+to 23 and 16 APs, so every low-density pair's) a call's rows are sorted
+together and the inversions counted directly, comparing every pair of
+positions a few rows at a time.  Past it, rows are sorted a chunk of at most
+``CHUNK_CELLS`` entries at a time and each row's inversions are counted by
+blocks of sqrt(m) positions (``_block_inversions``); the cost grows as m**1.5.
+The row length m then selects one of two expressions of those integer counts.
+Past ``KENDALL_SIGNS_MAX`` (64) entries it is scipy's, which gives
+``scipy.stats.kendalltau``'s bits.  Up to it, it is the signs rule's
+``(sx . sy) / sqrt(nx * ny)`` over the signs of all pair differences (sx . sy
+is concordant minus discordant pairs, nx and ny the pairs untied in u and in
+v).  That can differ from scipy's in the last bits (up to 3 ULP on 3,000
+random integer-dBm inputs of 3-64 entries; the golden hashes pin these bits),
+and is NaN where a pair difference is: in a row with a NaN entry or the same
+infinity twice.
 
 Per row on a 2-core x86-64 host, the direct count took 3, 8, 11 and 19 us at
 66, 132, 182 and 256 integer-dBm entries, and the block count 76, 205 and
@@ -237,8 +234,8 @@ def fit_least_squares(a: Fingerprint, b: Fingerprint) -> tuple[float, float, flo
 # short rows; ``tests/test_features.py`` pins both on the row lengths that
 # extraction produces).
 
-#: Kendall's tau-b takes the signs rule up to this many entries, and the
-#: sorted count (the inversions of one sort of each row) past it
+#: Kendall's sorted count (the inversions of one sort of each row) gives the
+#: signs rule's expression up to this many entries, and scipy's past it
 KENDALL_SIGNS_MAX = 64
 #: the sorted count counts inversions directly up to this many entries, many
 #: rows at a time, and by blocks one row at a time past it; its calls on
@@ -250,9 +247,8 @@ KENDALL_DIRECT_MAX = 256
 #: if it holds more
 KENDALL_COMPARE_CELLS = 1 << 18
 #: the kernels that gather rows for pairs of vectors a chunk at a time (dot
-#: products, pair-sign vectors, the sorted count past ``KENDALL_DIRECT_MAX``)
-#: keep each chunk's arrays to at most this many cells, or one row if a row
-#: holds more
+#: products, the sorted count past ``KENDALL_DIRECT_MAX``) keep each chunk's
+#: arrays to at most this many cells, or one row if a row holds more
 CHUNK_CELLS = 1 << 13
 
 
@@ -370,23 +366,8 @@ def _kendall(ru: _Ranked, rv: _Ranked, pairs: Sequence[tuple[int, int]]) -> np.n
     iu, iv = _columns(pairs)
     out = np.zeros(len(iu))
     defined = (ru.groups[iu] >= 2) & (rv.groups[iv] >= 2)
-    if ru.values.shape[1] <= KENDALL_SIGNS_MAX:
-        out[defined] = _tau_b_from_signs(ru.values, rv.values, iu[defined], iv[defined])
-    else:
+    if defined.any():  # only then is m >= 2, which the count needs
         out[defined] = _tau_b_sorted(ru, rv, iu[defined], iv[defined])
-    return out
-
-
-def _tau_b_from_signs(u: np.ndarray, v: np.ndarray, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
-    """``(sx . sy) / sqrt(nx * ny)`` over the signs of all pair differences of
-    each u[iu[k]] and v[iv[k]], for a few rows at a time."""
-    out = np.empty(len(iu))
-    m = u.shape[1]
-    for rows in _chunks(len(iu), m * (m - 1) // 2):
-        sx, sy = _pair_signs(u[iu[rows]], v[iv[rows]])
-        # sums of -1, 0 and 1 are exact in any order
-        nonzero = np.count_nonzero(sx, axis=1) * np.count_nonzero(sy, axis=1)
-        out[rows] = np.vecdot(sx, sy) / np.sqrt(nonzero)
     return out
 
 
@@ -413,12 +394,13 @@ def _inversion_hits(rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
 
 
 def _tau_b_sorted(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
-    """scipy's ``(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie)``, clipped to
-    [-1, 1], of each u[iu[k]] and v[iv[k]].  Sorted by (u, v), equal keys are
-    jointly tied and the discordant pairs are the inversions of v's groups
-    (Knight 1966).  Up to ``KENDALL_DIRECT_MAX`` entries all rows are sorted
-    in one call and their inversions compared directly; past it rows are
-    sorted a chunk at a time and each row's inversions counted by blocks."""
+    """Kendall's tau-b of each u[iu[k]] and v[iv[k]].  Sorted by (u, v), equal
+    keys are jointly tied and the discordant pairs are the inversions of v's
+    groups (Knight 1966).  Up to ``KENDALL_DIRECT_MAX`` entries all rows are
+    sorted in one call and their inversions compared directly; past it rows
+    are sorted a chunk at a time and each row's inversions counted by blocks.
+    The counts give scipy's expression, clipped to [-1, 1], past
+    ``KENDALL_SIGNS_MAX`` entries, and the signs rule's up to it."""
     m, k = ru.values.shape[1], len(iu)
     direct = m <= KENDALL_DIRECT_MAX
     position = np.arange(m)
@@ -442,7 +424,19 @@ def _tau_b_sorted(ru: _Ranked, rv: _Ranked, iu: np.ndarray, iv: np.ndarray) -> n
     xtie, ytie = ru.tied[iu], rv.tied[iv]
     tot = m * (m - 1) // 2
     con_minus_dis = tot - xtie - ytie + joint - 2 * dis
-    return np.clip(con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie), -1.0, 1.0)
+    if m > KENDALL_SIGNS_MAX:
+        return np.clip(con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie), -1.0, 1.0)
+    # sx . sy = con - dis, nx = tot - xtie and ny = tot - ytie, all exact
+    tau = con_minus_dis / np.sqrt((tot - xtie) * (tot - ytie))
+    if not (np.isfinite(ru.values).all() and np.isfinite(rv.values).all()):
+        tau[_nan_signs(ru.values)[iu] | _nan_signs(rv.values)[iv]] = np.nan
+    return tau
+
+
+def _nan_signs(values: np.ndarray) -> np.ndarray:
+    """(r,): rows with a NaN pair difference: a NaN entry, or one infinity twice."""
+    return (np.isnan(values).any(axis=1) | (np.count_nonzero(values == np.inf, axis=1) > 1)
+            | (np.count_nonzero(values == -np.inf, axis=1) > 1))
 
 
 def _block_inversions(ranks: np.ndarray) -> int:

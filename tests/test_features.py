@@ -42,6 +42,7 @@ from conftest import bss, make_fp, pair_of, random_readings
 from feature_oracles import (
     ap_detection_features,
     extract_oracle,
+    kendall,
     one_row,
     read_feature_table_oracle,
     write_feature_table_oracle,
@@ -286,14 +287,12 @@ def _with_groups(rng, m, ku, kv):
     return rng.permutation(u), rng.permutation(v)
 
 
-#: name -> rng -> (u, v); the ``scipy-`` cases name the inputs that were once
-#: handed to scipy, and the ``table-`` cases of at most ``KENDALL_DIRECT_MAX``
-#: entries those that took the tie-group table before the direct count
+#: name -> rng -> (u, v)
 _KENDALL_LONG_CASES = {
     "heavy-ties-3000": _heavy_ties,
     "scipy-long-pair-ratios": _long_pair_ratios,
     # 80 x 81 groups at m = 100
-    "table-past-64-per-entry": lambda rng: _with_groups(rng, 100, 80, 81),
+    "few-groups-100": lambda rng: _with_groups(rng, 100, 80, 81),
     # every entry distinct: v's ranks fill uint8
     "direct-at-max-all-distinct": lambda rng: _with_groups(rng, 256, 256, 256),
     # one entry past the direct count, 200 x 150 groups
@@ -306,9 +305,9 @@ _KENDALL_LONG_CASES = {
     "blocks-past-direct-all-distinct": lambda rng: _with_groups(rng, 257, 257, 257),
     # 128 x 256 and 129 x 256 groups at m = 1000
     "few-groups-1000": lambda rng: _with_groups(rng, 1000, 128, 256),
-    "scipy-past-cell-cap": lambda rng: _with_groups(rng, 1000, 129, 256),
+    "few-groups-1000-129": lambda rng: _with_groups(rng, 1000, 129, 256),
     # one entry differs from 199 tied ones
-    "table-all-tied-but-one": lambda rng: (
+    "tied-but-one-200": lambda rng: (
         np.r_[np.full(199, -60.0), -59.0],
         rng.integers(-95, -30, size=200).astype(float),
     ),
@@ -334,7 +333,7 @@ def _count_kendall_paths(monkeypatch):
 
 def _kendall_paths(m, rows=1):
     """The calls that ``_count_kendall_paths`` sees for one call of ``rows``
-    defined rows of m > ``KENDALL_SIGNS_MAX`` entries: it follows m alone."""
+    defined rows of m >= 2 entries: it follows m alone."""
     return {"sorted": 1} if m <= features.KENDALL_DIRECT_MAX else {"sorted": 1, "blocks": rows}
 
 
@@ -356,9 +355,9 @@ class TestKernels:
             assert math.isclose(one_row(features._spearman, u, v), expected, abs_tol=1e-12)
 
     def test_kendall_small_path_matches_scipy(self, rng):
-        # integer RSSIs produce plenty of ties; n <= 64 exercises the signs
-        # rule, whose own expression may differ from scipy's in the last
-        # bits only
+        # integer RSSIs produce plenty of ties; up to 64 entries the sorted
+        # count evaluates the signs rule's expression, which may differ from
+        # scipy's in the last bits only
         for u, v in _vec_pairs(rng):
             expected = stats.kendalltau(u, v).statistic
             if np.isnan(expected):
@@ -384,7 +383,7 @@ class TestKernels:
     )
     @example(m=181, ku=181, kv=181, seed=0)
     @settings(max_examples=80, deadline=None)
-    def test_kendall_table_path_past_signs_equals_scipy(self, m, ku, kv, seed):
+    def test_kendall_direct_count_past_signs_equals_scipy(self, m, ku, kv, seed):
         # 2..8 groups tie heavily, ku >= m leaves every entry distinct; the
         # direct count takes every length here
         assert 181 <= features.KENDALL_DIRECT_MAX
@@ -492,18 +491,56 @@ class TestKernels:
         expected = [stats.kendalltau(u.values[i], v.values[j]).statistic for i, j in pairs]
         assert got.tobytes() == np.array(expected).tobytes()
 
+    @given(
+        st.integers(2, features.KENDALL_SIGNS_MAX),
+        st.sampled_from([-1, 0, 1]),
+        st.sampled_from([0.0, 0.05, 0.3]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(m=features.KENDALL_SIGNS_MAX, off=1, share=0.05, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_kendall_short_rows_take_the_sorted_count(self, m, off, share, seed):
+        # tied integer entries, a share of them replaced by NaN, +-inf (once or
+        # repeated), +-0.0 or +-1e308; at m = 64 the rows number one short of,
+        # at or one past a chunk of the direct count
+        rng = np.random.default_rng(seed)
+        if m == features.KENDALL_SIGNS_MAX:
+            n = features.KENDALL_COMPARE_CELLS // (m * m) + off
+        else:
+            n = int(rng.integers(1, 9))
+        u, v = (rng.integers(-4, 5, size=(n, m)).astype(float) for _ in range(2))
+        for a in (u, v):
+            hit = rng.random(a.shape) < share
+            a[hit] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308], hit.sum())
+        u[0, :2] = v[0, :2] = (-1.0, 1.0)  # pair (0, 0) is defined
+        pairs = np.c_[np.arange(n), rng.permutation(n)]
+        pairs[0] = (0, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            taken = _count_kendall_paths(mp)
+            got = features._kendall(features._Ranked(u), features._Ranked(v), pairs)
+        assert taken == _kendall_paths(m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = [kendall(u[i], v[j]) for i, j in pairs]
+        # NaN payloads may differ, so values are compared, NaN positions included
+        np.testing.assert_array_equal(got, expected)
+
     def test_kendall_path_consistency_at_boundary(self, rng):
-        # the signs rule and the sorted count on the same 64-entry rows: the
-        # sorted count gives scipy's bits, the signs rule is within 4 ULP of them
+        # 64-entry rows take the signs rule's expression, within 4 ULP of
+        # scipy's; the same rows with a 65th entry give scipy's bits
         u = rng.integers(-95, -30, size=(8, 64)).astype(float)
         v = rng.integers(-95, -30, size=(8, 64)).astype(float)
         v[1] = u[1]  # every tie of this row pair is a joint tie
-        iu = iv = np.arange(8)
-        signs = features._tau_b_from_signs(u, v, iu, iv)
-        sorted_count = features._tau_b_sorted(features._Ranked(u), features._Ranked(v), iu, iv)
+        pairs = np.c_[np.arange(8), np.arange(8)]
+        got = features._kendall(features._Ranked(u), features._Ranked(v), pairs)
         expected = np.array([stats.kendalltau(a, b).statistic for a, b in zip(u, v)])
-        assert sorted_count.tobytes() == expected.tobytes()
-        assert (np.abs(signs - sorted_count) <= 4 * np.spacing(np.abs(sorted_count))).all()
+        assert got.tobytes() == np.array([kendall(a, b) for a, b in zip(u, v)]).tobytes()
+        assert (np.abs(got - expected) <= 4 * np.spacing(np.abs(expected))).all()
+        extra = rng.integers(-95, -30, size=(2, 8, 1)).astype(float)
+        u, v = np.c_[u, extra[0]], np.c_[v, extra[1]]
+        v[1] = u[1]
+        got = features._kendall(features._Ranked(u), features._Ranked(v), pairs)
+        expected = np.array([stats.kendalltau(a, b).statistic for a, b in zip(u, v)])
+        assert got.tobytes() == expected.tobytes()
 
     def test_cosine_hand_value(self):
         u = np.array([1.0, 0.0])
